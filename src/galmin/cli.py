@@ -153,6 +153,8 @@ def _cmd_charsum(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    if not args.all_even and not (args.j % 2 == 0 and 0 <= args.j <= args.p - 3):
+        raise ValueError(f"--j must be even with 0 <= j <= p-3, got {args.j}")
     with Timer() as tm:
         table = build_table(args.p)
         config = ThetaConfig(x=args.x)
@@ -173,7 +175,7 @@ def _cmd_theta(args) -> int:
     return _emit(rep, args.csv)
 
 
-def _make_mollify_weights(mode: str, q: int, sieve_limit: int | None):
+def _make_mollify_weights(mode: str, q: int):
     if mode == "uniform":
         return WeightVector.from_weights(np.ones(q))
     if mode == "witness":
@@ -190,7 +192,7 @@ def _make_mollify_weights(mode: str, q: int, sieve_limit: int | None):
 def _cmd_mollify(args) -> int:
     with Timer() as tm:
         q = math.isqrt(args.p // 3)
-        c = _make_mollify_weights(args.weights, q, args.sieve_limit)
+        c = _make_mollify_weights(args.weights, q)
         mm = mollified_moments(args.p, args.x, c)
     rep = ExperimentReport(
         "mollify",

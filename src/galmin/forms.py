@@ -21,6 +21,9 @@ _R_COUNTS_CAP = 20_000
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
+# KernelOperator multiplies V blocks B_L up to this size densely, larger
+# ones by FFT.
+_DENSE_BLOCK_MAX = 64
 
 
 class KernelKind(Enum):
@@ -38,6 +41,76 @@ class KernelSpec:
         if self.kind is KernelKind.V_KERNEL:
             return g / np.add.outer(rows, cols)
         return g / np.sqrt(np.multiply.outer(rows, cols).astype(np.float64))
+
+
+class KernelOperator:
+    """Products w -> K w and columns K e_j of the V or T kernel on [1, n],
+    through gcd(m, n) = sum of phi(d) over the common divisors d of m, n:
+
+        K = sum_{d <= n} (phi(d)/d) P_d^T B_{n//d} P_d,
+
+    where P_d w = (w_d, w_2d, ...) and B_L is the L x L Hankel block
+    1/(a+b) for V, or the rank-one s s^T with s_a = a^(-1/2) for T. A
+    product costs O(n log^2 n) time for V, O(n log n) for T, and the
+    operator holds O(n log n) numbers.
+    """
+
+    def __init__(self, kind: KernelKind, n: int):
+        self.kind = kind
+        self.n = n
+        self.idx = np.arange(1, n + 1, dtype=np.int64)
+        self.phi = phi_table(n)
+        self.inv_sqrt = 1.0 / np.sqrt(self.idx.astype(np.float64))
+        # The d with n // d == L form one contiguous range, handled as one
+        # batch: (0-based rows d*(1..L) - 1, phi(d)/d, B_L factor).
+        self.groups = []
+        d = 1
+        while d <= n:
+            L = n // d
+            ds = np.arange(d, n // L + 1)
+            rows = np.multiply.outer(ds, self.idx[:L]) - 1
+            self.groups.append((rows, (self.phi[ds] / ds)[:, None], self._block(L)))
+            d = ds[-1] + 1
+
+    def _block(self, L: int) -> np.ndarray:
+        """What matvec needs of B_L: s for T; for V the block itself up to
+        _DENSE_BLOCK_MAX, above it the FFT of 1/k for k = 2..2L."""
+        if self.kind is KernelKind.T_KERNEL:
+            return self.inv_sqrt[:L]
+        if L <= _DENSE_BLOCK_MAX:
+            a = self.idx[:L]
+            return 1.0 / np.add.outer(a, a)
+        return np.fft.rfft(1.0 / np.arange(2, 2 * L + 1), 2 * L)
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n)
+        for rows, coef, block in self.groups:
+            x = w[rows]
+            L = rows.shape[1]
+            if self.kind is KernelKind.T_KERNEL:
+                y = np.outer(x @ block, block)
+            elif L <= _DENSE_BLOCK_MAX:
+                y = x @ block
+            else:
+                # y_a = sum_b x_b / (a+b+2) (0-based) as a cyclic correlation
+                # of length 2L; a+b <= 2L-2 never wraps, so y[:L] is exact.
+                y = np.fft.irfft(block * np.conj(np.fft.rfft(x, 2 * L)), 2 * L)[:, :L]
+            # Within a group the index sets d*(1..L) are pairwise disjoint
+            # (d1*a = d2*b with n/(L+1) < d1 < d2 <= n/L forces b > L), so
+            # the fancy-indexed += loses no update.
+            out[rows] += coef * y
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        """K e_j for the 1-based coordinate j."""
+        g = np.zeros(self.n)  # gcd(i, j) = sum of phi(e) over e | i, e | j
+        for d in range(1, math.isqrt(j) + 1):
+            if j % d == 0:
+                for e in {d, j // d}:
+                    g[e - 1 :: e] += self.phi[e]
+        if self.kind is KernelKind.V_KERNEL:
+            return g / (self.idx + j)
+        return g * (self.inv_sqrt * self.inv_sqrt[j - 1])
 
 
 @dataclass(frozen=True)
@@ -127,18 +200,10 @@ def t_form_naive(c: WeightVector) -> float:
 
 
 def t_form_fast(c: WeightVector, sieve: FactorSieve | None = None) -> float:
-    """T(c;N) via the divisor decomposition sum_d (phi(d)/d) x_d^2,
-    with x_d = sum_{m<=N/d} c_{md}/sqrt(m)."""
-    n = c.n_max
-    phi = phi_table(n)
+    """T(c;N) = c^T K_T c through the divisor decomposition of the kernel
+    (see KernelOperator)."""
     w = c.weights
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, n + 1, dtype=np.float64))
-    total = 0.0
-    for d in range(1, n + 1):
-        sub = w[d - 1 :: d]
-        x_d = float(sub @ inv_sqrt[: len(sub)])
-        total += phi[d] / d * x_d * x_d
-    return total
+    return float(w @ KernelOperator(KernelKind.T_KERNEL, c.n_max).matvec(w))
 
 
 def r_counts_dense(c: WeightVector) -> np.ndarray:

@@ -86,6 +86,13 @@ def test_theta_all_even_csv(capsys):
     assert len(lines) == 7  # header + 6 even characters
 
 
+@pytest.mark.parametrize("j", ["3", "-2", "500"])
+def test_theta_rejects_invalid_character_index(capsys, j):
+    code, out = _run(capsys, "theta", "--p", "101", "--x", "1.0", "--j", j)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_mollify(capsys):
     code, out = _run(capsys, "mollify", "--p", "61", "--x", "1.0")
     assert code == EXIT_OK

@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 
 from galmin.arith import build_sieve
 from galmin.constants import solve_beta
-from galmin.forms import KernelKind, KernelSpec, WeightVector, e_form, t_form_fast, v_form
+from galmin.extremal import witness_t
+from galmin.forms import (
+    KernelKind,
+    KernelOperator,
+    KernelSpec,
+    WeightVector,
+    e_form,
+    t_form_fast,
+    t_form_naive,
+    v_form,
+)
 from galmin.minimize import (
-    _QuadraticOperator,
     grid_oracle,
     minimize_energy,
     minimize_quadratic,
@@ -38,19 +47,35 @@ def test_projection_properties(n, seed):
     assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
 
-def test_operator_matches_dense_above_cutoff():
-    # Force the matrix-free path by bypassing the dense cache.
+def test_operator_matches_dense_kernel():
+    # N = 64 and 65 straddle the largest dense divisor block.
     rng = np.random.default_rng(3)
     for kind in KernelKind:
-        op = _QuadraticOperator(kind, 500)
-        dense = op._dense
-        op._dense = None
-        for w in (rng.random(500), np.zeros(500)):
-            if w.sum():
-                w[rng.integers(0, 500, size=460)] = 0.0  # exercise sparse path
-            assert np.allclose(op.matvec(w), dense @ w, atol=1e-12)
-        for j in (1, 7, 500):
-            assert np.allclose(op.column(j), dense[:, j - 1])
+        for n in (1, 2, 64, 65, 500):
+            op = KernelOperator(kind, n)
+            idx = np.arange(1, n + 1, dtype=np.int64)
+            dense = KernelSpec(kind).block(idx, idx)
+            sparse = rng.random(n)
+            sparse[rng.random(n) < 0.92] = 0.0
+            for w in (rng.random(n), sparse, np.zeros(n)):
+                assert np.allclose(op.matvec(w), dense @ w, rtol=1e-12, atol=1e-15)
+            for j in (1, 7, n):
+                if j <= n:
+                    assert np.allclose(op.column(j), dense[:, j - 1],
+                                       rtol=1e-14, atol=0.0)
+
+
+def test_operator_form_matches_pairwise_oracle_at_1e4():
+    # n > 65^2, so some FFT-sized divisor groups hold several d.
+    n = 10_000
+    wit = witness_t(build_sieve(n), n, solve_beta().beta).normalized()
+    rand = WeightVector.from_weights(np.random.default_rng(4).random(n))
+    for kind, oracle in ((KernelKind.V_KERNEL, v_form),
+                         (KernelKind.T_KERNEL, t_form_naive)):
+        op = KernelOperator(kind, n)
+        for c in (rand, wit):
+            w = c.weights
+            assert math.isclose(float(w @ op.matvec(w)), oracle(c), rel_tol=1e-12)
 
 
 def test_minimize_n1_trivial():
