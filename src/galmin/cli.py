@@ -32,7 +32,7 @@ from .extremal import (
     witness_t,
 )
 from .forms import KernelKind, KernelSpec, WeightVector
-from .minimize import grid_oracle, minimize_energy, minimize_quadratic, scaling_report
+from .minimize import minimize_energy, minimize_quadratic, scaling_report
 from .report import ExperimentReport, Timer
 
 EXIT_OK = 0
@@ -185,7 +185,8 @@ def _make_mollify_weights(mode: str, q: int):
         except EmptyWitnessError:
             return WeightVector.from_weights(np.ones(q))
     # file mode: one weight per line
-    data = [float(line) for line in open(mode)]
+    with open(mode) as fh:
+        data = [float(line) for line in fh]
     return WeightVector.from_weights(np.array(data))
 
 
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, EmptyWitnessError) as exc:
+    except (ValueError, EmptyWitnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,8 @@ from .forms import (
     v_form,  # noqa: F401  perfbench's tracer test reads minimize.v_form
 )
 
-_GRID_POINT_CAP = 20_000_000
+# Peak bytes one grid_oracle scan may allocate (lattice plus objective).
+_GRID_BYTES_BUDGET = 1 << 30
 # Full products refresh the incrementally updated K w every this many steps.
 _REFRESH_EVERY = 256
 
@@ -371,15 +372,18 @@ def scaling_report(
 
 
 def _lattice_points(n: int, K: int) -> np.ndarray:
-    """All integer vectors of length n with nonnegative entries summing to K."""
-    if n == 1:
-        return np.array([[K]], dtype=np.int64)
-    rows = []
-    for k in range(K + 1):
-        rest = _lattice_points(n - 1, K - k)
-        first = np.full((len(rest), 1), k, dtype=np.int64)
-        rows.append(np.hstack([first, rest]))
-    return np.vstack(rows)
+    """All integer vectors of length n with nonnegative entries summing to K,
+    in lexicographic order (grid_oracle's argmin keeps the first minimum)."""
+    cols: list[np.ndarray] = []
+    rem = np.array([K], dtype=np.int64)
+    # Each leading coordinate splits a row with remainder r into r + 1 rows.
+    for _ in range(n - 1):
+        counts = rem + 1
+        parent = np.repeat(np.arange(len(rem)), counts)
+        k = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        cols = [c[parent] for c in cols] + [k]
+        rem = rem[parent] - k
+    return np.stack(cols + [rem], axis=1)
 
 
 def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
@@ -408,14 +412,20 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     """
     if objective_kind not in ("V", "T", "E"):
         raise ValueError(f"unknown objective kind {objective_kind!r}")
+    if N < 1:
+        raise ValueError(f"grid_oracle needs N >= 1, got {N}")
     if N > 5:
         raise BudgetError("grid_oracle supports N <= 5 only")
+    if not (math.isfinite(step) and 0.0 < step <= 1.0):
+        raise ValueError(f"grid_oracle needs a finite step in (0, 1], got {step}")
     K = max(1, round(1.0 / step))
     n_points = math.comb(K + N - 1, N - 1)
-    if n_points > _GRID_POINT_CAP:
+    # The int64 lattice and its float64 copy, then E's r and r * r.
+    row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
+    if n_points * row_bytes > _GRID_BYTES_BUDGET:
         raise BudgetError(
-            f"lattice would hold {n_points} points (cap {_GRID_POINT_CAP}); "
-            "increase step"
+            f"lattice of {n_points} points needs ~{n_points * row_bytes >> 20} MiB "
+            f"(budget {_GRID_BYTES_BUDGET >> 20} MiB); increase step"
         )
     pts = _lattice_points(N, K).astype(np.float64) / K
     vals = _batch_objective(objective_kind, pts)
@@ -423,9 +433,8 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     w, val = pts[best], float(vals[best])
 
     # Local refinement: zero-sum integer moves on a halving lattice.
-    deltas = _lattice_points(N, 2 * N)[:, :] - 2  # entries in [-2, 2N-2]... filtered below
-    deltas = deltas[(np.abs(deltas) <= 2).all(axis=1)]
-    deltas = deltas[deltas.sum(axis=1) == 0].astype(np.float64)
+    moves = np.indices((5,) * N).reshape(N, -1).T - 2  # {-2..2}^N, lexicographic
+    deltas = moves[moves.sum(axis=1) == 0].astype(np.float64)
     h = 1.0 / (2 * K)
     for _ in range(refine_levels):
         cand = w + h * deltas

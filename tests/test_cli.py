@@ -100,6 +100,15 @@ def test_mollify(capsys):
     assert doc["values"]["M0"] >= doc["values"]["holder_lower_bound"] - 1e-6
 
 
+def test_mollify_missing_weights_file(capsys, tmp_path):
+    code = main(["mollify", "--p", "101", "--x", "1",
+                 "--weights", str(tmp_path / "missing.txt")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_burgess_and_lowmoment(capsys):
     code, out = _run(capsys, "burgess", "--p", "101", "--r", "2", "--n", "30")
     assert code == EXIT_OK

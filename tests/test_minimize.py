@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galmin.arith import build_sieve
+from galmin.arith import BudgetError, build_sieve
 from galmin.constants import solve_beta
 from galmin.extremal import witness_t
 from galmin.forms import (
@@ -19,6 +20,7 @@ from galmin.forms import (
     v_form,
 )
 from galmin.minimize import (
+    _lattice_points,
     grid_oracle,
     minimize_energy,
     minimize_quadratic,
@@ -128,6 +130,29 @@ def test_invalid_arguments():
         grid_oracle("V", 6, step=0.1)
     with pytest.raises(ValueError):
         grid_oracle("X", 3, step=0.1)
+    with pytest.raises(ValueError, match="N >= 1"):
+        grid_oracle("V", 0, step=0.1)
+    for step in (0.0, -0.5, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            grid_oracle("V", 3, step=step)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lattice_points_match_product_reference(n, K):
+    ref = np.array([p for p in itertools.product(range(K + 1), repeat=n)
+                    if sum(p) == K], dtype=np.int64)
+    pts = _lattice_points(n, K)
+    assert np.array_equal(pts, ref)
+    assert pts.dtype == np.int64
+    assert len(pts) == math.comb(K + n - 1, n - 1)
+
+
+def test_grid_oracle_memory_budget(monkeypatch):
+    # 635,376 points at N = 5: about 300 MB for E, within the default budget.
+    monkeypatch.setattr("galmin.minimize._GRID_BYTES_BUDGET", 100 << 20)
+    with pytest.raises(BudgetError):
+        grid_oracle("E", 5, step=1 / 60)
 
 
 def test_grid_oracle_agreement_small_n():
