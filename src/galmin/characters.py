@@ -16,34 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+from .arith import SIEVE_MEMORY_CAP, build_sieve, factorize
 
 
 @dataclass(frozen=True)
@@ -69,10 +42,20 @@ class CharacterTable:
 
 
 def build_table(p: int) -> CharacterTable:
-    """Find the least primitive root and fill the discrete-log table."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
-    qs = _prime_divisors(p - 1)
+    """Find the least primitive root and fill the discrete-log table.
+
+    Primality is read off a sieve of size p, so a modulus above the sieve
+    cap is rejected as invalid before anything is allocated.
+    """
+    invalid = ValueError(
+        f"modulus must be an odd prime <= {SIEVE_MEMORY_CAP}, got {p}")
+    if p < 3 or p % 2 == 0 or p > SIEVE_MEMORY_CAP:
+        raise invalid
+    sieve = build_sieve(p)
+    if not sieve.is_prime(p):
+        raise invalid
+    qs = [q for q, _ in factorize(sieve, p - 1)]
+    del sieve  # free it before the table of the same size is allocated
     g = None
     for cand in range(2, p):
         if all(pow(cand, (p - 1) // q, p) != 1 for q in qs):

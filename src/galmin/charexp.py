@@ -49,9 +49,15 @@ def shifted_sums(chi: DirichletCharacter, B: int) -> np.ndarray:
     return out
 
 
+def weil_bound(B: int, r: int, p: int) -> float:
+    """Weil-type bound (2r)^r B^r p + 2r B^{2r} sqrt(p) on the 2r-th moment
+    of the shifted sums over l = 1..p."""
+    return (2 * r) ** r * B**r * p + 2 * r * B ** (2 * r) * math.sqrt(p)
+
+
 def weil_moment_check(chi: DirichletCharacter, B: int, r: int) -> tuple[float, float]:
-    """Brute-force left side of the 2r-th shifted-sum moment against the
-    Weil-type bound (2r)^r B^r p + 2r B^{2r} sqrt(p)."""
+    """Brute-force left side of the 2r-th shifted-sum moment against
+    weil_bound(B, r, p)."""
     if chi.is_principal:
         raise ValueError("nonprincipal character required")
     if r < 2:
@@ -61,7 +67,7 @@ def weil_moment_check(chi: DirichletCharacter, B: int, r: int) -> tuple[float, f
     p = chi.p
     if p * max(B, 1) > _WEIL_BUDGET:
         raise BudgetError("weil_moment_check budget exceeded")
-    rhs = (2 * r) ** r * B**r * p + 2 * r * B ** (2 * r) * math.sqrt(p)
+    rhs = weil_bound(B, r, p)
     if B == 0:
         return 0.0, rhs
     inner = shifted_sums(chi, B)
@@ -80,15 +86,6 @@ def burgess_r_values(c: WeightVector, M: int, N: int, p: int) -> np.ndarray:
         if ca != 0.0:
             r += ca * counts[(a0 * ls) % p]
     return r
-
-
-def burgess_r_ell(c: WeightVector, ell: int, M: int, N: int, p: int) -> float:
-    """Single value r(ell; c)."""
-    counts = _window_counts(p, M, N)
-    total = 0.0
-    for a0, ca in enumerate(c.weights, start=1):
-        total += ca * counts[(a0 * ell) % p]
-    return float(total)
 
 
 def burgess_R(c: WeightVector, A: int, M: int, N: int, p: int) -> float:
@@ -166,7 +163,7 @@ def burgess_experiment(
             bound = c.one_norm**2 + 2 * N * v_at_c
             rep.check("R_bound_gcd_form", R, bound, R <= bound * (1 + 1e-12))
 
-        weil_rhs = (2 * r) ** r * B**r * p + 2 * r * B ** (2 * r) * math.sqrt(p)
+        weil_rhs = weil_bound(B, r, p)
         holder_min_slack = math.inf
         max_abs_s = 0.0
         max_window = 0.0

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import BudgetError, FactorSieve, phi_table
+from .arith import BudgetError, phi_table
 
 # Dense product tables r(n) are materialized up to this N.
 _R_COUNTS_CAP = 20_000
@@ -199,7 +199,7 @@ def t_form_naive(c: WeightVector) -> float:
     return _quadratic_form(KernelSpec(KernelKind.T_KERNEL), c)
 
 
-def t_form_fast(c: WeightVector, sieve: FactorSieve | None = None) -> float:
+def t_form_fast(c: WeightVector) -> float:
     """T(c;N) = c^T K_T c through the divisor decomposition of the kernel
     (see KernelOperator)."""
     w = c.weights

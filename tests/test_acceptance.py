@@ -2,8 +2,10 @@
 
 Each criterion combines exact identities, closed forms, or independently
 computed oracle values; tolerances are pinned in the assertions below.
-Criterion 12 is exploratory: it must run and emit its tables but carries
-no numeric assertion.
+Invariants that `galmin verify-all` also checks are written once in
+galmin.verify; a criterion calls them on its own pinned grid and seed and
+adds the checks that only the gate makes. Criterion 12 is exploratory: it
+must run and emit its tables but carries no numeric assertion.
 """
 
 import math
@@ -12,39 +14,21 @@ import time
 import numpy as np
 import pytest
 
+from galmin import verify
 from galmin.arith import build_sieve
-from galmin.characters import (
-    build_table,
-    char_sum,
-    character_matrix,
-    gauss_sum,
-    orthogonality_check,
-    polya_partial_sum,
-)
-from galmin.charexp import burgess_R, low_moment_experiment, mollified_moments
+from galmin.characters import build_table, character_matrix, orthogonality_check
+from galmin.charexp import mollified_moments
 from galmin.constants import solve_beta
 from galmin.extremal import (
     filtered_count,
     level_set_count,
     multiplication_table_count,
 )
-from galmin.forms import (
-    KernelKind,
-    KernelSpec,
-    WeightVector,
-    e_form,
-    t_form_fast,
-    t_form_naive,
-    v_form,
-)
-from galmin.minimize import (
-    grid_oracle,
-    minimize_energy,
-    minimize_quadratic,
-    minimize_with_witness,
-    scaling_report,
-)
+from galmin.forms import KernelKind, WeightVector, v_form
+from galmin.minimize import grid_oracle, minimize_with_witness, scaling_report
+from galmin.report import ExperimentReport
 
+# Trial division, independent of the sieve that galmin itself uses.
 _PRIMES = [p for p in range(3, 500)
            if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
 
@@ -69,13 +53,12 @@ def sieve_1e5():
 
 
 def test_criterion_01_constants():
+    rep = ExperimentReport("acceptance")
     t0 = time.perf_counter()
-    pc = solve_beta()
+    pc = verify.check_constants(rep, 1e-12)
     elapsed = time.perf_counter() - t0
-    ok = (abs(pc.beta - 0.48155) < 1e-4
-          and abs(pc.eta - 0.16656) < 1e-4
+    ok = (rep.all_hold
           and abs(pc.y_beta - 0.35530) < 1e-4
-          and abs(pc.delta - 0.08607) < 1e-4
           and elapsed < 1.0)
     _verdict(1, "constants", ok)
 
@@ -90,78 +73,42 @@ def test_criterion_02_small_n_infima():
         go = grid_oracle(kind, 2, step=1 / 1000)
         ok &= abs(scale * go.value - want) < 1e-6
     # N <= 5: iterative minimizers against the oracle.
-    for n in range(1, 6):
-        for kind, spec in (("V", KernelKind.V_KERNEL), ("T", KernelKind.T_KERNEL)):
-            it = minimize_quadratic(KernelSpec(spec), n, tolerance=1e-12)
-            go = grid_oracle(kind, n, step=1 / 60)
-            ok &= abs(it.value - go.value) <= 1e-6
-        em = minimize_energy(n, restarts=4, seed=0)
-        ge = grid_oracle("E", n, step=1 / 60)
-        ok &= abs(em.value - ge.value) <= 1e-4
+    rep = ExperimentReport("acceptance")
+    verify.check_small_n_infima(rep, range(1, 6))
+    ok &= rep.all_hold
     ok &= (time.perf_counter() - t0) < 60.0
     _verdict(2, "small-N infima vs grid oracle", ok)
 
 
 def test_criterion_03_kernel_inequality():
-    rng = np.random.default_rng(12345)
-    violations = 0
-    for _ in range(1000):
-        n = int(rng.integers(1, 501))
-        c = WeightVector.from_weights(rng.random(n))
-        if v_form(c) > 0.5 * t_form_naive(c) + 1e-12:
-            violations += 1
-    _verdict(3, "V <= T/2 on 1000 random vectors", violations == 0)
+    rep = ExperimentReport("acceptance")
+    verify.check_kernel_inequality(rep, np.random.default_rng(12345), 1000)
+    _verdict(3, "V <= T/2 on 1000 random vectors", rep.all_hold)
 
 
 def test_criterion_04_t_dual_algorithms():
-    rng = np.random.default_rng(99)
-    sieve = build_sieve(2000)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 2001))
-        c = WeightVector.from_weights(rng.random(n))
-        a, b = t_form_naive(c), t_form_fast(c, sieve)
-        worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-    _verdict(4, "T naive vs divisor decomposition", worst <= 1e-10)
+    rep = ExperimentReport("acceptance")
+    verify.check_t_naive_vs_fast(rep, np.random.default_rng(99), 100, (1, 2000))
+    _verdict(4, "T naive vs divisor decomposition", rep.all_hold)
 
 
 def test_criterion_05_m4_energy_identity():
-    rng = np.random.default_rng(5)
-    ok = True
-    for p in _primes_upto(499):
-        if p < 7:
-            continue
-        q = math.isqrt(p // 3)
-        table = build_table(p)
-        for c in (WeightVector.from_weights(np.ones(q)),
-                  WeightVector.from_weights(rng.random(q) + 0.05)):
-            mm = mollified_moments(p, 1.0, c, table=table)
-            ok &= math.isclose(mm.M4, 0.5 * (p - 1) * e_form(c), rel_tol=1e-8)
+    primes = [p for p in _primes_upto(499) if p >= 7]
+    rep = ExperimentReport("acceptance")
+    verify.check_mollified_moments(rep, np.random.default_rng(5), primes)
     # Hand-checked instance.
     mm = mollified_moments(13, 1.0, WeightVector.from_weights([1.0, 1.0]))
-    ok &= math.isclose(mm.M4, 36.0, rel_tol=1e-12)
+    ok = rep.all_hold and math.isclose(mm.M4, 36.0, rel_tol=1e-12)
     _verdict(5, "M4 = (p-1)/2 * E(c;q)", ok)
 
 
 def test_criterion_06_holder_chains():
-    ok = True
-    rng = np.random.default_rng(6)
-    for p in _primes_upto(300):
-        if p < 7:
-            continue
-        table = build_table(p)
-        q = math.isqrt(p // 3)
-        for c in (WeightVector.from_weights(np.ones(q)),
-                  WeightVector.from_weights(rng.random(q) + 0.05)):
-            mm = mollified_moments(p, 1.0, c, table=table)
-            ok &= mm.M0 >= mm.holder_lower_bound - 1e-6
-        n = max(1, math.isqrt(p))
-        for r in (0.5, 1.0, 1.25):
-            rep = low_moment_experiment(p, n, r, table=table, energy_budget=0)
-            holder = next(a for a in rep.assertions if a.name == "holder_moments")
-            ok &= holder.rhs - holder.lhs >= -1e-9
-            ok &= rep.all_hold
-    _verdict(6, "mollified and low-moment Hoelder chains", ok)
+    primes = [p for p in _primes_upto(300) if p >= 7]
+    rep = ExperimentReport("acceptance")
+    verify.check_mollified_moments(rep, np.random.default_rng(6), primes)
+    verify.check_low_moment_holder(
+        rep, [(p, max(1, math.isqrt(p))) for p in primes])
+    _verdict(6, "mollified and low-moment Hoelder chains", rep.all_hold)
 
 
 def _weil_bound(B, r, p):
@@ -205,16 +152,9 @@ def test_criterion_07_shifted_sum_bounds():
 
 
 def test_criterion_08_character_infrastructure():
-    ok = True
-    for p in _primes_upto(300):
-        table = build_table(p)
-        n = max(1, p // 2)
-        total = 0.0
-        for chi in table.characters():
-            if not chi.is_principal:
-                ok &= abs(abs(gauss_sum(chi)) - math.sqrt(p)) <= 1e-9
-            total += abs(char_sum(chi, 0, n)) ** 2
-        ok &= abs(total - (p - 1) * n) <= 1e-6 * (p - 1) * n
+    rep = ExperimentReport("acceptance")
+    verify.check_character_sums(rep, _primes_upto(300))
+    ok = rep.all_hold
     # Orthogonality over the even subgroup: (p-1)/2 iff n = +-m mod p.
     for p in (13, 31):
         table = build_table(p)
@@ -238,27 +178,18 @@ def _distinct_products_oracle(n, chunk=256):
 
 
 def test_criterion_09_multiplication_table_counts():
-    ok = (multiplication_table_count(3) == 6
-          and multiplication_table_count(4) == 9
-          and multiplication_table_count(5) == 14)
+    rep = ExperimentReport("acceptance")
+    verify.check_multiplication_table_counts(rep)
+    ok = rep.all_hold
     for n in (1, 2, 7, 10, 31, 100, 317, 1000, 3163, 10_000):
         ok &= multiplication_table_count(n) == _distinct_products_oracle(n)
     _verdict(9, "H(N) against independent oracle", ok)
 
 
 def test_criterion_10_polya_residual():
-    # Half-integer cutoff: at integer t the Fourier series converges to the
-    # half-jump value, which would leave an irreducible ~1/2 residual.
-    ok = True
-    for p in _primes_upto(300):
-        chi = build_table(p).character(1)
-        t = p // 3 + 0.5
-        _, _, res_p = polya_partial_sum(chi, t, p)
-        _, _, res_p2 = polya_partial_sum(chi, t, p * p)
-        ok &= res_p2 <= res_p + 1e-12
-        ok &= res_p <= 2 + 10 * p * math.log(p) / p
-        ok &= res_p2 <= 2 + 10 * p * math.log(p) / (p * p)
-    _verdict(10, "Polya formula residual decay", ok)
+    rep = ExperimentReport("acceptance")
+    verify.check_polya_decay(rep, _primes_upto(300))
+    _verdict(10, "Polya formula residual decay", rep.all_hold)
 
 
 def test_criterion_11_witness_feasibility(sieve_1e5):

@@ -11,7 +11,6 @@ from galmin.characters import (
     char_sum,
     character_matrix,
     gauss_sum,
-    is_prime,
     orthogonality_check,
     polya_partial_sum,
     theta,
@@ -20,19 +19,15 @@ from galmin.characters import (
 )
 
 
-def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13}
-    for n in range(-2, 15):
-        assert is_prime(n) == (n in primes)
-    assert is_prime(7919)
-    assert not is_prime(7917)
-
-
 def test_build_table_rejects_composites():
     with pytest.raises(ValueError):
         build_table(8)
     with pytest.raises(ValueError):
         build_table(2)
+    with pytest.raises(ValueError):
+        build_table(1)
+    with pytest.raises(ValueError):
+        build_table(9)
 
 
 def test_primitive_root_and_dlog():

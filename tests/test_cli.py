@@ -127,10 +127,53 @@ def test_polyzeta(capsys):
     assert abs(doc["values"]["value"] - 3.0) < 0.2
 
 
+# Every check of `verify-all --fast`, in report order.
+VERIFY_ALL_CHECKS = [
+    "beta_near_048155", "eta_near_016656", "eta_below_one_sixth",
+    "delta_near_008607", "q_at_one_is_zero",
+    "phi_divisor_sum", "big_omega_ge_small_omega",
+    "kernel_inequality_V_le_half_T", "t_naive_vs_fast",
+    "r_mass_identity_N5", "energy_times_H_ge_one_N5",
+    "r_mass_identity_N17", "energy_times_H_ge_one_N17",
+    "r_mass_identity_N60", "energy_times_H_ge_one_N60",
+    "e_gradient_finite_difference",
+    "V2_closed_form", "T2_closed_form", "E2_closed_form",
+    "V3_vs_grid_oracle", "T3_vs_grid_oracle", "E3_vs_grid_oracle",
+    "V4_vs_grid_oracle", "T4_vs_grid_oracle", "E4_vs_grid_oracle",
+    "V5_vs_grid_oracle", "T5_vs_grid_oracle", "E5_vs_grid_oracle",
+    "H_3", "H_4", "H_5",
+    "gauss_sum_modulus", "parseval",
+    "orthogonality_plus_minus", "orthogonality_zero",
+    "polya_residual_decay",
+    "weil_moment_bound", "R_bound_gcd_form_grid",
+    "mollified_holder_and_M4_identity", "low_moment_holder",
+]
+
+
+def test_verify_all_fast(capsys):
+    code, out = _run(capsys, "verify-all", "--fast")
+    assert code == EXIT_OK
+    assertions = json.loads(out)["assertions"]
+    assert [a["name"] for a in assertions] == VERIFY_ALL_CHECKS
+    assert [a["name"] for a in assertions if not a["holds"]] == []
+
+
 def test_usage_error_exit_code(capsys):
     # Invalid N for the witness construction.
     code, _ = _run(capsys, "witness", "--kind", "t", "--n", "10")
     assert code == EXIT_USAGE
+
+
+def test_invalid_modulus_is_rejected_before_the_sieve(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of size {limit} built for a bad modulus")
+
+    monkeypatch.setattr("galmin.characters.build_sieve", no_sieve)
+    # Odd composite above the sieve cap, even, and below 3.
+    for p in ("999999999", "100000000", "1"):
+        code = main(["charsum", "--p", p, "--j", "1", "--m", "0", "--n", "5"])
+        assert code == EXIT_USAGE
+        assert "modulus must be an odd prime" in capsys.readouterr().err
 
 
 def test_budget_error_exit_code(capsys):
