@@ -6,6 +6,12 @@ chi_j(n) = exp(2*pi*i * j * ind(n) / (p-1)) where ind is the discrete log
 with respect to the least primitive root; chi_j is even iff j is even.
 Angles are reduced with exact integer arithmetic mod p-1 before the single
 call into exp.
+
+A weighted sum over every character at once, sum_n w_n chi_j(n) for all j,
+is a discrete Fourier transform of the weights binned by ind(n):
+character_sums does it in O(len(ns) + p log p) time and O(p) memory.
+character_matrix builds the dense (characters x n) matrix instead and is
+kept as the reference that tests compare it against.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import SIEVE_MEMORY_CAP, build_sieve, factorize
+from .arith import SIEVE_MEMORY_CAP, BudgetError, build_sieve, factorize
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,12 @@ class DirichletCharacter:
 
 
 def character_matrix(table: CharacterTable, ns, even_only: bool = False) -> np.ndarray:
-    """Matrix chi_j(n) with one row per character, columns following ns."""
+    """Matrix chi_j(n) with one row per character, columns following ns.
+
+    The dense reference: it takes O(p * len(ns)) time and memory. Sums over
+    all characters go through character_sums, which tests check against
+    this matrix.
+    """
     p = table.p
     ns = np.asarray(ns, dtype=np.int64) % p
     js = np.arange(0, p - 1, 2 if even_only else 1)
@@ -116,6 +127,27 @@ def character_matrix(table: CharacterTable, ns, even_only: bool = False) -> np.n
     k = np.outer(js, table.dlog[ns[mask]]) % (p - 1)
     out[:, mask] = np.exp(2j * np.pi * k / (p - 1))
     return out
+
+
+def character_sums(table: CharacterTable, ns, weights,
+                   even_only: bool = False) -> np.ndarray:
+    """sum_n w_n chi_j(n) for every character, or every even one, in index
+    order j = 0, 1, 2, ... (j = 0, 2, 4, ... when even_only), for real
+    weights w following ns.
+
+    chi_j(n) depends on n only through ind(n) mod m, where m = p-1, or
+    (p-1)/2 for even j = 2k, since chi_2k(n) = e^{2 pi i k ind(n) / m}.
+    So the sums are m times the inverse DFT of the weights binned by that
+    class; n = 0 (mod p) has chi(n) = 0 and is left out.
+    """
+    p = table.p
+    ns = np.asarray(ns, dtype=np.int64) % p
+    weights = np.asarray(weights, dtype=np.float64)
+    m = (p - 1) // 2 if even_only else p - 1
+    mask = ns != 0
+    binned = np.bincount(table.dlog[ns[mask]] % m, weights=weights[mask],
+                         minlength=m)
+    return np.fft.ifft(binned) * m
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> complex:
@@ -179,16 +211,42 @@ class ThetaConfig:
 
 
 def theta_cutoff(p: int, config: ThetaConfig) -> int:
-    """Smallest n_max with geometric tail bound below tail_epsilon."""
+    """The first n_max >= n0 = floor(sqrt(max(-log tail_epsilon, 1) / rate)),
+    rate = pi x / p, whose geometric tail bound is below tail_epsilon.
+
+    Every caller allocates arrays of length n_max, so an n_max above
+    SIEVE_MEMORY_CAP raises BudgetError.
+    """
     rate = math.pi * config.x / p
-    n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
-    while True:
+
+    def tail_ok(n: int) -> bool:
         # tail after n: sum_{m>n} e^{-rate m^2} <= e^{-rate (n+1)^2}/(1 - e^{-rate(2n+3)})
         head = math.exp(-rate * (n + 1) ** 2)
         denom = 1.0 - math.exp(-rate * (2 * n + 3))
-        if head / denom < config.tail_epsilon:
-            return n
-        n += 1
+        return head / denom < config.tail_epsilon
+
+    n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
+    # n_max >= n, so a start above the budget is rejected without a search
+    # (far out, the bound's denominator rounds to 0).
+    if n <= SIEVE_MEMORY_CAP and not tail_ok(n):
+        # The bound falls as n grows (the head falls, the denominator
+        # rises): double the step past the cutoff, then bisect back to the
+        # first passing n, keeping tail_ok(lo) false and tail_ok(hi) true.
+        lo, step = n, 1
+        while not tail_ok(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if tail_ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        n = hi
+    if n > SIEVE_MEMORY_CAP:
+        raise BudgetError(f"theta needs more than {SIEVE_MEMORY_CAP} terms "
+                          f"at p={p}, x={config.x}")
+    return n
 
 
 def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
@@ -207,8 +265,7 @@ def theta_all_even(table: CharacterTable, config: ThetaConfig) -> np.ndarray:
     n_max = theta_cutoff(p, config)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
-    cm = character_matrix(table, ns, even_only=True)
-    return cm @ damp
+    return character_sums(table, ns, damp, even_only=True)
 
 
 def orthogonality_check(table: CharacterTable, m: int, n: int) -> complex:

@@ -20,7 +20,7 @@ from .characters import (
     DirichletCharacter,
     ThetaConfig,
     build_table,
-    character_matrix,
+    character_sums,
     theta_all_even,
     theta_cutoff,
 )
@@ -39,14 +39,13 @@ def _window_counts(p: int, M: int, N: int) -> np.ndarray:
 
 
 def shifted_sums(chi: DirichletCharacter, B: int) -> np.ndarray:
-    """I(l) = sum_{1<=b<=B} chi(l+b) for l = 1..p."""
+    """I(l) = sum_{1<=b<=B} chi(l+b) for l = 1..p, as differences of one
+    prefix sum of chi(n mod p) over n = 0..p+B."""
     p = chi.p
     vals = chi.values(np.arange(p, dtype=np.int64))  # chi(0..p-1)
-    out = np.zeros(p, dtype=np.complex128)
-    ls = np.arange(1, p + 1, dtype=np.int64)
-    for b in range(1, B + 1):
-        out += vals[(ls + b) % p]
-    return out
+    cum = np.zeros(p + B + 2, dtype=np.complex128)
+    np.cumsum(np.resize(vals, p + B + 1), out=cum[1:])  # cum[k] = sum_{n<k}
+    return cum[B + 2:] - cum[2:p + 2]
 
 
 def weil_bound(B: int, r: int, p: int) -> float:
@@ -255,8 +254,7 @@ def mollified_moments(
     config = ThetaConfig(x=x, tail_epsilon=tail_epsilon)
     thetas = theta_all_even(table, config)
     ms = np.arange(1, q + 1, dtype=np.int64)
-    cm = character_matrix(table, ms, even_only=True)
-    mollifiers = np.conj(cm) @ c.weights
+    mollifiers = np.conj(character_sums(table, ms, c.weights, even_only=True))
     m1 = complex((mollifiers * thetas).sum())
     m2 = float((np.abs(thetas) ** 2).sum())
     m4 = float((np.abs(mollifiers) ** 4).sum())
@@ -307,9 +305,9 @@ def low_moment_experiment(
         if c.n_max != N:
             raise ValueError("weights must have length N")
         ns = np.arange(1, N + 1, dtype=np.int64)
-        cm = character_matrix(table, ns)  # all characters, j = 0 first
-        S = cm.sum(axis=1)[1:]  # nonprincipal only
-        Mol = (np.conj(cm) @ c.weights)[1:]
+        # All characters, j = 0 first; [1:] keeps the nonprincipal ones.
+        S = character_sums(table, ns, np.ones(N))[1:]
+        Mol = np.conj(character_sums(table, ns, c.weights))[1:]
         norm = p - 2
         s_r = float((np.abs(S) ** r).sum()) / norm
         s_2 = float((np.abs(S) ** 2).sum()) / norm

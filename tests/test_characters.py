@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from galmin.arith import SIEVE_MEMORY_CAP, BudgetError
 from galmin.characters import (
     CharacterTable,
     ThetaConfig,
     build_table,
     char_sum,
     character_matrix,
+    character_sums,
     gauss_sum,
     orthogonality_check,
     polya_partial_sum,
@@ -93,6 +95,21 @@ def test_character_matrix_shape():
     assert even.shape == (6, 13)
 
 
+@pytest.mark.parametrize("even_only", [False, True])
+@pytest.mark.parametrize("p", [3, 5, 13, 23, 101, 10007])
+def test_character_sums_match_dense_matrix(p, even_only):
+    rng = np.random.default_rng(p)
+    table = build_table(p)
+    # 0, multiples of p, values above p and repeats, then random n.
+    ns = np.concatenate([[0, p, 3 * p, 1, 1, p - 1, p + 1, 2 * p + 2, 2],
+                         rng.integers(0, 4 * p, size=200)])
+    weights = rng.standard_normal(len(ns))
+    got = character_sums(table, ns, weights, even_only)
+    want = character_matrix(table, ns, even_only) @ weights
+    assert got.shape == want.shape == ((p - 1) // (2 if even_only else 1),)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_char_sum_oracle():
     # Window convention: sum over M < n <= M + N.
     chi = build_table(17).character(2)
@@ -159,6 +176,35 @@ def test_theta_all_even_consistent():
     assert len(vals) == len(evens)
     for got, chi in zip(vals, evens):
         assert abs(got - theta(chi, cfg)) < 1e-10
+
+
+def _theta_cutoff_linear_scan(p, config):
+    """The cutoff search as a +1 scan from the same starting n."""
+    rate = math.pi * config.x / p
+    n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
+    while True:
+        head = math.exp(-rate * (n + 1) ** 2)
+        denom = 1.0 - math.exp(-rate * (2 * n + 3))
+        if head / denom < config.tail_epsilon:
+            return n
+        n += 1
+
+
+@pytest.mark.parametrize("tail_epsilon", [1e-15, 1e-6])
+@pytest.mark.parametrize("x", [1e-6, 0.01, 1.0, 7.5])
+@pytest.mark.parametrize("p", [13, 101, 10007])
+def test_theta_cutoff_matches_linear_scan(p, x, tail_epsilon):
+    config = ThetaConfig(x=x, tail_epsilon=tail_epsilon)
+    assert theta_cutoff(p, config) == _theta_cutoff_linear_scan(p, config)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-40])
+def test_theta_cutoff_budget(x):
+    # n_max is about 4e8 at x = 1e-12; at 1e-40 the tail bound's
+    # denominator rounds to 0 at the starting n.
+    with pytest.raises(BudgetError):
+        theta_cutoff(10007, ThetaConfig(x=x))
+    assert theta_cutoff(10007, ThetaConfig(x=1e-10)) <= SIEVE_MEMORY_CAP
 
 
 def test_theta_config_validation():

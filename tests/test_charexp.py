@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from galmin.arith import BudgetError, build_sieve
-from galmin.characters import build_table
+from galmin import characters, charexp
+from galmin.characters import ThetaConfig, build_table, theta_all_even
 from galmin.charexp import (
     _window_counts,
     burgess_R,
@@ -32,11 +33,12 @@ def test_window_counts_oracle():
 
 def test_shifted_sums_oracle():
     chi = build_table(11).character(3)
-    B = 4
-    out = shifted_sums(chi, B)
-    for ell in (1, 5, 11):
-        direct = sum(chi(ell + b) for b in range(1, B + 1))
-        assert abs(out[ell - 1] - direct) < 1e-12
+    for B in (0, 4, 25):  # B = 25 > p wraps around the period
+        out = shifted_sums(chi, B)
+        assert out.shape == (11,)
+        for ell in range(1, 12):
+            direct = sum(chi(ell + b) for b in range(1, B + 1))
+            assert abs(out[ell - 1] - direct) < 1e-12
 
 
 def test_weil_moment_brute_force_and_bound():
@@ -125,6 +127,21 @@ def test_mollified_moments_validation():
         mollified_moments(5, 1.0, WeightVector.from_weights([1.0]))
     with pytest.raises(ValueError):
         mollified_moments(13, 1.0, WeightVector.from_weights([1.0, 1.0, 1.0]))
+
+
+def test_all_character_sums_skip_the_dense_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense character matrix built")
+
+    monkeypatch.setattr(characters, "character_matrix", dense)
+    monkeypatch.setattr(charexp, "character_matrix", dense, raising=False)
+    p = 499
+    table = build_table(p)
+    assert len(theta_all_even(table, ThetaConfig(x=1.0))) == (p - 1) // 2
+    q = math.isqrt(p // 3)
+    assert mollified_moments(p, 1.0, WeightVector.from_weights(np.ones(q)),
+                             table=table).M0 > 0
+    assert low_moment_experiment(p, 21, 1.0, table=table).all_hold
 
 
 def test_low_moment_exponents_identities():

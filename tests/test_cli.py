@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -117,6 +119,111 @@ def test_burgess_and_lowmoment(capsys):
                      "--r", "1.0")
     assert code == EXIT_OK
     assert all(a["holds"] for a in json.loads(out)["assertions"])
+
+
+def _matches(got, want):
+    """Equal ints, strings and verdicts; floats within rel 1e-12, or abs
+    1e-12 near 0; only the keys of a wanted dict are compared."""
+    if isinstance(want, dict):
+        return all(k in got and _matches(got[k], v) for k, v in want.items())
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_matches, got, want))
+    if isinstance(want, float):
+        return (isinstance(got, float)
+                and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12))
+    return type(got) is type(want) and got == want
+
+
+def _assertion(name, lhs, rhs, holds=True):
+    return {"name": name, "lhs": lhs, "rhs": rhs, "holds": holds}
+
+
+# Outputs of the README character commands. The all-character sums are
+# FFTs and the shifted sums prefix sums, so floats may differ from the
+# direct sums by rounding only.
+PINNED_OUTPUTS = [
+    (["mollify", "--p", "499", "--x", "1.0", "--weights", "uniform"], {
+        "parameters": {"q": 12, "zero_threshold": 8.602325267042627e-10},
+        "values": {"M0": 249, "M1_re": 2210.2461923358433,
+                   "M1_im": -4.440892098500626e-15, "M2": 1842.048340366948,
+                   "M4": 107567.99999999997,
+                   "holder_lower_bound": 65.38490005139514,
+                   "theta_min_abs": 0.03493971632032658},
+        "assertions": [_assertion("M0_vs_holder", 249.0, 65.38489905139514)],
+    }),
+    (["lowmoment", "--p", "101", "--n", "9", "--r", "1.0"], {
+        "values": {"E_nu_upper_bound": 2.4092025999489715,
+                   "cross_term": 8.272727272727273,
+                   "mollified_4": 144.8383838383838,
+                   "moment_2": 8.272727272727273,
+                   "moment_r": 2.5554488892737193, "nu": 9,
+                   "ratio_vs_shape": 1.322155713437939},
+        "assertions": [
+            _assertion("exponent_identity", 1.0, 1.0),
+            _assertion("holder_moments", 8.272727272727273, 9.405170953348819),
+            _assertion("second_moment_identity", 8.272727272727273,
+                       8.272727272727273),
+        ],
+    }),
+    (["burgess", "--p", "101", "--r", "2", "--n", "30"], {
+        "parameters": {"A": 1, "B": 6},
+        "values": {"R": 30.0, "holder_min_slack": 97665304.58846179,
+                   "max_S_window": 11.03191410163119,
+                   "max_averaged_S": 80.1350153837225,
+                   "ratio_T": 0.8477737919346091,
+                   "ratio_V": 1.0081786252814737,
+                   "shape_T_normalization": 13.012803894841452,
+                   "shape_V_normalization": 10.94242014757175,
+                   "sum_r": 30.0, "v_form_at_c": 0.5},
+        "assertions": [
+            _assertion("sum_r_equals_N_times_norm", 30.0, 30.0),
+            _assertion("R_bound_gcd_form", 30.0, 31.0),
+            _assertion("holder_chain_all_chi", 97665304.58846179, 0.0),
+            _assertion("trivial_window_bound", 11.03191410163119, 30.0),
+        ],
+    }),
+]
+
+# theta --p 101 --x 1.0 --all-even: 50 rows, of which these are pinned.
+PINNED_THETA_ROWS = {
+    0: {"j": 0, "theta_re": 4.524937810560444, "theta_im": 0.0,
+        "abs": 4.524937810560444},
+    1: {"j": 2, "theta_re": 1.3314880013552775, "theta_im": 1.230512466427523,
+        "abs": 1.8130144036346256},
+    25: {"j": 50, "theta_re": 0.3783017728647588,
+         "theta_im": 2.539082275396543e-16, "abs": 0.3783017728647588},
+    49: {"j": 98, "theta_re": 1.3314880013552768,
+         "theta_im": -1.230512466427523, "abs": 1.8130144036346252},
+}
+
+
+@pytest.mark.parametrize("argv,want", PINNED_OUTPUTS,
+                         ids=[argv[0] for argv, _ in PINNED_OUTPUTS])
+def test_character_outputs_pinned(capsys, argv, want):
+    code, out = _run(capsys, *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    for key, part in want.items():
+        assert _matches(doc[key], part), (key, doc[key])
+
+
+def test_theta_all_even_pinned(capsys):
+    code, out = _run(capsys, "theta", "--p", "101", "--x", "1.0", "--all-even")
+    assert code == EXIT_OK
+    rows = json.loads(out)["values"]["rows"]
+    assert len(rows) == 50
+    for i, row in PINNED_THETA_ROWS.items():
+        assert _matches(rows[i], row), rows[i]
+
+
+def test_theta_over_budget_exits_3_at_once(capsys):
+    # The cutoff would be about 4e8 terms; the search stops at the budget.
+    t0 = time.perf_counter()
+    code, out = _run(capsys, "theta", "--p", "10007", "--x", "1e-12",
+                     "--all-even")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_polyzeta(capsys):
