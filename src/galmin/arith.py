@@ -14,10 +14,21 @@ import numpy as np
 
 # Hard cap on sieve size: fail loudly instead of thrashing.
 SIEVE_MEMORY_CAP = 100_000_000
+# Peak bytes one large allocation (a grid-oracle scan, a quadrature pass)
+# may take; each estimates its peak through require_bytes first.
+BYTES_BUDGET = 1 << 30
 
 
 class BudgetError(ValueError):
     """Raised when a request exceeds a configured compute/memory budget."""
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise BudgetError, before anything is allocated, when `what` would
+    take more than BYTES_BUDGET bytes at its peak."""
+    if nbytes > BYTES_BUDGET:
+        raise BudgetError(f"{what} needs ~{nbytes >> 20} MiB "
+                          f"(budget {BYTES_BUDGET >> 20} MiB)")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import BudgetError, FactorSieve
+from .arith import BudgetError, FactorSieve, require_bytes
 from .characters import (
     CharacterTable,
     DirichletCharacter,
@@ -166,25 +166,41 @@ def burgess_experiment(
         holder_min_slack = math.inf
         max_abs_s = 0.0
         max_window = 0.0
-        # Sliding window sums over all starts via prefix sums of chi values.
-        ns = np.arange(1, 2 * p + 1, dtype=np.int64)
-        for j in range(1, p - 1):
-            chi = table.character(j)
-            inner = shifted_sums(chi, B)
-            w_moment = float((np.abs(inner) ** (2 * r)).sum())
-            if w_moment > weil_rhs * (1 + 1e-12):
-                rep.check(f"weil_moment_chi_{j}", w_moment, weil_rhs, False)
-            s_val = float(rvals @ np.abs(inner))
-            lhs = s_val ** (2 * r)
-            rhs = sum_r ** (2 * r - 2) * R * w_moment
-            slack = rhs - lhs
-            holder_min_slack = min(holder_min_slack, slack)
-            if lhs > rhs * (1 + 1e-9):
-                rep.check(f"holder_chain_chi_{j}", lhs, rhs, False)
-            max_abs_s = max(max_abs_s, s_val)
-            cum = np.concatenate([[0j], np.cumsum(chi.values(ns))])
-            windows = np.abs(cum[N:] - cum[:-N])
+        # chi_j(n) for n = 0..L-1 is a gather from the p-1 roots of unity, at
+        # (j * ind(n)) mod (p-1), for a block of characters at a time. One
+        # prefix sum C[k] = sum_{n<=k} chi(n) then gives the shifted sums
+        # I(l) = C[l+B] - C[l], l = 1..p, and the window sums
+        # S = C[m+N] - C[m], m = 0..2p-N. The roots are computed by the
+        # expression of DirichletCharacter.values, so chi agrees bit for bit.
+        m = p - 1
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        L = max(p + B + 1, 2 * p + 1)
+        ns = np.arange(L, dtype=np.int64) % p
+        ind = table.dlog[ns]
+        zero = ns == 0
+        # About 2^16 values (1 MiB of complex) per block array.
+        block = max(1, (1 << 16) // L)
+        for j0 in range(1, p - 1, block):
+            js = np.arange(j0, min(j0 + block, p - 1), dtype=np.int64)
+            vals = roots[np.outer(js, ind) % m]
+            vals[:, zero] = 0.0
+            cum = np.cumsum(vals, axis=1)
+            abs_inner = np.abs(cum[:, B + 1 : p + B + 1] - cum[:, 1 : p + 1])
+            w_moments = (abs_inner ** (2 * r)).sum(axis=1)
+            windows = np.abs(cum[:, N : 2 * p + 1] - cum[:, : 2 * p + 1 - N])
             max_window = max(max_window, float(windows.max()))
+            for j, inner_j, w_moment in zip(js, abs_inner, w_moments):
+                w_moment = float(w_moment)
+                if w_moment > weil_rhs * (1 + 1e-12):
+                    rep.check(f"weil_moment_chi_{j}", w_moment, weil_rhs, False)
+                s_val = float(rvals @ inner_j)
+                lhs = s_val ** (2 * r)
+                rhs = sum_r ** (2 * r - 2) * R * w_moment
+                slack = rhs - lhs
+                holder_min_slack = min(holder_min_slack, slack)
+                if lhs > rhs * (1 + 1e-9):
+                    rep.check(f"holder_chain_chi_{j}", lhs, rhs, False)
+                max_abs_s = max(max_abs_s, s_val)
         rep.check("holder_chain_all_chi", holder_min_slack, 0.0,
                   holder_min_slack >= -1e-9)
         rep.check("trivial_window_bound", max_window, float(N),
@@ -213,6 +229,10 @@ def burgess_experiment(
         })
     rep.timing_ms = tm.ms
     return rep
+
+
+class DegenerateMomentsError(ArithmeticError):
+    """M2 or M4 vanished, so the Hoelder lower bound is undefined."""
 
 
 @dataclass(frozen=True)
@@ -259,7 +279,7 @@ def mollified_moments(
     m2 = float((np.abs(thetas) ** 2).sum())
     m4 = float((np.abs(mollifiers) ** 4).sum())
     if m2 == 0.0 or m4 == 0.0:
-        raise ArithmeticError("degenerate moments (M2 or M4 vanished)")
+        raise DegenerateMomentsError("degenerate moments (M2 or M4 vanished)")
     if zero_threshold is None:
         zero_threshold = 1e-10 * math.sqrt(theta_cutoff(p, config))
     m0 = int(np.count_nonzero(np.abs(thetas) > zero_threshold))
@@ -348,10 +368,17 @@ def zeta_poly_moment(N: int, T: float, r: float, step: float,
     quadrature, with a step-halving error estimate."""
     if step <= 0 or T < 1 or N < 1:
         raise ValueError("need step > 0, T >= 1, N >= 1")
+
+    def points(h: float) -> int:
+        return max(2, int(math.ceil(T / h)) + 1)
+
+    # The fine pass is the larger one. At its peak it holds ts (8 bytes a
+    # point), acc (16) and up to three complex temporaries of the exp term.
+    require_bytes(72 * points(step / 2), f"quadrature at step {step / 2} over [0, {T}]")
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
 
     def quad(h: float) -> float:
-        m = max(2, int(math.ceil(T / h)) + 1)
+        m = points(h)
         ts = np.linspace(0.0, T, m)
         acc = np.zeros(m, dtype=np.complex128)
         for ln in logs:

@@ -2,7 +2,8 @@
 
 One experiment per invocation; the report is a single JSON document on
 stdout (CSV is a projection of the same numbers via --csv). Exit codes:
-0 success, 1 failed assertion, 2 usage error, 3 budget violation.
+0 success, 1 failed assertion, 2 usage error or degenerate input,
+3 budget violation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .arith import BudgetError, build_sieve
 from .characters import ThetaConfig, build_table, char_sum, theta_all_even
 from .charexp import (
+    DegenerateMomentsError,
     burgess_experiment,
     low_moment_experiment,
     mollified_moments,
@@ -344,7 +346,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, EmptyWitnessError, OSError) as exc:
+    except (ValueError, EmptyWitnessError, OSError, DegenerateMomentsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import BudgetError, phi_table
 
-# Dense product tables r(n) are materialized up to this N.
+# EnergyIndex, and with it r, E and its gradient, is built up to this N.
 _R_COUNTS_CAP = 20_000
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
@@ -206,15 +206,42 @@ def t_form_fast(c: WeightVector) -> float:
     return float(w @ KernelOperator(KernelKind.T_KERNEL, c.n_max).matvec(w))
 
 
+class EnergyIndex:
+    """The products a*t (a, t <= n) of the energy form as classes: the
+    ascending distinct products, and the class of each ordered pair (a, t)
+    in row-major order. Built once per n, it serves both r and the gradient
+    of E without an array of length n^2 + 1.
+    """
+
+    def __init__(self, n: int):
+        if n > _R_COUNTS_CAP:
+            raise BudgetError(f"r_counts limited to N <= {_R_COUNTS_CAP}, got {n}")
+        self.n = n
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        prods = np.multiply.outer(idx, idx).ravel()
+        seen = np.zeros(n * n + 1, dtype=bool)
+        seen[prods] = True
+        self.products = np.flatnonzero(seen)
+        # The rank of each product among the distinct ones: the same classes
+        # as np.unique(prods, return_inverse=True), without the sort.
+        self.cls = (np.cumsum(seen) - 1)[prods]
+
+    def counts(self, w: np.ndarray) -> np.ndarray:
+        """r over the classes: r[k] = sum of w_a w_t over a*t = products[k]."""
+        return np.bincount(self.cls, weights=np.outer(w, w).ravel(),
+                           minlength=len(self.products))
+
+    def gradient(self, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Gradient of E at w, given r = counts(w): 4 * sum_t r(a*t) w_t."""
+        return 4.0 * (r[self.cls].reshape(self.n, self.n) @ w)
+
+
 def r_counts_dense(c: WeightVector) -> np.ndarray:
     """r(n) for 0 <= n <= N^2 as a dense array; r(n) = sum_{dt=n} c_d c_t."""
-    n = c.n_max
-    if n > _R_COUNTS_CAP:
-        raise BudgetError(f"r_counts limited to N <= {_R_COUNTS_CAP}, got {n}")
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    prods = np.multiply.outer(idx, idx).ravel()
-    w2 = np.outer(c.weights, c.weights).ravel()
-    return np.bincount(prods, weights=w2, minlength=n * n + 1)
+    index = EnergyIndex(c.n_max)
+    dense = np.zeros(c.n_max**2 + 1)
+    dense[index.products] = index.counts(c.weights)
+    return dense
 
 
 def r_counts(c: WeightVector) -> dict[int, float]:
@@ -226,18 +253,14 @@ def r_counts(c: WeightVector) -> dict[int, float]:
 
 def e_form(c: WeightVector) -> float:
     """Weighted multiplicative energy E(c;N) = sum_n r(n)^2."""
-    r = r_counts_dense(c)
+    r = EnergyIndex(c.n_max).counts(c.weights)
     return float(r @ r)
 
 
 def e_gradient(c: WeightVector) -> np.ndarray:
     """Gradient of E: component a is 4 * sum_{t<=N} r(a*t) c_t."""
-    n = c.n_max
-    r = r_counts_dense(c)
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    # R[a-1, t-1] = r(a*t)
-    rmat = r[np.multiply.outer(idx, idx)]
-    return 4.0 * (rmat @ c.weights)
+    index = EnergyIndex(c.n_max)
+    return index.gradient(index.counts(c.weights), c.weights)
 
 
 def set_energy(a_set, b_set) -> int:

@@ -14,19 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import BudgetError, FactorSieve
+from .arith import BudgetError, FactorSieve, require_bytes
 from .forms import (
+    EnergyIndex,
     KernelKind,
     KernelOperator as _QuadraticOperator,  # the name perfbench traces
     KernelSpec,
     WeightVector,
     e_form,
-    e_gradient,
     v_form,  # noqa: F401  perfbench's tracer test reads minimize.v_form
 )
 
-# Peak bytes one grid_oracle scan may allocate (lattice plus objective).
-_GRID_BYTES_BUDGET = 1 << 30
 # Full products refresh the incrementally updated K w every this many steps.
 _REFRESH_EVERY = 256
 
@@ -165,18 +163,24 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _pgd_energy(w0: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """Projected gradient descent with Armijo backtracking on E(c;N)."""
-    n = len(w0)
+    """Projected gradient descent with Armijo backtracking on E(c;N).
+
+    One EnergyIndex serves every evaluation of the run, and the r of the
+    accepted candidate gives the next gradient.
+    """
+    index = EnergyIndex(len(w0))
     w = w0.copy()
-    val = e_form(WeightVector(n, w))
+    r = index.counts(w)
+    val = float(r @ r)
     step = 1.0
     it = 0
     for it in range(1, max_iters + 1):
-        grad = e_gradient(WeightVector(n, w))
+        grad = index.gradient(r, w)
         improved = False
         for _ in range(60):
             cand = project_to_simplex(w - step * grad)
-            cand_val = e_form(WeightVector(n, cand))
+            cand_r = index.counts(cand)
+            cand_val = float(cand_r @ cand_r)
             # Armijo: sufficient decrease against the projected move.
             if cand_val <= val - 1e-4 * float(grad @ (w - cand)):
                 improved = True
@@ -186,7 +190,7 @@ def _pgd_energy(w0: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray,
             break
         move = float(np.abs(cand - w).sum())
         rel_drop = (val - cand_val) / max(val, 1e-300)
-        w, val = cand, cand_val
+        w, val, r = cand, cand_val, cand_r
         step = min(step * 2.0, 1e6)
         if move < 1e-14 or rel_drop < tol * 1e-3:
             break
@@ -422,11 +426,7 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     n_points = math.comb(K + N - 1, N - 1)
     # The int64 lattice and its float64 copy, then E's r and r * r.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
-    if n_points * row_bytes > _GRID_BYTES_BUDGET:
-        raise BudgetError(
-            f"lattice of {n_points} points needs ~{n_points * row_bytes >> 20} MiB "
-            f"(budget {_GRID_BYTES_BUDGET >> 20} MiB); increase step"
-        )
+    require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
     pts = _lattice_points(N, K).astype(np.float64) / K
     vals = _batch_objective(objective_kind, pts)
     best = int(np.argmin(vals))

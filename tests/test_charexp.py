@@ -94,6 +94,44 @@ def test_burgess_experiment_report():
         burgess_experiment(101, 1, 30)
 
 
+def _burgess_per_character(p, r, N, table):
+    """The per-character loop of burgess_experiment: holder_min_slack,
+    max_averaged_S and max_S_window, one character at a time."""
+    rep = burgess_experiment(p, r, N, table=table)
+    A, B = rep.parameters["A"], rep.parameters["B"]
+    rvals = burgess_r_values(WeightVector.from_weights(np.ones(A)), 0, N, p)
+    sum_r, R = float(rvals.sum()), float(rvals @ rvals)
+    slack, max_s, max_window = math.inf, 0.0, 0.0
+    ns = np.arange(1, 2 * p + 1)
+    for j in range(1, p - 1):
+        chi = table.character(j)
+        inner = np.abs(shifted_sums(chi, B))
+        s_val = float(rvals @ inner)
+        rhs = sum_r ** (2 * r - 2) * R * float((inner ** (2 * r)).sum())
+        slack = min(slack, rhs - s_val ** (2 * r))
+        max_s = max(max_s, s_val)
+        cum = np.concatenate([[0j], np.cumsum(chi.values(ns))])
+        max_window = max(max_window, float(np.abs(cum[N:] - cum[:-N]).max()))
+    return rep, {"holder_min_slack": slack, "max_averaged_S": max_s,
+                 "max_S_window": max_window}
+
+
+@pytest.mark.parametrize("p,N", [(7, 5), (13, 9), (101, 30), (499, 200)])
+def test_burgess_blocks_match_per_character_loop(p, N):
+    # At p = 499 the characters span several blocks, the last one partial.
+    rep, want = _burgess_per_character(p, 2, N, build_table(p))
+    for key, value in want.items():
+        assert math.isclose(rep.values[key], value, rel_tol=1e-12), key
+
+
+def test_burgess_failed_checks_in_character_order(monkeypatch):
+    monkeypatch.setattr(charexp, "weil_bound", lambda B, r, p: 0.0)
+    p = 499  # several blocks of characters
+    rep = burgess_experiment(p, 2, 200)
+    failed = [a.name for a in rep.assertions if not a.holds]
+    assert failed == [f"weil_moment_chi_{j}" for j in range(1, p - 1)]
+
+
 def test_burgess_experiment_weight_modes():
     sieve = build_sieve(256)
     for mode in ("uniform", "minimizer", "witness"):

@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from galmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
@@ -109,6 +110,18 @@ def test_mollify_missing_weights_file(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_mollify_degenerate_moments_exit_2(capsys, monkeypatch):
+    from galmin import charexp
+
+    monkeypatch.setattr(charexp, "theta_all_even",
+                        lambda table, config: np.zeros((table.p - 1) // 2, complex))
+    code = main(["mollify", "--p", "61", "--x", "1.0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: degenerate moments")
 
 
 def test_burgess_and_lowmoment(capsys):
@@ -224,6 +237,18 @@ def test_theta_over_budget_exits_3_at_once(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_polyzeta_over_budget_exits_3_at_once(capsys):
+    # The fine pass would need about 1.4 TB; nothing is allocated.
+    t0 = time.perf_counter()
+    code = main(["polyzeta", "--n", "8", "--t", "1e9", "--r", "2", "--step", "0.1"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert elapsed < 1.0
 
 
 def test_polyzeta(capsys):

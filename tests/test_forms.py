@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from galmin.arith import BudgetError
 from galmin.forms import (
+    EnergyIndex,
     KernelKind,
     KernelSpec,
     WeightVector,
@@ -118,6 +119,23 @@ def test_r_mass_identity(n, seed):
 def test_r_counts_budget():
     with pytest.raises(BudgetError):
         r_counts_dense(WeightVector.uniform(20_001))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 128])
+def test_energy_index_matches_direct_bincount(n):
+    idx = np.arange(1, n + 1)
+    prods = np.outer(idx, idx).ravel()
+    index = EnergyIndex(n)
+    assert np.array_equal(index.products, np.unique(prods))
+    for w in (rng.random(n), np.where(idx % 3 == 0, 0.0, rng.random(n))):
+        c = WeightVector.from_weights(w)
+        direct = np.bincount(prods, np.outer(w, w).ravel(), minlength=n * n + 1)
+        # bincount adds each bin in the same order, so r is exact.
+        assert np.array_equal(r_counts_dense(c), direct)
+        assert np.array_equal(index.counts(w), direct[index.products])
+        assert math.isclose(e_form(c), float(direct @ direct), rel_tol=1e-14)
+        grad = 4.0 * (direct[prods].reshape(n, n) @ w)
+        assert np.allclose(e_gradient(c), grad, rtol=1e-14, atol=0.0)
 
 
 def test_e_gradient_matches_finite_differences():

@@ -150,7 +150,7 @@ def test_lattice_points_match_product_reference(n, K):
 
 def test_grid_oracle_memory_budget(monkeypatch):
     # 635,376 points at N = 5: about 300 MB for E, within the default budget.
-    monkeypatch.setattr("galmin.minimize._GRID_BYTES_BUDGET", 100 << 20)
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 100 << 20)
     with pytest.raises(BudgetError):
         grid_oracle("E", 5, step=1 / 60)
 
@@ -182,6 +182,12 @@ def test_energy_result_feasible():
     assert math.isclose(e_form(res.minimizer), res.value, rel_tol=1e-10)
     # No worse than the uniform vector.
     assert res.value <= e_form(WeightVector.uniform(30)) + 1e-12
+
+
+def test_energy_value_is_e_form_at_minimizer():
+    # The run reuses each accepted candidate's r; a stale r would show here.
+    res = minimize_energy(64, restarts=4, seed=0, sieve=build_sieve(64))
+    assert math.isclose(res.value, e_form(res.minimizer), rel_tol=1e-12)
 
 
 def test_witness_chain_holds():
