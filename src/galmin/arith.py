@@ -125,14 +125,28 @@ def omega_partial(sieve: FactorSieve, n: int, t: float) -> int:
     return sum(e for p, e in factorize(sieve, n) if p <= cut)
 
 
+def _peel(sieve: FactorSieve, upto: int):
+    """Yield (n, p) for the prime factors of every 2 <= n <= upto, one numpy
+    pass per factor: pass i holds the i-th smallest prime factor p, counted
+    with multiplicity, of each n that has at least i of them."""
+    spf = sieve.spf
+    n = np.arange(2, upto + 1, dtype=np.int64)
+    m = n
+    while len(n):
+        p = spf[m]
+        yield n, p
+        m = m // p
+        keep = m > 1
+        n, m = n[keep], m[keep]
+
+
 def big_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     """Vector of Omega(n) for 0 <= n <= upto (entries 0, 1 are 0)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
     omega = np.zeros(upto + 1, dtype=np.int32)
-    spf = sieve.spf
-    for n in range(2, upto + 1):
-        omega[n] = omega[n // spf[n]] + 1
+    for n, _ in _peel(sieve, upto):
+        omega[n] += 1
     return omega
 
 
@@ -141,14 +155,12 @@ def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
     omega = np.zeros(upto + 1, dtype=np.int32)
-    spf = sieve.spf
-    for n in range(2, upto + 1):
-        p = spf[n]
-        m = n // p
-        # Strip the full power of p to decide whether p is new.
-        while m % p == 0:
-            m //= p
-        omega[n] = omega[m] + 1
+    # Factors come in increasing order, so a prime is new iff it differs
+    # from the one peeled just before it.
+    last = np.zeros(upto + 1, dtype=np.int64)
+    for n, p in _peel(sieve, upto):
+        omega[n] += p != last[n]
+        last[n] = p
     return omega
 
 

@@ -3,7 +3,7 @@
 One experiment per invocation; the report is a single JSON document on
 stdout (CSV is a projection of the same numbers via --csv). Exit codes:
 0 success, 1 failed assertion, 2 usage error or degenerate input,
-3 budget violation.
+3 budget violation, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(report: ExperimentReport, csv: bool) -> int:
@@ -349,6 +351,10 @@ def main(argv=None) -> int:
     except (ValueError, EmptyWitnessError, OSError, DegenerateMomentsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .arith import (
     BudgetError,
     FactorSieve,
     big_omega_table,
-    factorize,
     small_omega_table,
 )
 from .forms import WeightVector
@@ -52,11 +51,17 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
     Omega(n,p) <= rhs(p) at each such p covers every t in [1, x].
     """
     sieve.check_range(n)
+    spf = sieve.spf
     running = 0
-    for p, e in factorize(sieve, n):  # primes in increasing order
+    while n > 1:  # primes in increasing order
+        p = spf.item(n)
         if p > cond.x:
             break
-        running += e
+        n //= p
+        running += 1
+        while n % p == 0:
+            n //= p
+            running += 1
         if running > cond.rhs(p):
             return False
     return True
@@ -81,7 +86,7 @@ def filtered_count(sieve: FactorSieve, x: int, k: int, C: float,
     cond = LocCondition(kappa=kappa, C=C, x=x)
     omega = big_omega_table(sieve, x)
     members = np.flatnonzero(omega[1:] == k) + 1
-    return sum(1 for n in members if satisfies_loc(sieve, int(n), cond))
+    return sum(1 for n in members.tolist() if satisfies_loc(sieve, n, cond))
 
 
 def multiplication_table_count(N: int) -> int:
@@ -106,7 +111,7 @@ def witness_t(sieve: FactorSieve, N: int, beta: float, C: float = 3.0) -> Weight
     cond = LocCondition(kappa=beta, C=C, x=N)
     omega = big_omega_table(sieve, N)
     members = np.flatnonzero(omega[1:] == k) + 1
-    support = [int(n) for n in members if satisfies_loc(sieve, int(n), cond)]
+    support = [n for n in members.tolist() if satisfies_loc(sieve, n, cond)]
     if not support:
         raise EmptyWitnessError(
             f"no n <= {N} with Omega(n)={k} satisfies the growth condition; "

@@ -14,10 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import BudgetError, phi_table
+from .arith import phi_table, require_bytes
 
-# EnergyIndex, and with it r, E and its gradient, is built up to this N.
-_R_COUNTS_CAP = 20_000
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
@@ -214,8 +212,8 @@ class EnergyIndex:
     """
 
     def __init__(self, n: int):
-        if n > _R_COUNTS_CAP:
-            raise BudgetError(f"r_counts limited to N <= {_R_COUNTS_CAP}, got {n}")
+        # The build's peak: prods, the cumsum and cls as int64, seen as bool.
+        require_bytes(25 * n * n + 1, f"EnergyIndex({n}) (E form, r counts)")
         self.n = n
         idx = np.arange(1, n + 1, dtype=np.int64)
         prods = np.multiply.outer(idx, idx).ravel()

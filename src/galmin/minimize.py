@@ -406,6 +406,27 @@ def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _scan_lattice(kind: str, N: int, K: int) -> tuple[np.ndarray, float]:
+    """The first minimum, in lexicographic order, of the objective over
+    _lattice_points(N, K) / K, scanned one slab of fixed first coordinate
+    at a time: the slabs in order are the lattice in order."""
+    if N <= 2:
+        # At most K + 1 points. One-row slabs would also let einsum round
+        # V and T differently from the whole batch.
+        slabs = [_lattice_points(N, K)]
+    else:
+        slabs = (np.insert(_lattice_points(N - 1, K - k0), 0, k0, axis=1)
+                 for k0 in range(K + 1))
+    w, val = None, math.inf
+    for slab in slabs:
+        pts = slab / K
+        vals = _batch_objective(kind, pts)
+        b = int(np.argmin(vals))
+        if vals[b] < val:
+            w, val = pts[b].copy(), float(vals[b])
+    return w, val
+
+
 def grid_oracle(objective_kind: str, N: int, step: float,
                 refine_levels: int = 48) -> MinimizationResult:
     """Brute-force oracle: exhaustive lattice scan of the simplex at
@@ -424,13 +445,12 @@ def grid_oracle(objective_kind: str, N: int, step: float,
         raise ValueError(f"grid_oracle needs a finite step in (0, 1], got {step}")
     K = max(1, round(1.0 / step))
     n_points = math.comb(K + N - 1, N - 1)
-    # The int64 lattice and its float64 copy, then E's r and r * r.
+    # The bytes a one-shot scan would take (the int64 lattice, its float64
+    # copy, then E's r and r * r). The scan holds one slab at a time, so
+    # this limits its total size, that is its time, not its peak.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
-    pts = _lattice_points(N, K).astype(np.float64) / K
-    vals = _batch_objective(objective_kind, pts)
-    best = int(np.argmin(vals))
-    w, val = pts[best], float(vals[best])
+    w, val = _scan_lattice(objective_kind, N, K)
 
     # Local refinement: zero-sum integer moves on a halving lattice.
     moves = np.indices((5,) * N).reshape(N, -1).T - 2  # {-2..2}^N, lexicographic

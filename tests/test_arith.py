@@ -111,12 +111,38 @@ def test_phi_multiplicative_on_coprimes(a, b):
 
 
 def test_tables_match_pointwise(sieve):
-    bo = big_omega_table(sieve, 3000)
-    so = small_omega_table(sieve, 3000)
-    for n in range(2, 3001):
+    bo = big_omega_table(sieve, 10_000)
+    so = small_omega_table(sieve, 10_000)
+    for n in range(2, 10_001):
         assert bo[n] == big_omega(sieve, n)
         assert so[n] == small_omega(sieve, n)
     assert np.all(bo >= so)
+
+
+def _recurrence_tables(sieve, upto):
+    """The per-n recurrences Omega(n) = Omega(n / p) + 1 and
+    omega(n) = omega(n / p^e) + 1, with p the smallest prime factor."""
+    spf = sieve.spf
+    big = np.zeros(upto + 1, dtype=np.int32)
+    small = np.zeros(upto + 1, dtype=np.int32)
+    for n in range(2, upto + 1):
+        p = spf[n]
+        big[n] = big[n // p] + 1
+        m = n // p
+        while m % p == 0:
+            m //= p
+        small[n] = small[m] + 1
+    return big, small
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 10_000])
+def test_tables_match_recurrences(sieve, upto):
+    big, small = _recurrence_tables(sieve, upto)
+    bo = big_omega_table(sieve, upto)
+    so = small_omega_table(sieve, upto)
+    assert bo.dtype == np.int32 and so.dtype == np.int32
+    assert np.array_equal(bo, big)
+    assert np.array_equal(so, small)
 
 
 def test_phi_table_matches_exact(sieve):

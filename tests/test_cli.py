@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from galmin.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from galmin.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from galmin.report import ExperimentReport, Timer
 
 
@@ -249,6 +249,28 @@ def test_polyzeta_over_budget_exits_3_at_once(capsys):
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: ")
     assert elapsed < 1.0
+
+
+def test_minimize_e_over_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 1 << 20)
+    code = main(["minimize", "--form", "e", "--n", "512"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: EnergyIndex(512)")
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("galmin.cli.burgess_experiment", broken)
+    code = main(["burgess", "--p", "101", "--r", "2", "--n", "30"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError('boom')")
+    assert "Traceback" in captured.err
 
 
 def test_polyzeta(capsys):

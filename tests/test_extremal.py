@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from galmin.arith import BudgetError, big_omega, build_sieve, small_omega
+from galmin.arith import BudgetError, big_omega, build_sieve, factorize, small_omega
 from galmin.extremal import (
     EmptyWitnessError,
     LocCondition,
@@ -57,6 +57,28 @@ def test_satisfies_loc_matches_pointwise_oracle(sieve):
         cond = LocCondition(kappa=kappa, C=C, x=x)
         for n in range(1, 200):
             assert satisfies_loc(sieve, n, cond) == _loc_oracle(n, kappa, C, x)
+
+
+def _loc_by_factorize(sieve, n, cond):
+    """The growth test at each distinct prime p <= x, read off factorize."""
+    running = 0
+    for p, e in factorize(sieve, n):
+        if p > cond.x:
+            break
+        running += e
+        if running > cond.rhs(p):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("x", [5000, 50])
+def test_satisfies_loc_matches_factorize_reference(sieve, x):
+    # x = 50 cuts most factorizations at the first prime above x.
+    for kappa in (0.0, 0.3, 1.0 / math.log(4.0), 1.2):
+        for C in (0.0, 1.0, 3.0):
+            cond = LocCondition(kappa=kappa, C=C, x=x)
+            for n in range(1, 5001):
+                assert satisfies_loc(sieve, n, cond) == _loc_by_factorize(sieve, n, cond)
 
 
 def test_loc_ignores_primes_beyond_x(sieve):

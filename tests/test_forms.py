@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_r_mass_identity(n, seed):
 def test_r_counts_budget():
     with pytest.raises(BudgetError):
         r_counts_dense(WeightVector.uniform(20_001))
+
+
+def test_energy_index_byte_budget(monkeypatch):
+    # The build of EnergyIndex(512) peaks near 25 * 512^2 bytes, about 6 MiB.
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            EnergyIndex(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    EnergyIndex(128)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 128])

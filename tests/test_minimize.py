@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from galmin.forms import (
     v_form,
 )
 from galmin.minimize import (
+    _batch_objective,
     _lattice_points,
+    _scan_lattice,
     grid_oracle,
     minimize_energy,
     minimize_quadratic,
@@ -153,6 +156,29 @@ def test_grid_oracle_memory_budget(monkeypatch):
     monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 100 << 20)
     with pytest.raises(BudgetError):
         grid_oracle("E", 5, step=1 / 60)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 12, 40])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["V", "T", "E"])
+def test_scan_lattice_matches_one_shot_argmin(kind, N, K):
+    pts = _lattice_points(N, K) / K
+    vals = _batch_objective(kind, pts)
+    best = int(np.argmin(vals))
+    w, val = _scan_lattice(kind, N, K)
+    assert val == vals[best]
+    assert np.array_equal(w, pts[best])
+
+
+def test_grid_oracle_scans_one_slab_at_a_time():
+    # The whole E lattice at N = 5, step 1/60, takes about 281 MiB at once.
+    tracemalloc.start()
+    try:
+        grid_oracle("E", 5, step=1 / 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_grid_oracle_agreement_small_n():
