@@ -59,6 +59,11 @@ def build_sieve(limit: int) -> FactorSieve:
         raise BudgetError(
             f"sieve limit {limit} exceeds memory cap {SIEVE_MEMORY_CAP}"
         )
+    return FactorSieve(limit=limit, spf=_spf_table(limit))
+
+
+def _spf_table(limit: int) -> np.ndarray:
+    """Smallest prime factor of every 2 <= n <= limit (entries 0, 1 are 0)."""
     spf = np.zeros(limit + 1, dtype=np.int64)
     for i in range(2, limit + 1):
         if spf[i] == 0:
@@ -70,7 +75,7 @@ def build_sieve(limit: int) -> FactorSieve:
                 unset = rest == 0
                 rest[unset] = np.flatnonzero(unset) + i
                 break
-    return FactorSieve(limit=limit, spf=spf)
+    return spf
 
 
 def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
@@ -150,24 +155,33 @@ def big_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     return omega
 
 
+def _peel_distinct(sieve: FactorSieve, upto: int):
+    """Like _peel, but yield each distinct prime factor of n once. Factors
+    come in increasing order, so a prime is new iff it differs from the one
+    peeled just before it."""
+    last = np.zeros(upto + 1, dtype=np.int64)
+    for n, p in _peel(sieve, upto):
+        new = p != last[n]
+        last[n] = p
+        yield n[new], p[new]
+
+
 def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     """Vector of omega(n) for 0 <= n <= upto."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
     omega = np.zeros(upto + 1, dtype=np.int32)
-    # Factors come in increasing order, so a prime is new iff it differs
-    # from the one peeled just before it.
-    last = np.zeros(upto + 1, dtype=np.int64)
-    for n, p in _peel(sieve, upto):
-        omega[n] += p != last[n]
-        last[n] = p
+    for n, _ in _peel_distinct(sieve, upto):
+        omega[n] += 1
     return omega
 
 
 def phi_table(upto: int) -> np.ndarray:
-    """Vector of Euler phi(d) for 0 <= d <= upto, by the standard sieve."""
+    """Vector of Euler phi(d) for 0 <= d <= upto, in float64: d times
+    (1 - 1/p) once per distinct prime p | d, in increasing order of p."""
     phi = np.arange(upto + 1, dtype=np.float64)
-    for p in range(2, upto + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] *= 1.0 - 1.0 / p
+    if upto >= 2:
+        sieve = FactorSieve(limit=upto, spf=_spf_table(upto))
+        for n, p in _peel_distinct(sieve, upto):
+            phi[n] *= 1.0 - 1.0 / p
     return phi

@@ -24,6 +24,9 @@ import numpy as np
 
 from .arith import SIEVE_MEMORY_CAP, BudgetError, build_sieve, factorize
 
+# Terms theta_all_even generates and bins at a time.
+_THETA_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -140,14 +143,17 @@ def character_sums(table: CharacterTable, ns, weights,
     So the sums are m times the inverse DFT of the weights binned by that
     class; n = 0 (mod p) has chi(n) = 0 and is left out.
     """
-    p = table.p
-    ns = np.asarray(ns, dtype=np.int64) % p
+    m = (table.p - 1) // 2 if even_only else table.p - 1
+    return np.fft.ifft(_class_bins(table, ns, weights, m)) * m
+
+
+def _class_bins(table: CharacterTable, ns, weights, m: int) -> np.ndarray:
+    """The weights w following ns summed by the class ind(n) mod m."""
+    ns = np.asarray(ns, dtype=np.int64) % table.p
     weights = np.asarray(weights, dtype=np.float64)
-    m = (p - 1) // 2 if even_only else p - 1
     mask = ns != 0
-    binned = np.bincount(table.dlog[ns[mask]] % m, weights=weights[mask],
-                         minlength=m)
-    return np.fft.ifft(binned) * m
+    return np.bincount(table.dlog[ns[mask]] % m, weights=weights[mask],
+                       minlength=m)
 
 
 def char_sum(chi: DirichletCharacter, M: int, N: int) -> complex:
@@ -214,8 +220,8 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
     """The first n_max >= n0 = floor(sqrt(max(-log tail_epsilon, 1) / rate)),
     rate = pi x / p, whose geometric tail bound is below tail_epsilon.
 
-    Every caller allocates arrays of length n_max, so an n_max above
-    SIEVE_MEMORY_CAP raises BudgetError.
+    theta allocates arrays of length n_max (theta_all_even goes through
+    them in chunks), so an n_max above SIEVE_MEMORY_CAP raises BudgetError.
     """
     rate = math.pi * config.x / p
 
@@ -260,12 +266,21 @@ def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
 
 
 def theta_all_even(table: CharacterTable, config: ThetaConfig) -> np.ndarray:
-    """theta(x;chi) for every even character, in index order j = 0,2,4,..."""
+    """theta(x;chi) for every even character, in index order j = 0,2,4,...
+
+    The terms are generated and binned _THETA_CHUNK at a time, so the peak
+    is O(_THETA_CHUNK + p) whatever the cutoff; one FFT of the summed bins
+    follows, as in character_sums.
+    """
     p = table.p
     n_max = theta_cutoff(p, config)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
-    return character_sums(table, ns, damp, even_only=True)
+    m = (p - 1) // 2
+    binned = np.zeros(m)
+    for lo in range(1, n_max + 1, _THETA_CHUNK):
+        ns = np.arange(lo, min(lo + _THETA_CHUNK, n_max + 1), dtype=np.int64)
+        damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
+        binned += _class_bins(table, ns, damp, m)
+    return np.fft.ifft(binned) * m
 
 
 def orthogonality_check(table: CharacterTable, m: int, n: int) -> complex:

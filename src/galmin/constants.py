@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from scipy.optimize import brentq
-
 # Bracket for the root of f - Q; sign change verified at runtime.
 _BETA_BRACKET = (0.3, 0.7)
 
@@ -34,6 +32,72 @@ def q_of(u: float) -> float:
     if u <= 0.0:
         raise ValueError(f"Q(u) requires u > 0, got {u}")
     return u * math.log(u) - u + 1.0
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    Ported statement for statement from scipy's brentq.c, so it returns the
+    same float as scipy.optimize.brentq. xblk is the contrapoint (f changes
+    sign between xblk and xcur), xpre the previous iterate; scur and spre
+    are the current and previous steps. Raises RuntimeError when f(xa) and
+    f(xb) have the same sign or maxiter steps do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise RuntimeError(f"f({xa}) and f({xb}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
 @dataclass(frozen=True)
@@ -61,7 +125,7 @@ def solve_beta(tolerance: float = 1e-12) -> VariationalConstants:
         raise RuntimeError(
             "f - Q does not change sign on the bracket; formula transcription bug"
         )
-    beta = float(brentq(h, a, b, xtol=tolerance, rtol=8.881784197001252e-16))
+    beta = _brentq(h, a, b, xtol=tolerance, rtol=8.881784197001252e-16)
     return VariationalConstants(
         beta=beta,
         eta=f_of(beta),

@@ -83,53 +83,61 @@ def minimize_quadratic(
     else:
         w = np.full(N, 1.0 / N)
 
+    # The gradient is 2 K w, so the gradient is never formed: vertices are
+    # picked on K w, and g.w = 2 * value (doubling is exact).
     kw = op.matvec(w)
     value = float(w @ kw)
+    away_buf = np.empty(N)
     gap = math.inf
     it = 0
     converged = False
     for it in range(1, max_iters + 1):
-        grad = 2.0 * kw
-        s = int(np.argmin(grad))  # smallest-index tie-break via argmin
-        gap = float(grad @ w - grad[s])
+        s = int(np.argmin(kw))  # smallest-index tie-break via argmin
+        gap = float(2.0 * value - 2.0 * kw[s])
         if gap <= tolerance * max(value, 1e-300):
             converged = True
             break
 
-        supp = np.flatnonzero(w > 0)
-        a = int(supp[np.argmax(grad[supp])])
-        fw_improve = gap
-        away_improve = float(grad[a] - grad @ w)
+        # The away vertex: largest gradient on the support, smallest index.
+        np.copyto(away_buf, -np.inf)
+        np.copyto(away_buf, kw, where=w > 0)
+        a = int(np.argmax(away_buf))
+        away_improve = 2.0 * kw[a] - 2.0 * value
 
-        if fw_improve >= away_improve or w[a] >= 1.0 - 1e-16:
+        toward = gap >= away_improve or w[a] >= 1.0 - 1e-16
+        if toward:
             # Frank-Wolfe step towards vertex s: d = e_s - w.
-            kcol = op.column(s + 1)
-            d_kd = value - 2.0 * kw[s] + kcol[s]
-            g_d = float(grad[s] - grad @ w)
+            kd = op.column(s + 1)
+            d_kd = value - 2.0 * kw[s] + kd[s]
+            g_d = 2.0 * kw[s] - 2.0 * value
             gamma_max = 1.0
-            kd = kcol - kw
+            np.subtract(kd, kw, out=kd)
         else:
             # Away step from vertex a: d = w - e_a.
-            kcol = op.column(a + 1)
-            d_kd = value - 2.0 * kw[a] + kcol[a]
-            g_d = float(grad @ w - grad[a])
+            kd = op.column(a + 1)
+            d_kd = value - 2.0 * kw[a] + kd[a]
+            g_d = 2.0 * value - 2.0 * kw[a]
             gamma_max = w[a] / (1.0 - w[a])
-            kd = kw - kcol
+            np.subtract(kw, kd, out=kd)
         if d_kd <= 0:
             gamma = gamma_max
         else:
             gamma = min(gamma_max, -g_d / (2.0 * d_kd))
         if gamma <= 0:
-            converged = True
+            # Not reached while the gap test fails: then g_d < 0 on either
+            # branch (an away step is taken only when it beats the positive
+            # FW gap) and gamma_max > 0, so gamma > 0 unless -g_d / (2 d_kd)
+            # rounds to 0. No gap test passed, so this is no certificate.
             break
-        if fw_improve >= away_improve or w[a] >= 1.0 - 1e-16:
-            w = (1.0 - gamma) * w
+        if toward:
+            w *= 1.0 - gamma
             w[s] += gamma
         else:
-            w = (1.0 + gamma) * w
+            w *= 1.0 + gamma
             w[a] -= gamma
             w[a] = max(w[a], 0.0)
-        kw = kw + gamma * kd
+        kd *= gamma
+        kw += kd
         value = float(w @ kw)
         if it % _REFRESH_EVERY == 0:
             kw = op.matvec(w)

@@ -154,6 +154,20 @@ def test_phi_table_matches_exact(sieve):
         assert abs(tab[n] - exact) < 1e-6 * max(exact, 1)
 
 
+def _phi_table_sieve_loop(upto):
+    """The loop phi_table replaced: every p <= upto, scaling d = 0 mod p."""
+    phi = np.arange(upto + 1, dtype=np.float64)
+    for p in range(2, upto + 1):
+        if phi[p] == p:  # p prime
+            phi[p::p] *= 1.0 - 1.0 / p
+    return phi
+
+
+@pytest.mark.parametrize("upto", [0, 1, 2, 3, 10_000])
+def test_phi_table_bits_match_sieve_loop(upto):
+    assert phi_table(upto).tobytes() == _phi_table_sieve_loop(upto).tobytes()
+
+
 def test_range_checks(sieve):
     with pytest.raises(ValueError):
         factorize(sieve, 10_001)

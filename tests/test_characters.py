@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from galmin import characters
 from galmin.arith import SIEVE_MEMORY_CAP, BudgetError
 from galmin.characters import (
     CharacterTable,
@@ -176,6 +178,34 @@ def test_theta_all_even_consistent():
     assert len(vals) == len(evens)
     for got, chi in zip(vals, evens):
         assert abs(got - theta(chi, cfg)) < 1e-10
+
+
+@pytest.mark.parametrize("p, x", [(101, 1.0), (10007, 1e-3)])
+def test_theta_all_even_chunked_matches_one_chunk(monkeypatch, p, x):
+    table = build_table(p)
+    cfg = ThetaConfig(x=x)
+    whole = theta_all_even(table, cfg)
+    n_max = theta_cutoff(p, cfg)
+    monkeypatch.setattr(characters, "_THETA_CHUNK", 7)
+    assert n_max > 7 * 3
+    chunked = theta_all_even(table, cfg)
+    assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
+
+
+def test_theta_all_even_peak_is_one_chunk():
+    # About 3.8 million terms: one-shot binning would hold several
+    # arrays of that length at once (well over 100 MiB).
+    p = 10007
+    cfg = ThetaConfig(x=1e-8)
+    assert theta_cutoff(p, cfg) > 3_000_000
+    table = build_table(p)
+    tracemalloc.start()
+    try:
+        theta_all_even(table, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def _theta_cutoff_linear_scan(p, config):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galmin import minimize
 from galmin.arith import BudgetError, build_sieve
 from galmin.constants import solve_beta
 from galmin.extremal import witness_t
@@ -104,6 +105,21 @@ def test_certificate_gap_bounds_suboptimality():
     # The certified value can only beat any feasible point by <= gap.
     probe = WeightVector.uniform(64)
     assert res.value <= t_form_fast(probe) + res.certificate_gap
+
+
+def test_stalled_step_is_not_converged(monkeypatch):
+    # An infinite curvature along every step makes the line search return
+    # gamma = 0 while the gap is still large: no gap test passed, so the
+    # run must not report convergence.
+    class Stalled(KernelOperator):
+        def column(self, j):
+            return np.full(self.n, np.inf)
+
+    monkeypatch.setattr(minimize, "_QuadraticOperator", Stalled)
+    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-10)
+    assert res.iterations == 1
+    assert not res.converged
+    assert res.certificate_gap > 1e-10 * res.value
 
 
 def test_minimizer_feasible_and_value_consistent():
