@@ -101,8 +101,13 @@ def _cmd_scaling(args) -> int:
     return _emit(rep, args.csv)
 
 
+def _sieve_limit(args, n: int) -> int:
+    """--sieve-limit if given (build_sieve rejects a bad one), else what n needs."""
+    return max(n, 16) if args.sieve_limit is None else args.sieve_limit
+
+
 def _cmd_witness(args) -> int:
-    sieve = build_sieve(args.sieve_limit or max(args.n, 16))
+    sieve = build_sieve(_sieve_limit(args, args.n))
     with Timer() as tm:
         if args.kind == "t":
             beta = solve_beta().beta
@@ -125,13 +130,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    sieve = build_sieve(args.sieve_limit or max(args.x, 16))
+    sieve = build_sieve(_sieve_limit(args, args.x))
     with Timer() as tm:
         values = {
             "N_k": level_set_count(sieve, args.x, args.k),
             "F_k": filtered_count(sieve, args.x, args.k, args.C),
         }
-        if args.table_n:
+        if args.table_n is not None:
             values["H"] = multiplication_table_count(args.table_n)
     rep = ExperimentReport(
         "counts",

@@ -7,7 +7,7 @@ log log throughout — the bound on Omega(n, t) is kappa * log(log(3t)) + C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class LocCondition:
     kappa: float
     C: float
     x: int
+    # rhs at each prime satisfies_loc has met; not part of the condition.
+    _rhs_at: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kappa < 0 or self.C < 0 or self.x < 1:
@@ -52,6 +55,7 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
     """
     sieve.check_range(n)
     spf = sieve.spf
+    rhs_at = cond._rhs_at
     running = 0
     while n > 1:  # primes in increasing order
         p = spf.item(n)
@@ -62,7 +66,10 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
         while n % p == 0:
             n //= p
             running += 1
-        if running > cond.rhs(p):
+        bound = rhs_at.get(p)
+        if bound is None:
+            bound = rhs_at[p] = cond.rhs(p)
+        if running > bound:
             return False
     return True
 

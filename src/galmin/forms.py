@@ -29,6 +29,14 @@ class KernelKind(Enum):
     T_KERNEL = "t"  # gcd(m,n)/sqrt(m*n)
 
 
+def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """K[rows, cols] from the block g = gcd(rows, cols) as float64."""
+    if kind is KernelKind.V_KERNEL:
+        return g / np.add.outer(rows, cols)
+    return g / np.sqrt(np.multiply.outer(rows, cols).astype(np.float64))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: KernelKind
@@ -36,9 +44,7 @@ class KernelSpec:
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense kernel block K[rows, cols] for 1-based integer index arrays."""
         g = np.gcd.outer(rows, cols).astype(np.float64)
-        if self.kind is KernelKind.V_KERNEL:
-            return g / np.add.outer(rows, cols)
-        return g / np.sqrt(np.multiply.outer(rows, cols).astype(np.float64))
+        return _kernel_from_gcd(self.kind, g, rows, cols)
 
 
 class KernelOperator:
@@ -168,33 +174,45 @@ def gal_sum(members, alpha: float) -> float:
     return float((ratio**alpha).sum())
 
 
-def _quadratic_form(kernel: KernelSpec, c: WeightVector) -> float:
-    """c^T K c accumulated block-wise so the full matrix is never needed.
+def _pairwise_forms(kinds: tuple[KernelKind, ...],
+                    c: WeightVector) -> tuple[float, ...]:
+    """c^T K c for each kernel kind, by pairwise gcd sums over the support.
 
-    Zero-weight coordinates contribute nothing, so the sum runs over the
-    support only; block rows are sized to keep peak memory bounded.
+    Zero-weight coordinates contribute nothing, so the sums run over the
+    support only. One gcd block per row block serves every kind; each
+    kernel block is reduced before the next is built, and block rows are
+    sized to keep peak memory bounded.
     """
     supp = c.support()
+    totals = [0.0] * len(kinds)
     if supp.size == 0:
-        return 0.0
+        return tuple(totals)
     w = c.weights[supp - 1]
     step = max(1, min(_BLOCK, _BLOCK_ELEMS // supp.size))
-    total = 0.0
     for lo in range(0, supp.size, step):
         rows = supp[lo : lo + step]
-        kb = kernel.block(rows, supp)
-        total += float(w[lo : lo + step] @ (kb @ w))
-    return total
+        g = np.gcd.outer(rows, supp).astype(np.float64)
+        w_rows = w[lo : lo + step]
+        for i, kind in enumerate(kinds):
+            # Unnamed, each kernel block is freed before the next is built.
+            totals[i] += float(w_rows @ (_kernel_from_gcd(kind, g, rows, supp) @ w))
+    return tuple(totals)
 
 
 def v_form(c: WeightVector) -> float:
     """V(c;N) = sum_{m,n<=N} gcd(m,n) c_m c_n / (m+n)."""
-    return _quadratic_form(KernelSpec(KernelKind.V_KERNEL), c)
+    return _pairwise_forms((KernelKind.V_KERNEL,), c)[0]
 
 
 def t_form_naive(c: WeightVector) -> float:
     """T(c;N) by direct pairwise gcd summation."""
-    return _quadratic_form(KernelSpec(KernelKind.T_KERNEL), c)
+    return _pairwise_forms((KernelKind.T_KERNEL,), c)[0]
+
+
+def vt_forms_pairwise(c: WeightVector) -> tuple[float, float]:
+    """(V(c;N), T(c;N)) from one pass of gcd blocks; each value has the
+    bits of v_form(c) and t_form_naive(c)."""
+    return _pairwise_forms((KernelKind.V_KERNEL, KernelKind.T_KERNEL), c)
 
 
 def t_form_fast(c: WeightVector) -> float:

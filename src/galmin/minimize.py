@@ -55,6 +55,12 @@ class MinimizationResult:
         }
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # inf passes every gap test at once, and nan none.
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def minimize_quadratic(
     kernel: KernelSpec,
     N: int,
@@ -71,8 +77,7 @@ def minimize_quadratic(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     kind_name = "V" if kernel.kind is KernelKind.V_KERNEL else "T"
     op = _QuadraticOperator(kernel.kind, N)
 
@@ -220,6 +225,9 @@ def minimize_energy(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_tolerance(tolerance)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     starts: list[tuple[str, np.ndarray]] = [("uniform", np.full(N, 1.0 / N))]
     if sieve is not None and N >= 4:
         from .extremal import EmptyWitnessError, witness_e
@@ -230,11 +238,12 @@ def minimize_energy(
         except EmptyWitnessError:
             pass
     rng = np.random.default_rng(seed)
-    while len(starts) < max(restarts, 1):
+    while len(starts) < restarts:
         starts.append(("dirichlet", rng.dirichlet(np.ones(N))))
 
     best_w, best_val, best_tag, total_it = None, math.inf, "", 0
-    for tag, w0 in starts[: max(restarts, 1)]:
+    starts = starts[:restarts]
+    for tag, w0 in starts:
         w, val, it = _pgd_energy(w0, max_iters, tolerance)
         total_it += it
         if val < best_val:
@@ -252,7 +261,7 @@ def minimize_energy(
         iterations=total_it,
         certificate_gap=None,
         converged=True,
-        provenance=f"pgd(best_of={len(starts[:max(restarts,1)])},start={best_tag});upper_bound_non_certified",
+        provenance=f"pgd(best_of={len(starts)},start={best_tag});upper_bound_non_certified",
     )
 
 
@@ -289,6 +298,8 @@ def minimize_with_witness(
     """
     from .extremal import EmptyWitnessError, witness_t
 
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if max_iters is None:
         max_iters = default_quadratic_iters(kind, N)
     op = _QuadraticOperator(kind, N)
@@ -337,6 +348,8 @@ def scaling_report(
     if objective_kind not in ("V", "T", "E"):
         raise ValueError(f"unknown objective kind {objective_kind!r}")
     n_list = [int(n) for n in n_list]
+    if min(n_list, default=0) < 1:
+        raise ValueError(f"n_list needs at least one N, each >= 1, got {n_list}")
     if sieve is None:
         sieve = build_sieve(max(max(n_list), 16))
     beta = solve_beta().beta
@@ -383,19 +396,26 @@ def scaling_report(
     return rep
 
 
-def _lattice_points(n: int, K: int) -> np.ndarray:
+def _lattice_points(n: int, K: int, first: int | None = None) -> np.ndarray:
     """All integer vectors of length n with nonnegative entries summing to K,
-    in lexicographic order (grid_oracle's argmin keeps the first minimum)."""
+    in lexicographic order (grid_oracle's argmin keeps the first minimum).
+    Given first = k0, only the slab of those whose first entry is k0."""
+    lead = 0 if first is None else 1
     cols: list[np.ndarray] = []
-    rem = np.array([K], dtype=np.int64)
+    rem = np.array([K - (first or 0)], dtype=np.int64)
     # Each leading coordinate splits a row with remainder r into r + 1 rows.
-    for _ in range(n - 1):
+    for _ in range(n - lead - 1):
         counts = rem + 1
         parent = np.repeat(np.arange(len(rem)), counts)
         k = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
         cols = [c[parent] for c in cols] + [k]
         rem = rem[parent] - k
-    return np.stack(cols + [rem], axis=1)
+    pts = np.empty((len(rem), n), dtype=np.int64)
+    if lead:
+        pts[:, 0] = first
+    for j, col in enumerate(cols + [rem], start=lead):
+        pts[:, j] = col
+    return pts
 
 
 def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
@@ -406,12 +426,17 @@ def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
         kernel = KernelSpec(KernelKind.V_KERNEL if kind == "V" else KernelKind.T_KERNEL)
         kmat = kernel.block(idx, idx)
         return np.einsum("pi,ij,pj->p", pts, kmat, pts)
-    r = np.zeros((len(pts), n * n + 1))
+    # r(k) for every k <= n^2 is built on one contiguous row per product,
+    # then squared and summed along the rows of the (B, n^2 + 1) layout:
+    # that layout fixes the order in which numpy adds up each point's sum.
+    cols = np.ascontiguousarray(pts.T)
+    r = np.zeros((n * n + 1, len(pts)))
     for i in range(n):
         for j in range(n):
-            r[:, (i + 1) * (j + 1)] += pts[:, i] * pts[:, j]
-    vals = (r * r).sum(axis=1)
-    return vals
+            r[(i + 1) * (j + 1)] += cols[i] * cols[j]
+    r = np.ascontiguousarray(r.T)
+    r *= r
+    return r.sum(axis=1)
 
 
 def _scan_lattice(kind: str, N: int, K: int) -> tuple[np.ndarray, float]:
@@ -423,8 +448,7 @@ def _scan_lattice(kind: str, N: int, K: int) -> tuple[np.ndarray, float]:
         # V and T differently from the whole batch.
         slabs = [_lattice_points(N, K)]
     else:
-        slabs = (np.insert(_lattice_points(N - 1, K - k0), 0, k0, axis=1)
-                 for k0 in range(K + 1))
+        slabs = (_lattice_points(N, K, first=k0) for k0 in range(K + 1))
     w, val = None, math.inf
     for slab in slabs:
         pts = slab / K
@@ -454,8 +478,8 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     K = max(1, round(1.0 / step))
     n_points = math.comb(K + N - 1, N - 1)
     # The bytes a one-shot scan would take (the int64 lattice, its float64
-    # copy, then E's r and r * r). The scan holds one slab at a time, so
-    # this limits its total size, that is its time, not its peak.
+    # copy, then E's r and its row-major copy). The scan holds one slab at
+    # a time, so this limits its total size, that is its time, not its peak.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
     w, val = _scan_lattice(objective_kind, N, K)

@@ -352,3 +352,34 @@ def test_report_json_sorted_and_timing_zeroed():
     keys = list(doc)
     assert keys == sorted(keys)
     assert rep.all_hold
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_minimize_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    for form in ("v", "e"):
+        code = main(["minimize", "--form", form, "--n", "8", "--tol", tol])
+        assert code == EXIT_USAGE
+        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+
+
+def test_counts_table_n_zero_exits_2(capsys):
+    code, out = _run(capsys, "counts", "--x", "1000", "--k", "2", "--table-n", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--x", "1000", "--k", "2"],
+    ["witness", "--kind", "e", "--n", "100"],
+])
+def test_sieve_limit_zero_exits_2(capsys, argv):
+    code = main(["--sieve-limit", "0", *argv])
+    assert code == EXIT_USAGE
+    assert "sieve limit must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["v", "t", "e"])
+def test_scaling_n_zero_exits_2(capsys, form):
+    code = main(["scaling", "--form", form, "--n-list", "0"])
+    assert code == EXIT_USAGE
+    assert "each >= 1" in capsys.readouterr().err

@@ -51,6 +51,17 @@ def test_loc_validation():
     assert cond.rhs(1.0) == 0.5 * math.log(math.log(3.0)) + 1.0
 
 
+def test_used_condition_equals_and_hashes_like_a_fresh_one(sieve):
+    used = LocCondition(kappa=0.5, C=1.0, x=100)
+    for n in range(1, 101):
+        satisfies_loc(sieve, n, used)
+    fresh = LocCondition(kappa=0.5, C=1.0, x=100)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "LocCondition(kappa=0.5, C=1.0, x=100)"
+    assert {used: 1}[fresh] == 1
+
+
 def test_satisfies_loc_matches_pointwise_oracle(sieve):
     x = 60
     for kappa, C in ((0.0, 0.0), (0.5, 0.0), (0.48, 1.0), (1.0, 2.0)):

@@ -22,6 +22,7 @@ from galmin.forms import (
     t_form_fast,
     t_form_naive,
     v_form,
+    vt_forms_pairwise,
 )
 
 rng = np.random.default_rng(7)
@@ -74,6 +75,21 @@ def test_forms_match_pairwise_oracle():
         c = WeightVector.from_weights(w)
         assert math.isclose(v_form(c), _oracle_quadratic(w, "V"), rel_tol=1e-12)
         assert math.isclose(t_form_naive(c), _oracle_quadratic(w, "T"), rel_tol=1e-12)
+
+
+def test_vt_pair_has_the_bits_of_the_separate_forms(monkeypatch):
+    # A small block budget makes the two longer vectors below run several
+    # row blocks.
+    monkeypatch.setattr("galmin.forms._BLOCK_ELEMS", 3_000)
+    sparse = rng.random(400)
+    sparse[rng.random(400) < 0.8] = 0.0
+    one_point = np.zeros(97)
+    one_point[60] = 0.3
+    for w in (rng.random(250), rng.random(1), sparse, one_point, np.zeros(40)):
+        c = WeightVector.from_weights(w)
+        v, t = vt_forms_pairwise(c)
+        assert (v, t) == (v_form(c), t_form_naive(c))
+        assert type(v) is type(t) is float
 
 
 def test_t_fast_equals_naive():

@@ -18,8 +18,8 @@ from galmin.forms import (
     WeightVector,
     e_form,
     t_form_fast,
-    t_form_naive,
     v_form,
+    vt_forms_pairwise,
 )
 from galmin.minimize import (
     _batch_objective,
@@ -76,12 +76,11 @@ def test_operator_form_matches_pairwise_oracle_at_1e4():
     n = 10_000
     wit = witness_t(build_sieve(n), n, solve_beta().beta).normalized()
     rand = WeightVector.from_weights(np.random.default_rng(4).random(n))
-    for kind, oracle in ((KernelKind.V_KERNEL, v_form),
-                         (KernelKind.T_KERNEL, t_form_naive)):
-        op = KernelOperator(kind, n)
-        for c in (rand, wit):
-            w = c.weights
-            assert math.isclose(float(w @ op.matvec(w)), oracle(c), rel_tol=1e-12)
+    ops = [KernelOperator(kind, n) for kind in (KernelKind.V_KERNEL, KernelKind.T_KERNEL)]
+    for c in (rand, wit):
+        w = c.weights
+        for op, pairwise in zip(ops, vt_forms_pairwise(c)):
+            assert math.isclose(float(w @ op.matvec(w)), pairwise, rel_tol=1e-12)
 
 
 def test_minimize_n1_trivial():
@@ -145,6 +144,17 @@ def test_invalid_arguments():
         minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 0)
     with pytest.raises(ValueError):
         minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 3, tolerance=-1.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 8, tolerance=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            minimize_energy(3, tolerance=tol)
+    with pytest.raises(ValueError, match="restarts"):
+        minimize_energy(3, restarts=0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        minimize_with_witness(KernelKind.V_KERNEL, 0, build_sieve(16), 0.5)
+    with pytest.raises(ValueError):
+        scaling_report("V", [0])
     with pytest.raises(ValueError):
         grid_oracle("V", 6, step=0.1)
     with pytest.raises(ValueError):
@@ -165,6 +175,45 @@ def test_lattice_points_match_product_reference(n, K):
     assert np.array_equal(pts, ref)
     assert pts.dtype == np.int64
     assert len(pts) == math.comb(K + n - 1, n - 1)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lattice_slab_is_the_lattice_with_its_first_coordinate(n, K):
+    for k0 in range(K + 1):
+        want = np.insert(_lattice_points(n - 1, K - k0), 0, k0, axis=1)
+        slab = _lattice_points(n, K, first=k0)
+        assert np.array_equal(slab, want)
+        assert slab.dtype == np.int64
+
+
+def _e_by_columns(pts):
+    """E of each row of pts, r built one product column at a time."""
+    n = pts.shape[1]
+    r = np.zeros((len(pts), n * n + 1))
+    for i in range(n):
+        for j in range(n):
+            r[:, (i + 1) * (j + 1)] += pts[:, i] * pts[:, j]
+    return (r * r).sum(axis=1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_batch_energy_has_the_bits_of_the_column_formula(N):
+    K = 12
+    if N == 1:
+        batches = [_lattice_points(N, K) / K]
+    else:
+        batches = [_lattice_points(N, K, first=k0) / K for k0 in range(K + 1)]
+    # Refinement candidates around a lattice point, as grid_oracle forms them.
+    moves = np.indices((5,) * N).reshape(N, -1).T - 2
+    deltas = moves[moves.sum(axis=1) == 0].astype(np.float64)
+    w = _lattice_points(N, K)[len(batches[0]) // 2] / K
+    for h in (1 / (2 * K), 1e-3, 1e-9):
+        cand = w + h * deltas
+        cand = np.clip(cand[(cand >= -1e-15).all(axis=1)], 0.0, None)
+        batches.append(cand / cand.sum(axis=1, keepdims=True))
+    for pts in batches:
+        assert np.array_equal(_batch_objective("E", pts), _e_by_columns(pts))
 
 
 def test_grid_oracle_memory_budget(monkeypatch):
