@@ -176,12 +176,13 @@ def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray
     return omega
 
 
-def phi_table(upto: int) -> np.ndarray:
-    """Vector of Euler phi(d) for 0 <= d <= upto, in float64: d times
-    (1 - 1/p) once per distinct prime p | d, in increasing order of p."""
-    phi = np.arange(upto + 1, dtype=np.float64)
-    if upto >= 2:
-        sieve = FactorSieve(limit=upto, spf=_spf_table(upto))
-        for n, p in _peel_distinct(sieve, upto):
-            phi[n] *= 1.0 - 1.0 / p
+def phi_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
+    """Vector of Euler phi(d) for 0 <= d <= upto, exact in int64: d, then
+    phi // p * (p - 1) once per distinct prime p | d, in increasing order of
+    p (each division is exact)."""
+    upto = sieve.limit if upto is None else upto
+    sieve.check_range(max(upto, 1))
+    phi = np.arange(upto + 1, dtype=np.int64)
+    for n, p in _peel_distinct(sieve, upto):
+        phi[n] = phi[n] // p * (p - 1)
     return phi

@@ -8,13 +8,12 @@ weight of the integer i+1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .arith import phi_table, require_bytes
+from .arith import FactorSieve, _spf_table, phi_table, require_bytes
 
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
@@ -56,15 +55,24 @@ class KernelOperator:
     where P_d w = (w_d, w_2d, ...) and B_L is the L x L Hankel block
     1/(a+b) for V, or the rank-one s s^T with s_a = a^(-1/2) for T. A
     product costs O(n log^2 n) time for V, O(n log n) for T, and the
-    operator holds O(n log n) numbers.
+    operator holds O(n log n) numbers. phi is exact, and a column is built
+    from the exact gcd(i, j), so it has the bits of KernelSpec.block for V.
+    One smallest-prime-factor table serves phi and the columns.
     """
 
     def __init__(self, kind: KernelKind, n: int):
         self.kind = kind
         self.n = n
         self.idx = np.arange(1, n + 1, dtype=np.int64)
-        self.phi = phi_table(n)
-        self.inv_sqrt = 1.0 / np.sqrt(self.idx.astype(np.float64))
+        sieve = FactorSieve(limit=max(n, 2), spf=_spf_table(max(n, 2)))
+        self._spf = sieve.spf
+        self.phi = phi_table(sieve, n)
+        self._idx_float = self.idx.astype(np.float64)
+        self.inv_sqrt = 1.0 / np.sqrt(self._idx_float)
+        # column's buffers: the gcd's starting ones, and the V denominator
+        # i + j (exact in float64) or the T scale.
+        self._ones = np.ones(n)
+        self._buf = np.empty(n)
         # The d with n // d == L form one contiguous range, handled as one
         # batch: (0-based rows d*(1..L) - 1, phi(d)/d, B_L factor).
         self.groups = []
@@ -106,15 +114,28 @@ class KernelOperator:
         return out
 
     def column(self, j: int) -> np.ndarray:
-        """K e_j for the 1-based coordinate j."""
-        g = np.zeros(self.n)  # gcd(i, j) = sum of phi(e) over e | i, e | j
-        for d in range(1, math.isqrt(j) + 1):
-            if j % d == 0:
-                for e in {d, j // d}:
-                    g[e - 1 :: e] += self.phi[e]
+        """K e_j for the 1-based coordinate j in [1, n], as a new array.
+
+        gcd(i, j) is the product of the prime powers p^b | j that divide i,
+        so it is built exactly from ones by multiplying the rows p^b | i by
+        p once per prime power p^b | j: Omega(j) strided passes.
+        """
+        if not 1 <= j <= self.n:
+            raise ValueError(f"column j={j} outside [1, {self.n}]")
+        g = self._ones.copy()
+        m = j
+        while m > 1:
+            p = int(self._spf[m])
+            q = p
+            while m % p == 0:
+                g[q - 1 :: q] *= p
+                q *= p
+                m //= p
         if self.kind is KernelKind.V_KERNEL:
-            return g / (self.idx + j)
-        return g * (self.inv_sqrt * self.inv_sqrt[j - 1])
+            np.add(self._idx_float, j, out=self._buf)
+            return np.divide(g, self._buf, out=g)
+        np.multiply(self.inv_sqrt, self.inv_sqrt[j - 1], out=self._buf)
+        return np.multiply(g, self._buf, out=g)
 
 
 @dataclass(frozen=True)

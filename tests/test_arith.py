@@ -146,26 +146,33 @@ def test_tables_match_recurrences(sieve, upto):
 
 
 def test_phi_table_matches_exact(sieve):
-    # phi_table is float64 by design (it feeds phi(d)/d weights), so allow
-    # the rounding error of the product formula.
-    tab = phi_table(2000)
+    tab = phi_table(sieve, 2000)
+    assert tab.dtype == np.int64
     for n in range(1, 2001):
-        exact = euler_phi(sieve, n)
-        assert abs(tab[n] - exact) < 1e-6 * max(exact, 1)
+        assert tab[n] == euler_phi(sieve, n)
 
 
 def _phi_table_sieve_loop(upto):
-    """The loop phi_table replaced: every p <= upto, scaling d = 0 mod p."""
-    phi = np.arange(upto + 1, dtype=np.float64)
+    """phi by the sieve loop: every p <= upto, phi(d) // p * (p - 1) for the
+    d = 0 mod p."""
+    phi = np.arange(upto + 1, dtype=np.int64)
     for p in range(2, upto + 1):
         if phi[p] == p:  # p prime
-            phi[p::p] *= 1.0 - 1.0 / p
+            phi[p::p] = phi[p::p] // p * (p - 1)
     return phi
 
 
 @pytest.mark.parametrize("upto", [0, 1, 2, 3, 10_000])
-def test_phi_table_bits_match_sieve_loop(upto):
-    assert phi_table(upto).tobytes() == _phi_table_sieve_loop(upto).tobytes()
+def test_phi_table_bits_match_sieve_loop(sieve, upto):
+    tab = phi_table(sieve, upto)
+    assert tab.tobytes() == _phi_table_sieve_loop(upto).tobytes()
+    assert tab.tolist() == [0] + [euler_phi(sieve, n) for n in range(1, upto + 1)]
+
+
+def test_phi_table_range(sieve):
+    assert np.array_equal(phi_table(sieve), phi_table(sieve, 10_000))
+    with pytest.raises(ValueError):
+        phi_table(sieve, 10_001)
 
 
 def test_range_checks(sieve):

@@ -67,8 +67,36 @@ def test_operator_matches_dense_kernel():
                 assert np.allclose(op.matvec(w), dense @ w, rtol=1e-12, atol=1e-15)
             for j in (1, 7, n):
                 if j <= n:
-                    assert np.allclose(op.column(j), dense[:, j - 1],
-                                       rtol=1e-14, atol=0.0)
+                    assert op.column(j).tobytes() == _exact_column(op, j).tobytes()
+
+
+def _exact_column(op, j):
+    """K e_j from np.gcd: V with the bits of KernelSpec.block, T with the
+    operator's rounding of gcd / sqrt(i j)."""
+    idx = np.arange(1, op.n + 1, dtype=np.int64)
+    if op.kind is KernelKind.V_KERNEL:
+        return KernelSpec(op.kind).block(idx, np.array([j]))[:, 0]
+    return np.gcd(idx, j) * (op.inv_sqrt * op.inv_sqrt[j - 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 65, 360, 1000])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_every_column_is_the_exact_kernel(kind, n):
+    op = KernelOperator(kind, n)
+    for j in range(1, n + 1):
+        col = op.column(j)
+        assert col.tobytes() == _exact_column(op, j).tobytes()
+        # A new array each call: the caller may write into it.
+        col[:] = np.nan
+        assert not np.isnan(op.column(j)).any()
+
+
+def test_column_rejects_j_outside_range():
+    for kind in KernelKind:
+        op = KernelOperator(kind, 10)
+        for j in (0, -1, 11, 100):
+            with pytest.raises(ValueError, match="outside"):
+                op.column(j)
 
 
 def test_operator_form_matches_pairwise_oracle_at_1e4():
@@ -104,6 +132,134 @@ def test_certificate_gap_bounds_suboptimality():
     # The certified value can only beat any feasible point by <= gap.
     probe = WeightVector.uniform(64)
     assert res.value <= t_form_fast(probe) + res.certificate_gap
+
+
+def _fw_masked(op, w, tolerance, max_iters):
+    """minimize_quadratic's loop with the away vertex searched by a masked
+    copy of K w (the support mask rebuilt from w > 0 every step). Returns
+    (iterations, value, gap, converged, minimizer, gamma-1 steps, drops)."""
+    n = len(w)
+    w = w.copy()
+    kw = op.matvec(w)
+    value = float(w @ kw)
+    exact = True
+    away_buf = np.empty(n)
+    gap, it, converged, full_steps, drops = math.inf, 0, False, 0, 0
+    for it in range(1, max_iters + 1):
+        s = int(np.argmin(kw))
+        gap = float(2.0 * value - 2.0 * kw[s])
+        if gap <= tolerance * max(value, 1e-300) and not exact:
+            kw = op.matvec(w)
+            value = float(w @ kw)
+            exact = True
+            s = int(np.argmin(kw))
+            gap = float(2.0 * value - 2.0 * kw[s])
+        if gap <= tolerance * max(value, 1e-300):
+            converged = True
+            break
+        np.copyto(away_buf, -np.inf)
+        np.copyto(away_buf, kw, where=w > 0)
+        a = int(np.argmax(away_buf))
+        away_improve = 2.0 * kw[a] - 2.0 * value
+        toward = gap >= away_improve or w[a] >= 1.0 - 1e-16
+        if toward:
+            kd = op.column(s + 1)
+            d_kd = value - 2.0 * kw[s] + kd[s]
+            g_d = 2.0 * kw[s] - 2.0 * value
+            gamma_max = 1.0
+            np.subtract(kd, kw, out=kd)
+        else:
+            kd = op.column(a + 1)
+            d_kd = value - 2.0 * kw[a] + kd[a]
+            g_d = 2.0 * value - 2.0 * kw[a]
+            gamma_max = w[a] / (1.0 - w[a])
+            np.subtract(kw, kd, out=kd)
+        gamma = gamma_max if d_kd <= 0 else min(gamma_max, -g_d / (2.0 * d_kd))
+        if gamma <= 0:
+            break
+        if toward:
+            w *= 1.0 - gamma
+            w[s] += gamma
+            full_steps += gamma == 1.0
+        else:
+            w *= 1.0 + gamma
+            w[a] -= gamma
+            w[a] = max(w[a], 0.0)
+            drops += w[a] == 0.0
+        kd *= gamma
+        kw += kd
+        value = float(w @ kw)
+        exact = False
+        if it % minimize._REFRESH_EVERY == 0:
+            kw = op.matvec(w)
+            value = float(w @ kw)
+            exact = True
+    w = np.maximum(w, 0.0)
+    w /= w.sum()
+    return it, value, gap, converged, w, full_steps, drops
+
+
+class _Scaled(KernelOperator):
+    """D K D with D = diag(exp(5 sin i)): still positive semidefinite, but
+    its diagonal spans e^-10..e^10, so some toward steps reach gamma = 1."""
+
+    def __init__(self, kind, n):
+        super().__init__(kind, n)
+        self.d = np.exp(5.0 * np.sin(np.arange(1, n + 1)))
+
+    def matvec(self, w):
+        return self.d * super().matvec(self.d * w)
+
+    def column(self, j):
+        return self.d * self.d[j - 1] * super().column(j)
+
+
+@pytest.mark.parametrize("start", ["uniform", "indicator", "dirichlet"])
+@pytest.mark.parametrize("n", [1, 2, 8, 40, 300])
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("operator", [KernelOperator, _Scaled])
+def test_support_mask_matches_masked_copy(monkeypatch, operator, kind, n, start):
+    rng = np.random.default_rng(n)
+    w0 = {"uniform": np.full(n, 1.0 / n),
+          "indicator": WeightVector.indicator([1 + n // 2], n).weights,
+          "dirichlet": rng.dirichlet(np.ones(n))}[start]
+    start_vec = WeightVector(n, w0)
+    tol, iters = 1e-9, 1500
+    want = _fw_masked(operator(kind, n), start_vec.normalized().weights, tol, iters)
+    monkeypatch.setattr(minimize, "_QuadraticOperator", operator)
+    res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol, max_iters=iters,
+                             start=start_vec)
+    got = (res.iterations, res.value, res.certificate_gap, res.converged)
+    assert got == want[:4]
+    assert res.minimizer.weights.tobytes() == want[4].tobytes()
+    # The runs take each branch that updates the mask: drop steps, and
+    # gamma = 1 steps (here ahead of 70 or more further steps).
+    if start == "dirichlet" and n >= 8:
+        assert want[6] > 0
+    if start == "indicator" and operator is _Scaled and n >= 40:
+        assert want[5] > 0
+
+
+def test_certificate_comes_from_an_exact_product(monkeypatch):
+    # Columns off by 1e-6 relative make the incrementally updated K w drift
+    # from the exact one, so a gap test passed on it certifies nothing.
+    class Perturbed(KernelOperator):
+        def column(self, j):
+            return super().column(j) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(minimize, "_QuadraticOperator", Perturbed)
+    tol, n = 1e-6, 40
+    for kind in KernelKind:
+        res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol)
+        assert res.converged
+        w = res.minimizer.weights
+        kw = KernelOperator(kind, n).matvec(w)
+        value = float(w @ kw)
+        gap = 2.0 * value - 2.0 * float(kw.min())
+        # Slack for the final renormalisation of the minimizer.
+        assert 0.0 <= gap <= (tol + 1e-12) * value
+        assert math.isclose(res.value, value, rel_tol=1e-12)
+        assert res.certificate_gap <= tol * res.value
 
 
 def test_stalled_step_is_not_converged(monkeypatch):
