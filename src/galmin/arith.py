@@ -176,6 +176,24 @@ def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray
     return omega
 
 
+def prime_powers(sieve: FactorSieve, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers q = p^b <= upto (b >= 1) in increasing order, and
+    the prime p of each, as int64 arrays: the primes from the spf table,
+    then one numpy pass per exponent."""
+    sieve.check_range(max(upto, 1))
+    n = np.arange(2, upto + 1, dtype=np.int64)
+    q = p = n[sieve.spf[2 : upto + 1] == n]
+    qs, ps = [q], [p]
+    while len(q):
+        keep = q <= upto // p
+        q, p = q[keep] * p[keep], p[keep]
+        qs.append(q)
+        ps.append(p)
+    q, p = np.concatenate(qs), np.concatenate(ps)
+    order = np.argsort(q)
+    return q[order], p[order]
+
+
 def phi_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     """Vector of Euler phi(d) for 0 <= d <= upto, exact in int64: d, then
     phi // p * (p - 1) once per distinct prime p | d, in increasing order of

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import FactorSieve, _spf_table, phi_table, require_bytes
+from .arith import FactorSieve, _spf_table, phi_table, prime_powers, require_bytes
 
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
@@ -30,10 +30,76 @@ class KernelKind(Enum):
 
 def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
-    """K[rows, cols] from the block g = gcd(rows, cols) as float64."""
+    """K[rows, cols] from the block g = gcd(rows, cols) as float64.
+
+    The denominators are formed in float64: m + n and m * n round once,
+    just as their exact int64 values round on conversion, so the block has
+    the bits of the int64 formulas.
+    """
+    rows, cols = rows.astype(np.float64), cols.astype(np.float64)
     if kind is KernelKind.V_KERNEL:
-        return g / np.add.outer(rows, cols)
-    return g / np.sqrt(np.multiply.outer(rows, cols).astype(np.float64))
+        den = np.add.outer(rows, cols)
+    else:
+        den = np.multiply.outer(rows, cols)
+        np.sqrt(den, out=den)
+    return np.divide(g, den, out=den)
+
+
+def _prime_power_table(upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """arith.prime_powers up to upto, from an spf table of its own."""
+    limit = max(upto, 2)
+    require_bytes(8 * (limit + 1), f"spf table up to {upto} (gcd block)")
+    return prime_powers(FactorSieve(limit=limit, spf=_spf_table(limit)), upto)
+
+
+def _run_start(idx: np.ndarray) -> int | None:
+    """idx[0] if idx is a run of consecutive increasing integers, else None."""
+    if len(idx) and np.all(np.diff(idx) == 1):
+        return int(idx[0])
+    return None
+
+
+def _multiples(idx: np.ndarray, start: int | None, q: int):
+    """Positions of the multiples of q in idx: a strided slice when idx is
+    the run beginning at `start`, else an index array."""
+    if start is not None:
+        return slice(-start % q, None, q)
+    return (idx % q == 0).nonzero()[0]
+
+
+def gcd_block(rows: np.ndarray, cols: np.ndarray,
+              powers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The block gcd(rows, cols) in float64 for arrays of positive integers,
+    built without a gcd ufunc.
+
+    gcd(i, j) is the product of p over the prime powers q = p^b that divide
+    both i and j. So the block starts from ones, and for every prime power
+    q <= min(max rows, max cols) the sub-block of rows = 0 (mod q) and
+    columns = 0 (mod q) is multiplied by p. Every entry stays an integer
+    below 2^53, so the block has the bits of the integer gcd block converted
+    to float64. `powers` is the (q, p) pair of arith.prime_powers, covering
+    at least that bound; by default it is built here.
+
+    The pairwise oracles share only the sieve with KernelOperator: they use
+    neither phi nor the divisor decomposition, so they stay an independent
+    check of the operator.
+    """
+    g = np.ones((len(rows), len(cols)))
+    if g.size == 0:
+        return g
+    bound = int(min(rows.max(), cols.max()))
+    qs, ps = _prime_power_table(bound) if powers is None else powers
+    stop = int(np.searchsorted(qs, bound, side="right"))
+    r0, c0 = _run_start(rows), _run_start(cols)
+    for q, p in zip(qs[:stop].tolist(), ps[:stop].tolist()):
+        r = _multiples(rows, r0, q)
+        if r0 is None:
+            if not len(r):
+                continue
+            if c0 is None:
+                r = r[:, None]  # with c, the cross product of np.ix_
+        g[r, _multiples(cols, c0, q)] *= p
+    return g
 
 
 @dataclass(frozen=True)
@@ -42,8 +108,7 @@ class KernelSpec:
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense kernel block K[rows, cols] for 1-based integer index arrays."""
-        g = np.gcd.outer(rows, cols).astype(np.float64)
-        return _kernel_from_gcd(self.kind, g, rows, cols)
+        return _kernel_from_gcd(self.kind, gcd_block(rows, cols), rows, cols)
 
 
 class KernelOperator:
@@ -150,6 +215,8 @@ class WeightVector:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.n_max,):
             raise ValueError(f"expected {self.n_max} weights, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -184,13 +251,19 @@ class WeightVector:
 
 
 def gal_sum(members, alpha: float) -> float:
-    """S_alpha(M) = sum over m,n in M of (gcd/lcm)^alpha, diagonal included."""
+    """S_alpha(M) = sum over m,n in M of (gcd/lcm)^alpha, diagonal included.
+    Members must be positive integers (integral floats are accepted)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in ]0,1], got {alpha}")
-    ms = np.asarray(sorted(set(members)), dtype=np.int64)
+    ms = np.asarray(sorted(set(members)))
     if ms.size == 0:
         raise ValueError("member set must be nonempty")
-    g = np.gcd.outer(ms, ms).astype(np.float64)
+    integral = ms.dtype.kind in "iu" or (
+        ms.dtype.kind == "f" and np.isfinite(ms).all() and np.all(ms == np.floor(ms)))
+    if not integral or ms[0] < 1:
+        raise ValueError(f"members must be positive integers, got {ms.tolist()}")
+    ms = ms.astype(np.int64)
+    g = gcd_block(ms, ms)
     ratio = (g * g) / np.multiply.outer(ms, ms).astype(np.float64)
     return float((ratio**alpha).sum())
 
@@ -202,17 +275,19 @@ def _pairwise_forms(kinds: tuple[KernelKind, ...],
     Zero-weight coordinates contribute nothing, so the sums run over the
     support only. One gcd block per row block serves every kind; each
     kernel block is reduced before the next is built, and block rows are
-    sized to keep peak memory bounded.
+    sized to keep peak memory bounded. The prime powers of the gcd blocks
+    are built once per call.
     """
     supp = c.support()
     totals = [0.0] * len(kinds)
     if supp.size == 0:
         return tuple(totals)
     w = c.weights[supp - 1]
+    powers = _prime_power_table(int(supp[-1]))
     step = max(1, min(_BLOCK, _BLOCK_ELEMS // supp.size))
     for lo in range(0, supp.size, step):
         rows = supp[lo : lo + step]
-        g = np.gcd.outer(rows, supp).astype(np.float64)
+        g = gcd_block(rows, supp, powers)
         w_rows = w[lo : lo + step]
         for i, kind in enumerate(kinds):
             # Unnamed, each kernel block is freed before the next is built.

@@ -443,13 +443,22 @@ def _lattice_points(n: int, K: int, first: int | None = None) -> np.ndarray:
     return pts
 
 
-def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
-    """Objective values for a (B, N) batch of simplex points."""
-    n = pts.shape[1]
+def _kernel_matrix(kind: str, n: int) -> np.ndarray | None:
+    """The dense V or T kernel on [1, n] that _batch_objective takes; None
+    for E."""
+    if kind == "E":
+        return None
     idx = np.arange(1, n + 1, dtype=np.int64)
+    kernel = KernelSpec(KernelKind.V_KERNEL if kind == "V" else KernelKind.T_KERNEL)
+    return kernel.block(idx, idx)
+
+
+def _batch_objective(kind: str, pts: np.ndarray,
+                     kmat: np.ndarray | None = None) -> np.ndarray:
+    """Objective values for a (B, N) batch of simplex points; kmat is
+    _kernel_matrix(kind, N), built once per oracle call (unused for E)."""
+    n = pts.shape[1]
     if kind in ("V", "T"):
-        kernel = KernelSpec(KernelKind.V_KERNEL if kind == "V" else KernelKind.T_KERNEL)
-        kmat = kernel.block(idx, idx)
         return np.einsum("pi,ij,pj->p", pts, kmat, pts)
     # r(k) for every k <= n^2 is built on one contiguous row per product,
     # then squared and summed along the rows of the (B, n^2 + 1) layout:
@@ -464,10 +473,12 @@ def _batch_objective(kind: str, pts: np.ndarray) -> np.ndarray:
     return r.sum(axis=1)
 
 
-def _scan_lattice(kind: str, N: int, K: int) -> tuple[np.ndarray, float]:
+def _scan_lattice(kind: str, N: int, K: int,
+                  kmat: np.ndarray | None) -> tuple[np.ndarray, float]:
     """The first minimum, in lexicographic order, of the objective over
     _lattice_points(N, K) / K, scanned one slab of fixed first coordinate
-    at a time: the slabs in order are the lattice in order."""
+    at a time: the slabs in order are the lattice in order. kmat is as for
+    _batch_objective."""
     if N <= 2:
         # At most K + 1 points. One-row slabs would also let einsum round
         # V and T differently from the whole batch.
@@ -477,7 +488,7 @@ def _scan_lattice(kind: str, N: int, K: int) -> tuple[np.ndarray, float]:
     w, val = None, math.inf
     for slab in slabs:
         pts = slab / K
-        vals = _batch_objective(kind, pts)
+        vals = _batch_objective(kind, pts, kmat)
         b = int(np.argmin(vals))
         if vals[b] < val:
             w, val = pts[b].copy(), float(vals[b])
@@ -507,7 +518,8 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     # a time, so this limits its total size, that is its time, not its peak.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
-    w, val = _scan_lattice(objective_kind, N, K)
+    kmat = _kernel_matrix(objective_kind, N)
+    w, val = _scan_lattice(objective_kind, N, K, kmat)
 
     # Local refinement: zero-sum integer moves on a halving lattice.
     moves = np.indices((5,) * N).reshape(N, -1).T - 2  # {-2..2}^N, lexicographic
@@ -518,7 +530,7 @@ def grid_oracle(objective_kind: str, N: int, step: float,
         feasible = (cand >= -1e-15).all(axis=1)
         cand = np.clip(cand[feasible], 0.0, None)
         cand /= cand.sum(axis=1, keepdims=True)
-        cvals = _batch_objective(objective_kind, cand)
+        cvals = _batch_objective(objective_kind, cand, kmat)
         b = int(np.argmin(cvals))
         if cvals[b] < val:
             w, val = cand[b], float(cvals[b])

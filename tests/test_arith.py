@@ -16,6 +16,7 @@ from galmin.arith import (
     factorize,
     omega_partial,
     phi_table,
+    prime_powers,
     small_omega,
     small_omega_table,
 )
@@ -173,6 +174,21 @@ def test_phi_table_range(sieve):
     assert np.array_equal(phi_table(sieve), phi_table(sieve, 10_000))
     with pytest.raises(ValueError):
         phi_table(sieve, 10_001)
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 4, 8, 9, 100, 1000])
+def test_prime_powers_match_brute_force(sieve, upto):
+    want = []
+    for q in range(2, upto + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = q
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            want.append((q, p))
+    qs, ps = prime_powers(sieve, upto)
+    assert qs.dtype == ps.dtype == np.int64
+    assert list(zip(qs.tolist(), ps.tolist())) == want
 
 
 def test_range_checks(sieve):

@@ -112,6 +112,16 @@ def test_mollify_missing_weights_file(capsys, tmp_path):
     assert captured.err.startswith("error: ")
 
 
+def test_mollify_non_finite_weight_exits_2(capsys, tmp_path):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1.0\nnan\n0.5\n")
+    code = main(["mollify", "--p", "31", "--x", "1", "--weights", str(weights)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: weights must be finite")
+
+
 def test_mollify_degenerate_moments_exit_2(capsys, monkeypatch):
     from galmin import charexp
 

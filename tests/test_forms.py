@@ -15,6 +15,7 @@ from galmin.forms import (
     e_form,
     e_gradient,
     gal_sum,
+    gcd_block,
     r_counts,
     r_counts_dense,
     s_of_set,
@@ -54,6 +55,13 @@ def test_weight_vector_validation():
     assert math.isclose(c.normalized().one_norm, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weight_vector_rejects_non_finite(bad):
+    # support() drops a NaN, so v_form would otherwise read 0.5 here.
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector.from_weights([bad, 1.0])
+
+
 def test_indicator_and_uniform():
     c = WeightVector.indicator([2, 5], 6)
     assert list(c.weights) == [0, 1, 0, 0, 1, 0]
@@ -90,6 +98,82 @@ def test_vt_pair_has_the_bits_of_the_separate_forms(monkeypatch):
         v, t = vt_forms_pairwise(c)
         assert (v, t) == (v_form(c), t_form_naive(c))
         assert type(v) is type(t) is float
+
+
+def _gcd_float(rows, cols):
+    return np.gcd.outer(rows, cols).astype(np.float64)
+
+
+def _run(lo, hi):
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 31, 97, 101, 997, 1999])
+_PRIME_POWERS = np.array([2, 4, 8, 9, 25, 27, 32, 49, 64, 81, 121, 125, 243,
+                          256, 343, 512, 625, 729, 1024, 1331, 2048])
+
+
+@pytest.mark.parametrize("rows,cols", [
+    *[(_run(1, n), _run(1, n)) for n in (1, 2, 3, 17, 500)],
+    (_run(801, 1600), _run(1, 2000)),  # an offset row block
+    (_run(1601, 2000), _run(1, 2000)),  # the last, partial row block
+    (_run(1, 2000), _run(777, 1299)),  # an offset column run
+    (_run(1, 1), _run(1, 2000)),  # a single row
+    (_run(1, 2000), _run(1440, 1440)),  # a single column
+    (_run(720, 720), _run(1440, 1440)),
+    (np.ones(5, dtype=np.int64), _run(1, 300)),
+    (_SMALL_PRIMES, _run(1, 2000)),
+    (_PRIME_POWERS, _PRIME_POWERS),
+    (_PRIME_POWERS, _run(1, 2048)),
+    (_SMALL_PRIMES, _PRIME_POWERS),
+])
+def test_gcd_block_matches_integer_gcd(rows, cols):
+    assert np.array_equal(gcd_block(rows, cols), _gcd_float(rows, cols))
+    assert np.array_equal(gcd_block(cols, rows), _gcd_float(cols, rows))
+
+
+@pytest.mark.parametrize("n,size", [(10, 3), (200, 50), (2000, 300), (2000, 1500)])
+def test_gcd_block_matches_integer_gcd_on_sparse_supports(n, size):
+    gen = np.random.default_rng(n + size)
+    supp = np.sort(gen.choice(np.arange(1, n + 1), size, replace=False))
+    assert np.array_equal(gcd_block(supp, supp), _gcd_float(supp, supp))
+    rows = supp[size // 3 : size // 3 + 40]
+    assert np.array_equal(gcd_block(rows, supp), _gcd_float(rows, supp))
+    assert np.array_equal(gcd_block(rows, _run(1, n)), _gcd_float(rows, _run(1, n)))
+    # Unsorted indices take the index-array path.
+    shuffled = gen.permutation(supp)
+    assert np.array_equal(gcd_block(shuffled, supp), _gcd_float(shuffled, supp))
+
+
+def _pairwise_by_gcd_loop(kind, w, elems):
+    """c^T K c row block by row block, in _pairwise_forms' order, with the
+    gcd from the gcd ufunc and the int64 denominators."""
+    supp = np.flatnonzero(w > 0) + 1
+    ws = w[supp - 1]
+    step = max(1, min(2048, elems // supp.size))
+    total = 0.0
+    for lo in range(0, supp.size, step):
+        rows = supp[lo : lo + step]
+        g = _gcd_float(rows, supp)
+        if kind == "V":
+            k = g / np.add.outer(rows, supp)
+        else:
+            k = g / np.sqrt(np.multiply.outer(rows, supp).astype(np.float64))
+        total += float(ws[lo : lo + step] @ (k @ ws))
+    return total
+
+
+def test_pairwise_row_blocks_have_the_bits_of_a_gcd_loop(monkeypatch):
+    elems = 20_000  # several row blocks for every vector below
+    monkeypatch.setattr("galmin.forms._BLOCK_ELEMS", elems)
+    gen = np.random.default_rng(11)
+    sparse = gen.random(2000)
+    sparse[gen.random(2000) < 0.7] = 0.0
+    for w in (gen.random(1000), gen.random(777), sparse):
+        c = WeightVector.from_weights(w)
+        v, t = vt_forms_pairwise(c)
+        assert v == v_form(c) == _pairwise_by_gcd_loop("V", w, elems)
+        assert t == t_form_naive(c) == _pairwise_by_gcd_loop("T", w, elems)
 
 
 def test_t_fast_equals_naive():
@@ -212,6 +296,20 @@ def test_gal_sum_small():
         gal_sum([1, 2], 0.0)
     with pytest.raises(ValueError):
         gal_sum([], 0.5)
+
+
+def test_gal_sum_matches_integer_gcd():
+    ms = [1, 2, 6, 9, 12, 35, 64, 97, 360]
+    want = sum((math.gcd(m, n) ** 2 / (m * n)) ** 0.5 for m in ms for n in ms)
+    assert math.isclose(gal_sum(ms, 0.5), want, rel_tol=1e-13)
+    assert gal_sum([2.0, 3.0], 0.5) == gal_sum([2, 3], 0.5)
+
+
+@pytest.mark.parametrize("members", [[0, 3], [-2, 3], [2.5, 3], [float("nan"), 3],
+                                     [float("inf"), 3], ["2", "3"]])
+def test_gal_sum_rejects_non_positive_integers(members):
+    with pytest.raises(ValueError, match="positive integers"):
+        gal_sum(members, 1.0)
 
 
 def test_s_of_set_is_indicator_v_form():

@@ -23,6 +23,7 @@ from galmin.forms import (
 )
 from galmin.minimize import (
     _batch_objective,
+    _kernel_matrix,
     _lattice_points,
     _scan_lattice,
     grid_oracle,
@@ -384,9 +385,10 @@ def test_grid_oracle_memory_budget(monkeypatch):
 @pytest.mark.parametrize("kind", ["V", "T", "E"])
 def test_scan_lattice_matches_one_shot_argmin(kind, N, K):
     pts = _lattice_points(N, K) / K
-    vals = _batch_objective(kind, pts)
+    kmat = _kernel_matrix(kind, N)
+    vals = _batch_objective(kind, pts, kmat)
     best = int(np.argmin(vals))
-    w, val = _scan_lattice(kind, N, K)
+    w, val = _scan_lattice(kind, N, K, kmat)
     assert val == vals[best]
     assert np.array_equal(w, pts[best])
 
