@@ -12,11 +12,20 @@ from math import isqrt
 
 import numpy as np
 
-# Hard cap on sieve size: fail loudly instead of thrashing.
-SIEVE_MEMORY_CAP = 100_000_000
-# Peak bytes one large allocation (a grid-oracle scan, a quadrature pass)
-# may take; each estimates its peak through require_bytes first.
+# Peak bytes one large allocation may take: every table, operator or scan
+# whose size grows with an input estimates its peak through require_bytes
+# before allocating.
 BYTES_BUDGET = 1 << 30
+# Peak bytes per entry of an spf table: 8 for the int64 table, 1 for the
+# mask of its last pass, and the int64 primes that pass sets (under 2 per
+# entry from limit 10^4 on; 10.3 in all at 10^6).
+_SPF_ENTRY_BYTES = 11
+# Peak bytes per entry of the factor passes that fill an Omega, omega or
+# phi table, besides the table itself: _peel holds five int64 arrays and a
+# mask at once, _peel_distinct adds its int64 `last`, the pass it yielded
+# before and their mask (40 and 65 at 10^6).
+_PEEL_ENTRY_BYTES = 44
+_PEEL_DISTINCT_ENTRY_BYTES = 72
 
 
 class BudgetError(ValueError):
@@ -29,6 +38,16 @@ def require_bytes(nbytes: int, what: str) -> None:
     if nbytes > BYTES_BUDGET:
         raise BudgetError(f"{what} needs ~{nbytes >> 20} MiB "
                           f"(budget {BYTES_BUDGET >> 20} MiB)")
+
+
+def spf_bytes(limit: int) -> int:
+    """Peak bytes of the smallest-prime-factor table up to limit."""
+    return _SPF_ENTRY_BYTES * (limit + 1)
+
+
+def spf_limit() -> int:
+    """The largest limit whose spf table fits BYTES_BUDGET."""
+    return BYTES_BUDGET // _SPF_ENTRY_BYTES - 1
 
 
 @dataclass(frozen=True)
@@ -55,15 +74,14 @@ def build_sieve(limit: int) -> FactorSieve:
     """Build a smallest-prime-factor table for all n <= limit."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_MEMORY_CAP:
-        raise BudgetError(
-            f"sieve limit {limit} exceeds memory cap {SIEVE_MEMORY_CAP}"
-        )
     return FactorSieve(limit=limit, spf=_spf_table(limit))
 
 
 def _spf_table(limit: int) -> np.ndarray:
-    """Smallest prime factor of every 2 <= n <= limit (entries 0, 1 are 0)."""
+    """Smallest prime factor of every 2 <= n <= limit (entries 0, 1 are 0);
+    the one allocator of spf tables, so the one place that checks their
+    bytes."""
+    require_bytes(spf_bytes(limit), f"spf table up to {limit}")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for i in range(2, limit + 1):
         if spf[i] == 0:
@@ -149,6 +167,7 @@ def big_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     """Vector of Omega(n) for 0 <= n <= upto (entries 0, 1 are 0)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
+    require_bytes((4 + _PEEL_ENTRY_BYTES) * (upto + 1), f"Omega table up to {upto}")
     omega = np.zeros(upto + 1, dtype=np.int32)
     for n, _ in _peel(sieve, upto):
         omega[n] += 1
@@ -170,6 +189,8 @@ def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray
     """Vector of omega(n) for 0 <= n <= upto."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
+    require_bytes((4 + _PEEL_DISTINCT_ENTRY_BYTES) * (upto + 1),
+                  f"omega table up to {upto}")
     omega = np.zeros(upto + 1, dtype=np.int32)
     for n, _ in _peel_distinct(sieve, upto):
         omega[n] += 1
@@ -200,6 +221,8 @@ def phi_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
     p (each division is exact)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
+    require_bytes((8 + _PEEL_DISTINCT_ENTRY_BYTES) * (upto + 1),
+                  f"phi table up to {upto}")
     phi = np.arange(upto + 1, dtype=np.int64)
     for n, p in _peel_distinct(sieve, upto):
         phi[n] = phi[n] // p * (p - 1)

@@ -22,10 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import SIEVE_MEMORY_CAP, BudgetError, build_sieve, factorize
+from .arith import BudgetError, build_sieve, factorize, require_bytes, spf_limit
 
 # Terms theta_all_even generates and bins at a time.
 _THETA_CHUNK = 1 << 20
+# Most terms theta_cutoff admits. theta_all_even streams its terms, so this
+# limits its time, not its memory; theta checks its bytes on its own.
+_THETA_TERM_CAP = 100_000_000
+# Peak bytes per term of theta: the int64 ns, the float64 damping and
+# chi.values' index, angle and complex temporaries (81 at 10^4 terms).
+_THETA_TERM_BYTES = 88
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,14 @@ class CharacterTable:
 def build_table(p: int) -> CharacterTable:
     """Find the least primitive root and fill the discrete-log table.
 
-    Primality is read off a sieve of size p, so a modulus above the sieve
-    cap is rejected as invalid before anything is allocated.
+    Primality is read off a sieve of size p, so a modulus above
+    arith.spf_limit(), whose sieve would not fit BYTES_BUDGET, is rejected
+    as invalid before anything is allocated.
     """
-    invalid = ValueError(
-        f"modulus must be an odd prime <= {SIEVE_MEMORY_CAP}, got {p}")
-    if p < 3 or p % 2 == 0 or p > SIEVE_MEMORY_CAP:
+    bound = spf_limit()
+    invalid = ValueError(f"modulus must be an odd prime <= {bound} (the largest "
+                         f"sieve within the byte budget), got {p}")
+    if p < 3 or p % 2 == 0 or p > bound:
         raise invalid
     sieve = build_sieve(p)
     if not sieve.is_prime(p):
@@ -220,8 +228,10 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
     """The first n_max >= n0 = floor(sqrt(max(-log tail_epsilon, 1) / rate)),
     rate = pi x / p, whose geometric tail bound is below tail_epsilon.
 
-    theta allocates arrays of length n_max (theta_all_even goes through
-    them in chunks), so an n_max above SIEVE_MEMORY_CAP raises BudgetError.
+    An n_max above _THETA_TERM_CAP raises BudgetError: that cap limits
+    the time of theta_all_even, which bins the terms in chunks, so its
+    memory does not grow with n_max. theta holds all n_max terms at once
+    and checks their bytes against arith.BYTES_BUDGET itself.
     """
     rate = math.pi * config.x / p
 
@@ -232,9 +242,9 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
         return head / denom < config.tail_epsilon
 
     n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
-    # n_max >= n, so a start above the budget is rejected without a search
+    # n_max >= n, so a start above the term cap is rejected without a search
     # (far out, the bound's denominator rounds to 0).
-    if n <= SIEVE_MEMORY_CAP and not tail_ok(n):
+    if n <= _THETA_TERM_CAP and not tail_ok(n):
         # The bound falls as n grows (the head falls, the denominator
         # rises): double the step past the cutoff, then bisect back to the
         # first passing n, keeping tail_ok(lo) false and tail_ok(hi) true.
@@ -249,8 +259,8 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
             else:
                 lo = mid
         n = hi
-    if n > SIEVE_MEMORY_CAP:
-        raise BudgetError(f"theta needs more than {SIEVE_MEMORY_CAP} terms "
+    if n > _THETA_TERM_CAP:
+        raise BudgetError(f"theta needs more than {_THETA_TERM_CAP} terms "
                           f"at p={p}, x={config.x}")
     return n
 
@@ -260,6 +270,7 @@ def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
     discarded tail is below config.tail_epsilon."""
     p = chi.p
     n_max = theta_cutoff(p, config)
+    require_bytes(_THETA_TERM_BYTES * n_max, f"theta over {n_max} terms")
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
     return complex(chi.values(ns) @ damp)

@@ -28,7 +28,9 @@ from .forms import KernelKind, KernelSpec, WeightVector, e_form, v_form
 from .minimize import minimize_energy, minimize_quadratic
 from .report import ExperimentReport, Timer
 
-_WEIL_BUDGET = 20_000_000  # p * B work cap for the brute-force moment
+# burgess_experiment runs every nonprincipal character over about 2p
+# values, in blocks of about 2^16, so this limits its O(p^2) time, not its
+# memory.
 _BURGESS_P_CAP = 2000
 
 
@@ -42,6 +44,9 @@ def shifted_sums(chi: DirichletCharacter, B: int) -> np.ndarray:
     """I(l) = sum_{1<=b<=B} chi(l+b) for l = 1..p, as differences of one
     prefix sum of chi(n mod p) over n = 0..p+B."""
     p = chi.p
+    # The complex prefix sum and the periodic values it sums, plus the
+    # temporaries of chi.values and the result: 32 * (p + B) + 64 * p.
+    require_bytes(32 * (p + B) + 64 * p, f"shifted sums at p={p}, B={B}")
     vals = chi.values(np.arange(p, dtype=np.int64))  # chi(0..p-1)
     cum = np.zeros(p + B + 2, dtype=np.complex128)
     np.cumsum(np.resize(vals, p + B + 1), out=cum[1:])  # cum[k] = sum_{n<k}
@@ -63,10 +68,7 @@ def weil_moment_check(chi: DirichletCharacter, B: int, r: int) -> tuple[float, f
         raise ValueError("r must be >= 2")
     if B < 0:
         raise ValueError("B must be >= 0")
-    p = chi.p
-    if p * max(B, 1) > _WEIL_BUDGET:
-        raise BudgetError("weil_moment_check budget exceeded")
-    rhs = weil_bound(B, r, p)
+    rhs = weil_bound(B, r, chi.p)
     if B == 0:
         return 0.0, rhs
     inner = shifted_sums(chi, B)
@@ -138,6 +140,9 @@ def burgess_experiment(
         raise BudgetError(f"burgess_experiment limited to p <= {_BURGESS_P_CAP}")
     if r < 2:
         raise ValueError("r must be >= 2")
+    if not 1 <= N <= 2 * p:
+        # The windows ]m, m+N] run over m = 0..2p-N.
+        raise ValueError(f"window length N must satisfy 1 <= N <= 2p, got N={N}")
     with Timer() as tm:
         table = table or build_table(p)
         A_raw = int(N / (16 * r * p ** (1 / (2 * r))))

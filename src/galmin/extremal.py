@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (
-    BudgetError,
     FactorSieve,
     big_omega_table,
+    require_bytes,
     small_omega_table,
 )
 from .forms import WeightVector
-
-# H(N) marks an N^2-size table; cap the exhaustive mode by memory.
-_HN_CAP = 20_000
 
 
 class EmptyWitnessError(ValueError):
@@ -100,8 +97,8 @@ def multiplication_table_count(N: int) -> int:
     """H(N): number of distinct products d*t with d, t <= N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > _HN_CAP:
-        raise BudgetError(f"exhaustive H(N) limited to N <= {_HN_CAP}")
+    # The bool table of every product up to N^2, and its array header.
+    require_bytes(N * N + 4096, f"multiplication table H({N})")
     seen = np.zeros(N * N + 1, dtype=bool)
     for d in range(1, N + 1):
         seen[d * d :: d][: N - d + 1] = True

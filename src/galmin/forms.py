@@ -48,7 +48,6 @@ def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
 def _prime_power_table(upto: int) -> tuple[np.ndarray, np.ndarray]:
     """arith.prime_powers up to upto, from an spf table of its own."""
     limit = max(upto, 2)
-    require_bytes(8 * (limit + 1), f"spf table up to {upto} (gcd block)")
     return prime_powers(FactorSieve(limit=limit, spf=_spf_table(limit)), upto)
 
 
@@ -111,6 +110,32 @@ class KernelSpec:
         return _kernel_from_gcd(self.kind, gcd_block(rows, cols), rows, cols)
 
 
+def _group_ranges(n: int):
+    """(d, d_last, L) for each maximal range d..d_last of the d <= n that
+    share L = n // d, in increasing d: O(sqrt n) ranges."""
+    d = 1
+    while d <= n:
+        L = n // d
+        last = n // L
+        yield d, last, L
+        d = last + 1
+
+
+def _operator_bytes(kind: KernelKind, n: int) -> int:
+    """Peak bytes of KernelOperator(kind, n) and one product, in O(sqrt n)
+    time: the int64 rows of every group (n // d of them for each d <= n),
+    1 KiB of headers per group, eight n-vectors held (idx, its float copy,
+    1/sqrt, column's two buffers, phi, spf, the coefficients), eight more
+    for a product's temporaries, and for V the blocks: dense L x L up to
+    _DENSE_BLOCK_MAX, above it L + 1 complex FFT coefficients."""
+    total = 128 * n
+    for d, last, L in _group_ranges(n):
+        total += 8 * (last - d + 1) * L + 1024
+        if kind is KernelKind.V_KERNEL:
+            total += 8 * L * L if L <= _DENSE_BLOCK_MAX else 16 * (L + 1)
+    return total
+
+
 class KernelOperator:
     """Products w -> K w and columns K e_j of the V or T kernel on [1, n],
     through gcd(m, n) = sum of phi(d) over the common divisors d of m, n:
@@ -126,6 +151,7 @@ class KernelOperator:
     """
 
     def __init__(self, kind: KernelKind, n: int):
+        require_bytes(_operator_bytes(kind, n), f"KernelOperator({kind.value}, {n})")
         self.kind = kind
         self.n = n
         self.idx = np.arange(1, n + 1, dtype=np.int64)
@@ -141,13 +167,10 @@ class KernelOperator:
         # The d with n // d == L form one contiguous range, handled as one
         # batch: (0-based rows d*(1..L) - 1, phi(d)/d, B_L factor).
         self.groups = []
-        d = 1
-        while d <= n:
-            L = n // d
-            ds = np.arange(d, n // L + 1)
+        for d, last, L in _group_ranges(n):
+            ds = np.arange(d, last + 1)
             rows = np.multiply.outer(ds, self.idx[:L]) - 1
             self.groups.append((rows, (self.phi[ds] / ds)[:, None], self._block(L)))
-            d = ds[-1] + 1
 
     def _block(self, L: int) -> np.ndarray:
         """What matvec needs of B_L: s for T; for V the block itself up to

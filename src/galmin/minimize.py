@@ -200,11 +200,15 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _pgd_energy(w0: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, float, int]:
+def _pgd_energy(w0: np.ndarray, max_iters: int,
+                tol: float) -> tuple[np.ndarray, float, int, bool]:
     """Projected gradient descent with Armijo backtracking on E(c;N).
 
     One EnergyIndex serves every evaluation of the run, and the r of the
-    accepted candidate gives the next gradient.
+    accepted candidate gives the next gradient. Returns (w, value,
+    iterations, stalled): stalled is True only when the run stopped on its
+    small-move or small-drop test, not on max_iters or a failed Armijo
+    search.
     """
     index = EnergyIndex(len(w0))
     w = w0.copy()
@@ -212,6 +216,7 @@ def _pgd_energy(w0: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray,
     val = float(r @ r)
     step = 1.0
     it = 0
+    stalled = False
     for it in range(1, max_iters + 1):
         grad = index.gradient(r, w)
         improved = False
@@ -231,8 +236,9 @@ def _pgd_energy(w0: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray,
         w, val, r = cand, cand_val, cand_r
         step = min(step * 2.0, 1e6)
         if move < 1e-14 or rel_drop < tol * 1e-3:
+            stalled = True
             break
-    return w, val, it
+    return w, val, it, stalled
 
 
 def minimize_energy(
@@ -246,7 +252,8 @@ def minimize_energy(
     """Best-of-restarts upper bound on the energy infimum (non-certified).
 
     Starts: uniform, the half-interval witness when a sieve is supplied,
-    and seeded random Dirichlet points.
+    and seeded random Dirichlet points. converged is True only when the
+    restart returned stopped on its small-move or small-drop test.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -267,12 +274,13 @@ def minimize_energy(
         starts.append(("dirichlet", rng.dirichlet(np.ones(N))))
 
     best_w, best_val, best_tag, total_it = None, math.inf, "", 0
+    converged = False
     starts = starts[:restarts]
     for tag, w0 in starts:
-        w, val, it = _pgd_energy(w0, max_iters, tolerance)
+        w, val, it, stalled = _pgd_energy(w0, max_iters, tolerance)
         total_it += it
         if val < best_val:
-            best_w, best_val, best_tag = w, val, tag
+            best_w, best_val, best_tag, converged = w, val, tag, stalled
 
     # Clamp tiny negatives from projection round-off and renormalize.
     best_w = np.maximum(best_w, 0.0)
@@ -285,7 +293,7 @@ def minimize_energy(
         scaled_value=N * N * best_val,
         iterations=total_it,
         certificate_gap=None,
-        converged=True,
+        converged=converged,
         provenance=f"pgd(best_of={len(starts)},start={best_tag});upper_bound_non_certified",
     )
 
@@ -508,6 +516,8 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     if N < 1:
         raise ValueError(f"grid_oracle needs N >= 1, got {N}")
     if N > 5:
+        # A time cap: a scan fine enough to be useful visits about
+        # K^(N-1) / (N-1)! lattice points. Their bytes are checked below.
         raise BudgetError("grid_oracle supports N <= 5 only")
     if not (math.isfinite(step) and 0.0 < step <= 1.0):
         raise ValueError(f"grid_oracle needs a finite step in (0, 1], got {step}")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galmin.arith import (
+    BYTES_BUDGET,
     BudgetError,
-    SIEVE_MEMORY_CAP,
     big_omega,
     big_omega_table,
     build_sieve,
@@ -19,6 +19,8 @@ from galmin.arith import (
     prime_powers,
     small_omega,
     small_omega_table,
+    spf_bytes,
+    spf_limit,
 )
 
 
@@ -198,5 +200,7 @@ def test_range_checks(sieve):
         factorize(sieve, 0)
     with pytest.raises(ValueError):
         build_sieve(1)
+    # The largest sieve within the byte budget, just above it refused.
+    assert spf_bytes(spf_limit()) <= BYTES_BUDGET < spf_bytes(spf_limit() + 1)
     with pytest.raises(BudgetError):
-        build_sieve(SIEVE_MEMORY_CAP + 1)
+        build_sieve(spf_limit() + 1)

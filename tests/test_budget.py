@@ -1,0 +1,143 @@
+"""The byte budget: every guarded allocation's estimate against its traced
+peak, and each guard on both sides of its boundary.
+
+An estimate is read off the call's own require_bytes, recorded on the way
+through, so the tests hold whatever formula the guard uses.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from galmin.arith import (
+    BudgetError,
+    _spf_table,
+    big_omega_table,
+    build_sieve,
+    phi_table,
+    require_bytes,
+    small_omega_table,
+)
+from galmin.characters import ThetaConfig, build_table, theta
+from galmin.charexp import shifted_sums
+from galmin.extremal import multiplication_table_count
+from galmin.forms import KernelKind, KernelOperator
+
+# Each guard maps a size to (the module whose require_bytes it calls, the
+# guarded call); what the call needs besides is built outside it.
+
+
+def _spf(limit):
+    return "arith", lambda: _spf_table(limit)
+
+
+def _table(fn):
+    def guard(upto):
+        sieve = build_sieve(upto)
+        return "arith", lambda: fn(sieve)
+    return guard
+
+
+def _operator(kind):
+    def guard(n):
+        w = np.full(n, 1.0 / n)
+        return "forms", lambda: KernelOperator(kind, n).matvec(w)
+    return guard
+
+
+def _multiplication_table(N):
+    return "extremal", lambda: multiplication_table_count(N)
+
+
+def _shifted_sums(p, B):
+    chi = build_table(p).character(1)
+    return "charexp", lambda: shifted_sums(chi, B)
+
+
+def _theta(p, x):
+    chi, config = build_table(p).character(2), ThetaConfig(x=x)
+    return "characters", lambda: theta(chi, config)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _estimate_and_peak(monkeypatch, module, call) -> tuple[int, int]:
+    """The first estimate call passes to galmin.<module>.require_bytes, and
+    the traced peak of call."""
+    seen = []
+
+    def record(nbytes, what):
+        seen.append(nbytes)
+        require_bytes(nbytes, what)
+
+    with monkeypatch.context() as m:
+        m.setattr(f"galmin.{module}.require_bytes", record)
+        peak = _traced_peak(call)
+    return seen[0], peak
+
+
+V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
+
+
+@pytest.mark.parametrize("guard, size", [
+    (_spf, (10**6,)),
+    (_table(big_omega_table), (10**6,)),
+    (_table(small_omega_table), (10**6,)),
+    (_table(phi_table), (10**6,)),
+    (_operator(V), (10**4,)),
+    (_operator(V), (10**5,)),
+    (_operator(T), (10**4,)),
+    (_operator(T), (10**5,)),
+    (_multiplication_table, (2000,)),
+    (_shifted_sums, (10007, 10**5)),
+    (_theta, (10007, 1e-4)),
+], ids=["spf", "Omega", "omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
+        "H", "shifted_sums", "theta"])
+def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
+    est, peak = _estimate_and_peak(monkeypatch, *guard(*size))
+    assert peak <= est <= 2 * peak
+
+
+@pytest.mark.parametrize("guard, size", [
+    (_spf, (1000,)),
+    (_table(big_omega_table), (1000,)),
+    (_table(small_omega_table), (1000,)),
+    (_table(phi_table), (1000,)),
+    (_operator(V), (300,)),
+    (_operator(T), (300,)),
+    (_multiplication_table, (50,)),
+    (_shifted_sums, (101, 50)),
+    (_theta, (101, 0.01)),
+], ids=["spf", "Omega", "omega", "phi", "V", "T", "H", "shifted_sums", "theta"])
+def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
+    module, call = guard(*size)
+    est, _ = _estimate_and_peak(monkeypatch, module, call)
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", est)
+    call()
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", est - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("kind", [V, T])
+def test_operator_over_the_budget_is_refused_before_the_sieve(kind, monkeypatch):
+    def no_spf(limit):
+        raise AssertionError(f"spf table up to {limit} built for a refused operator")
+
+    monkeypatch.setattr("galmin.forms._spf_table", no_spf)
+    with pytest.raises(BudgetError, match="KernelOperator"):
+        KernelOperator(kind, 30_000_000)

@@ -1,11 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from galmin.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from galmin.cli import (
+    EXIT_ASSERTION,
+    EXIT_BUDGET,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from galmin.report import ExperimentReport, Timer
 
 
@@ -393,3 +404,53 @@ def test_scaling_n_zero_exits_2(capsys, form):
     code = main(["scaling", "--form", form, "--n-list", "0"])
     assert code == EXIT_USAGE
     assert "each >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["v", "t"])
+def test_minimize_over_the_byte_budget_exits_3_at_once(capsys, form):
+    # The operator at N = 3e7 would need about 5 GB; its estimate refuses it
+    # before the sieve is built.
+    t0 = time.perf_counter()
+    code = main(["minimize", "--form", form, "--n", "30000000"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: KernelOperator")
+    assert elapsed < 1.0
+
+
+_TINY = st.integers(min_value=-3, max_value=64).map(str)
+
+
+def _argv(*parts):
+    """An argv strategy: strings are kept, strategies drawn."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p
+                       for p in parts)).map(list)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _argv("minimize", "--form", st.sampled_from(["v", "t", "e"]), "--n", _TINY),
+    _argv("witness", "--kind", st.sampled_from(["t", "e"]), "--n", _TINY),
+    _argv("counts", "--x", _TINY, "--k", _TINY, "--table-n", _TINY),
+    _argv("charsum", "--p", _TINY, "--j", _TINY, "--m", _TINY, "--n", _TINY),
+    _argv("burgess", "--p", _TINY, "--r", _TINY, "--n", _TINY, "--m", _TINY),
+    _argv("lowmoment", "--p", _TINY, "--n", _TINY, "--r", _TINY),
+))
+@example(["minimize", "--form", "v", "--n", "30000000"])
+@example(["minimize", "--form", "t", "--n", "30000000"])
+@example(["burgess", "--p", "3", "--r", "2", "--n", "0"])
+def test_exit_contract_on_tiny_arguments(argv):
+    # 0 ok, 1 exactly when a reported assertion is false, 2 usage, 3
+    # budget; never 4. A refused command prints no report.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_USAGE, EXIT_BUDGET)
+    if code in (EXIT_USAGE, EXIT_BUDGET):
+        assert out.getvalue() == ""
+    else:
+        doc = json.loads(out.getvalue())
+        holds = all(a["holds"] for a in doc["assertions"])
+        assert (code == EXIT_ASSERTION) == (not holds)

@@ -127,8 +127,16 @@ def test_multiplication_table_small_values():
     assert multiplication_table_count(5) == 14
     with pytest.raises(ValueError):
         multiplication_table_count(0)
+
+def test_multiplication_table_byte_budget(monkeypatch):
+    # The table takes N^2 + 1 bytes: N = 20,001 (400 MB) now fits the
+    # 1 GiB budget, and N = 32,768 is the first that does not.
     with pytest.raises(BudgetError):
-        multiplication_table_count(20_001)
+        multiplication_table_count(32_768)
+    monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 100 * 100 + 4096)
+    assert multiplication_table_count(100) == 2906
+    with pytest.raises(BudgetError):
+        multiplication_table_count(101)
 
 
 def test_multiplication_table_set_oracle():

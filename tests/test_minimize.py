@@ -433,6 +433,17 @@ def test_energy_result_feasible():
     assert res.value <= e_form(WeightVector.uniform(30)) + 1e-12
 
 
+def test_energy_converged_only_when_the_run_stalls(monkeypatch):
+    # Every start at N = 64 takes more than one step before it stalls.
+    assert minimize_energy(64, restarts=4, seed=0).converged
+    assert not minimize_energy(64, restarts=4, seed=0, max_iters=1).converged
+    # A projection onto the vertex e_1, worse than any start, fails every
+    # Armijo search.
+    monkeypatch.setattr("galmin.minimize.project_to_simplex",
+                        lambda v: np.eye(len(v))[0])
+    assert not minimize_energy(64, restarts=2, seed=0).converged
+
+
 def test_energy_value_is_e_form_at_minimizer():
     # The run reuses each accepted candidate's r; a stale r would show here.
     res = minimize_energy(64, restarts=4, seed=0, sieve=build_sieve(64))
