@@ -79,11 +79,21 @@ def build_table(p: int) -> CharacterTable:
             g = cand
             break
     assert g is not None  # every prime has a primitive root
-    dlog = np.zeros(p, dtype=np.int64)
+    # The powers of g in blocks of ceil(sqrt(p)): the first block by a running
+    # product, each next one the last times g^step mod p. Both factors are
+    # below p, so the int64 products stay below p^2 < 2^63.
+    step = math.isqrt(p - 1) + 1
+    block = np.empty(step, dtype=np.int64)
     acc = 1
-    for k in range(p - 1):
-        dlog[acc] = k
+    for k in range(step):
+        block[k] = acc
         acc = acc * g % p
+    dlog = np.zeros(p, dtype=np.int64)
+    for start in range(0, p - 1, step):
+        m = min(step, p - 1 - start)
+        dlog[block[:m]] = np.arange(start, start + m)
+        block *= acc
+        block %= p
     return CharacterTable(p=p, g=g, dlog=dlog)
 
 

@@ -432,23 +432,25 @@ def scaling_report(
 def _lattice_points(n: int, K: int, first: int | None = None) -> np.ndarray:
     """All integer vectors of length n with nonnegative entries summing to K,
     in lexicographic order (grid_oracle's argmin keeps the first minimum).
-    Given first = k0, only the slab of those whose first entry is k0."""
+    Given first = k0, only the slab of those whose first entry is k0.
+
+    The (B, n) result is the row view .T of a C-contiguous (n, B) array, so
+    each coordinate of the batch is one contiguous row of pts.T."""
     lead = 0 if first is None else 1
     cols: list[np.ndarray] = []
     rem = np.array([K - (first or 0)], dtype=np.int64)
     # Each leading coordinate splits a row with remainder r into r + 1 rows.
     for _ in range(n - lead - 1):
         counts = rem + 1
-        parent = np.repeat(np.arange(len(rem)), counts)
-        k = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
-        cols = [c[parent] for c in cols] + [k]
-        rem = rem[parent] - k
-    pts = np.empty((len(rem), n), dtype=np.int64)
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [np.repeat(c, counts) for c in cols] + [k]
+        rem = np.repeat(rem, counts) - k
+    coords = np.empty((n, len(rem)), dtype=np.int64)
     if lead:
-        pts[:, 0] = first
+        coords[0] = first
     for j, col in enumerate(cols + [rem], start=lead):
-        pts[:, j] = col
-    return pts
+        coords[j] = col
+    return coords.T
 
 
 def _kernel_matrix(kind: str, n: int) -> np.ndarray | None:
@@ -461,24 +463,44 @@ def _kernel_matrix(kind: str, n: int) -> np.ndarray | None:
     return kernel.block(idx, idx)
 
 
+def _term_classes(kind: str, n: int,
+                  kmat: np.ndarray | None) -> list[list[tuple[float, int, int]]]:
+    """The terms c * x_i * x_j (i <= j) of the objective, in classes. V and
+    T: one class, c = K_ii on the diagonal and 2 K_ij above it. E: one class
+    per distinct product m = (i + 1)(j + 1), in increasing m, c = 1 on the
+    diagonal and 2 above it; the class sums r_m are squared."""
+    classes: dict[int, list[tuple[float, int, int]]] = {}
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "E":
+                c, m = (1.0 if i == j else 2.0), (i + 1) * (j + 1)
+            else:
+                c, m = float(kmat[i, j] if i == j else 2.0 * kmat[i, j]), 0
+            classes.setdefault(m, []).append((c, i, j))
+    return [classes[m] for m in sorted(classes)]
+
+
 def _batch_objective(kind: str, pts: np.ndarray,
                      kmat: np.ndarray | None = None) -> np.ndarray:
     """Objective values for a (B, N) batch of simplex points; kmat is
-    _kernel_matrix(kind, N), built once per oracle call (unused for E)."""
-    n = pts.shape[1]
-    if kind in ("V", "T"):
-        return np.einsum("pi,ij,pj->p", pts, kmat, pts)
-    # r(k) for every k <= n^2 is built on one contiguous row per product,
-    # then squared and summed along the rows of the (B, n^2 + 1) layout:
-    # that layout fixes the order in which numpy adds up each point's sum.
-    cols = np.ascontiguousarray(pts.T)
-    r = np.zeros((n * n + 1, len(pts)))
-    for i in range(n):
-        for j in range(n):
-            r[(i + 1) * (j + 1)] += cols[i] * cols[j]
-    r = np.ascontiguousarray(r.T)
-    r *= r
-    return r.sum(axis=1)
+    _kernel_matrix(kind, N), built once per oracle call (unused for E).
+
+    Every pass is elementwise over whole coordinate rows of pts.T, so no
+    pass mixes points: a point's value has the same bits in any batch."""
+    x = pts.T
+    out = np.zeros(x.shape[1])
+    r, t = np.empty_like(out), np.empty_like(out)
+    for (c, i, j), *rest in _term_classes(kind, x.shape[0], kmat):
+        np.multiply(x[i], x[j], out=r)
+        r *= c
+        for c, i, j in rest:
+            np.multiply(x[i], x[j], out=t)
+            t *= c
+            r += t
+        if kind == "E":
+            r *= r
+        out += r
+    return out
 
 
 def _scan_lattice(kind: str, N: int, K: int,
@@ -488,9 +510,7 @@ def _scan_lattice(kind: str, N: int, K: int,
     at a time: the slabs in order are the lattice in order. kmat is as for
     _batch_objective."""
     if N <= 2:
-        # At most K + 1 points. One-row slabs would also let einsum round
-        # V and T differently from the whole batch.
-        slabs = [_lattice_points(N, K)]
+        slabs = [_lattice_points(N, K)]  # at most K + 1 points: one batch
     else:
         slabs = (_lattice_points(N, K, first=k0) for k0 in range(K + 1))
     w, val = None, math.inf
@@ -523,27 +543,28 @@ def grid_oracle(objective_kind: str, N: int, step: float,
         raise ValueError(f"grid_oracle needs a finite step in (0, 1], got {step}")
     K = max(1, round(1.0 / step))
     n_points = math.comb(K + N - 1, N - 1)
-    # The bytes a one-shot scan would take (the int64 lattice, its float64
-    # copy, then E's r and its row-major copy). The scan holds one slab at
-    # a time, so this limits its total size, that is its time, not its peak.
+    # A cap on the scan's total size, that is its time, stated in bytes per
+    # point: 16 per coordinate plus 8, or plus 16 (N^2 + 1) for E. The scan
+    # holds one slab at a time, so its peak stays far below this.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
     kmat = _kernel_matrix(objective_kind, N)
     w, val = _scan_lattice(objective_kind, N, K, kmat)
 
-    # Local refinement: zero-sum integer moves on a halving lattice.
-    moves = np.indices((5,) * N).reshape(N, -1).T - 2  # {-2..2}^N, lexicographic
-    deltas = moves[moves.sum(axis=1) == 0].astype(np.float64)
+    # Local refinement: zero-sum integer moves on a halving lattice, one
+    # column per move (the coordinate rows _batch_objective passes over).
+    moves = np.indices((5,) * N).reshape(N, -1) - 2  # {-2..2}^N, lexicographic
+    deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
     h = 1.0 / (2 * K)
     for _ in range(refine_levels):
-        cand = w + h * deltas
-        feasible = (cand >= -1e-15).all(axis=1)
-        cand = np.clip(cand[feasible], 0.0, None)
-        cand /= cand.sum(axis=1, keepdims=True)
-        cvals = _batch_objective(objective_kind, cand, kmat)
+        cand = w[:, None] + h * deltas
+        feasible = (cand >= -1e-15).all(axis=0)
+        cand = np.clip(cand[:, feasible], 0.0, None)
+        cand /= cand.sum(axis=0)
+        cvals = _batch_objective(objective_kind, cand.T, kmat)
         b = int(np.argmin(cvals))
         if cvals[b] < val:
-            w, val = cand[b], float(cvals[b])
+            w, val = cand[:, b], float(cvals[b])
         else:
             h *= 0.5
         if h < 1e-14:

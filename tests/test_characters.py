@@ -34,6 +34,23 @@ def test_build_table_rejects_composites():
         build_table(9)
 
 
+def _dlog_by_loop(p, g):
+    """The discrete-log table of g mod p, one power at a time."""
+    dlog = np.zeros(p, dtype=np.int64)
+    acc = 1
+    for k in range(p - 1):
+        dlog[acc] = k
+        acc = acc * g % p
+    return dlog
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 10007, 100003])
+def test_dlog_table_matches_power_loop(p):
+    table = build_table(p)
+    assert table.dlog.dtype == np.int64
+    assert np.array_equal(table.dlog, _dlog_by_loop(p, table.g))
+
+
 def test_primitive_root_and_dlog():
     table = build_table(5)
     assert table.g == 2

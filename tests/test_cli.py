@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,12 +326,36 @@ VERIFY_ALL_CHECKS = [
 ]
 
 
+GOLDEN_VERIFY_ALL_FAST = Path(__file__).parent / "data" / "verify_all_fast_seed0.json"
+
+
+def _assert_matches_golden(got, want, where="$"):
+    """Names, ints and verdicts exactly; floats to rel 1e-12 (abs 1e-15)."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (where, got, want)
+    else:
+        assert got == want, where
+
+
 def test_verify_all_fast(capsys):
     code, out = _run(capsys, "verify-all", "--fast")
     assert code == EXIT_OK
-    assertions = json.loads(out)["assertions"]
+    doc = json.loads(out)
+    assertions = doc["assertions"]
     assert [a["name"] for a in assertions] == VERIFY_ALL_CHECKS
     assert [a["name"] for a in assertions if not a["holds"]] == []
+    # The canonical output of --seed 0 (the default), stored when it last
+    # changed on purpose.
+    _assert_matches_golden(doc, json.loads(GOLDEN_VERIFY_ALL_FAST.read_text()))
 
 
 def test_usage_error_exit_code(capsys):

@@ -344,6 +344,29 @@ def test_lattice_slab_is_the_lattice_with_its_first_coordinate(n, K):
         assert slab.dtype == np.int64
 
 
+def _oracle_batches(N, K):
+    """The batches grid_oracle evaluates at N: each slab of the step-1/K
+    lattice (the whole lattice at N = 1), then refinement candidates around
+    a lattice point at three step sizes, formed as grid_oracle forms them."""
+    if N == 1:
+        batches = [_lattice_points(N, K) / K]
+    else:
+        batches = [_lattice_points(N, K, first=k0) / K for k0 in range(K + 1)]
+    moves = np.indices((5,) * N).reshape(N, -1) - 2
+    deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
+    w = _lattice_points(N, K)[len(batches[0]) // 2] / K
+    for h in (1 / (2 * K), 1e-3, 1e-9):
+        cand = w[:, None] + h * deltas
+        cand = np.clip(cand[:, (cand >= -1e-15).all(axis=0)], 0.0, None)
+        batches.append((cand / cand.sum(axis=0)).T)
+    return batches
+
+
+def _v_t_by_einsum(pts, kmat):
+    """V or T of each row of pts as one quadratic form per point."""
+    return np.einsum("pi,ij,pj->p", pts, kmat, pts)
+
+
 def _e_by_columns(pts):
     """E of each row of pts, r built one product column at a time."""
     n = pts.shape[1]
@@ -355,22 +378,26 @@ def _e_by_columns(pts):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-def test_batch_energy_has_the_bits_of_the_column_formula(N):
-    K = 12
-    if N == 1:
-        batches = [_lattice_points(N, K) / K]
-    else:
-        batches = [_lattice_points(N, K, first=k0) / K for k0 in range(K + 1)]
-    # Refinement candidates around a lattice point, as grid_oracle forms them.
-    moves = np.indices((5,) * N).reshape(N, -1).T - 2
-    deltas = moves[moves.sum(axis=1) == 0].astype(np.float64)
-    w = _lattice_points(N, K)[len(batches[0]) // 2] / K
-    for h in (1 / (2 * K), 1e-3, 1e-9):
-        cand = w + h * deltas
-        cand = np.clip(cand[(cand >= -1e-15).all(axis=1)], 0.0, None)
-        batches.append(cand / cand.sum(axis=1, keepdims=True))
-    for pts in batches:
-        assert np.array_equal(_batch_objective("E", pts), _e_by_columns(pts))
+@pytest.mark.parametrize("kind", ["V", "T", "E"])
+def test_batch_objective_is_batch_invariant(kind, N):
+    kmat = _kernel_matrix(kind, N)
+    for pts in _oracle_batches(N, 12):
+        vals = _batch_objective(kind, pts, kmat)
+        alone = np.array([_batch_objective(kind, pts[b:b + 1], kmat)[0]
+                          for b in range(len(pts))])
+        assert np.array_equal(alone.view(np.int64), vals.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["V", "T", "E"])
+def test_batch_objective_matches_reference_forms(kind, N):
+    # Every term is nonnegative and a value sums at most N^2 = 25 products,
+    # so float64 rounding stays within a few dozen ulp: rel 1e-14 is ~45.
+    kmat = _kernel_matrix(kind, N)
+    for pts in _oracle_batches(N, 12):
+        want = _e_by_columns(pts) if kind == "E" else _v_t_by_einsum(pts, kmat)
+        got = _batch_objective(kind, pts, kmat)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_grid_oracle_memory_budget(monkeypatch):
