@@ -20,12 +20,11 @@ BYTES_BUDGET = 1 << 30
 # mask of its last pass, and the int64 primes that pass sets (under 2 per
 # entry from limit 10^4 on; 10.3 in all at 10^6).
 _SPF_ENTRY_BYTES = 11
-# Peak bytes per entry of the factor passes that fill an Omega, omega or
-# phi table, besides the table itself: _peel holds five int64 arrays and a
-# mask at once, _peel_distinct adds its int64 `last`, the pass it yielded
-# before and their mask (40 and 65 at 10^6).
-_PEEL_ENTRY_BYTES = 44
-_PEEL_DISTINCT_ENTRY_BYTES = 72
+# Peak bytes per entry of the block passes that fill an Omega, omega or
+# phi table, besides the table itself: a block holds at most half of the
+# entries, and a pass over it at most three int64 arrays of its length
+# (phi: m, the factor and phi(m)), so 12, plus 1 for the arrays' headers.
+_BLOCK_PASS_BYTES = 13
 
 
 class BudgetError(ValueError):
@@ -148,52 +147,47 @@ def omega_partial(sieve: FactorSieve, n: int, t: float) -> int:
     return sum(e for p, e in factorize(sieve, n) if p <= cut)
 
 
-def _peel(sieve: FactorSieve, upto: int):
-    """Yield (n, p) for the prime factors of every 2 <= n <= upto, one numpy
-    pass per factor: pass i holds the i-th smallest prime factor p, counted
-    with multiplicity, of each n that has at least i of them."""
-    spf = sieve.spf
-    n = np.arange(2, upto + 1, dtype=np.int64)
-    m = n
-    while len(n):
-        p = spf[m]
-        yield n, p
-        m = m // p
-        keep = m > 1
-        n, m = n[keep], m[keep]
+def _doubling_blocks(sieve: FactorSieve, upto: int):
+    """Yield (lo, hi, p, m) for the blocks [lo, hi) = [2^k, 2^(k+1)) of
+    [2, upto], in increasing order: p = spf(n) and m = n // p for the n of
+    the block, as int64 arrays. m <= n / 2 < lo, so m lies in an earlier
+    block (or is 1), and a table filled block by block by a recurrence in
+    m reads only entries already final (Gries and Misra's n = p * m)."""
+    lo = 2
+    while lo <= upto:
+        hi = min(2 * lo, upto + 1)
+        p = sieve.spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int64)
+        m //= p
+        yield lo, hi, p, m
+        lo = hi
 
 
 def big_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
-    """Vector of Omega(n) for 0 <= n <= upto (entries 0, 1 are 0)."""
+    """Vector of Omega(n) for 0 <= n <= upto (entries 0, 1 are 0), by
+    Omega(n) = Omega(n // p) + 1, p = spf(n)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
-    require_bytes((4 + _PEEL_ENTRY_BYTES) * (upto + 1), f"Omega table up to {upto}")
+    require_bytes((4 + _BLOCK_PASS_BYTES) * (upto + 1),
+                  f"Omega table up to {upto}")
     omega = np.zeros(upto + 1, dtype=np.int32)
-    for n, _ in _peel(sieve, upto):
-        omega[n] += 1
+    for lo, hi, _, m in _doubling_blocks(sieve, upto):
+        np.add(omega[m], 1, out=omega[lo:hi])
     return omega
 
 
-def _peel_distinct(sieve: FactorSieve, upto: int):
-    """Like _peel, but yield each distinct prime factor of n once. Factors
-    come in increasing order, so a prime is new iff it differs from the one
-    peeled just before it."""
-    last = np.zeros(upto + 1, dtype=np.int64)
-    for n, p in _peel(sieve, upto):
-        new = p != last[n]
-        last[n] = p
-        yield n[new], p[new]
-
-
 def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
-    """Vector of omega(n) for 0 <= n <= upto."""
+    """Vector of omega(n) for 0 <= n <= upto, by omega(n) = omega(m) plus 1
+    when p = spf(n) does not divide m = n // p, that is when spf(m) != p
+    (spf(1) is 0)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
-    require_bytes((4 + _PEEL_DISTINCT_ENTRY_BYTES) * (upto + 1),
+    require_bytes((4 + _BLOCK_PASS_BYTES) * (upto + 1),
                   f"omega table up to {upto}")
     omega = np.zeros(upto + 1, dtype=np.int32)
-    for n, _ in _peel_distinct(sieve, upto):
-        omega[n] += 1
+    for lo, hi, p, m in _doubling_blocks(sieve, upto):
+        new = sieve.spf[m] != p
+        np.add(omega[m], new, out=omega[lo:hi])
     return omega
 
 
@@ -216,14 +210,16 @@ def prime_powers(sieve: FactorSieve, upto: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def phi_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
-    """Vector of Euler phi(d) for 0 <= d <= upto, exact in int64: d, then
-    phi // p * (p - 1) once per distinct prime p | d, in increasing order of
-    p (each division is exact)."""
+    """Vector of Euler phi(d) for 0 <= d <= upto, exact in int64: with
+    p = spf(d) and m = d // p, phi(d) = phi(m) * p when p | m, else
+    phi(m) * (p - 1)."""
     upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
-    require_bytes((8 + _PEEL_DISTINCT_ENTRY_BYTES) * (upto + 1),
+    require_bytes((8 + _BLOCK_PASS_BYTES) * (upto + 1),
                   f"phi table up to {upto}")
-    phi = np.arange(upto + 1, dtype=np.int64)
-    for n, p in _peel_distinct(sieve, upto):
-        phi[n] = phi[n] // p * (p - 1)
+    phi = np.zeros(upto + 1, dtype=np.int64)
+    phi[1:2] = 1
+    for lo, hi, p, m in _doubling_blocks(sieve, upto):
+        factor = p - (sieve.spf[m] != p)
+        np.multiply(phi[m], factor, out=phi[lo:hi])
     return phi

@@ -22,13 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import BudgetError, build_sieve, factorize, require_bytes, spf_limit
+from . import arith
+from .arith import BudgetError, build_sieve, require_bytes
 
 # Terms theta_all_even generates and bins at a time.
 _THETA_CHUNK = 1 << 20
 # Most terms theta_cutoff admits. theta_all_even streams its terms, so this
 # limits its time, not its memory; theta checks its bytes on its own.
 _THETA_TERM_CAP = 100_000_000
+# Bytes per residue that bound the modulus of build_table. Its discrete-log
+# table takes 8 and the rest O(sqrt p); the bound keeps the 11 of the spf
+# sieve of size p that primality was once read off, so that every modulus
+# keeps the verdict (and the CLI exit code) it had then.
+_MODULUS_ENTRY_BYTES = 11
 # Peak bytes per term of theta: the int64 ns, the float64 damping and
 # chi.values' index, angle and complex temporaries (81 at 10^4 terms).
 _THETA_TERM_BYTES = 88
@@ -56,23 +62,46 @@ class CharacterTable:
             yield DirichletCharacter(self, j)
 
 
+def modulus_limit() -> int:
+    """The largest modulus build_table accepts: BYTES_BUDGET //
+    _MODULUS_ENTRY_BYTES - 1."""
+    return arith.BYTES_BUDGET // _MODULUS_ENTRY_BYTES - 1
+
+
+def _prime_factors(p: int) -> list[int] | None:
+    """The distinct prime factors of p - 1 in increasing order if p is an
+    odd prime, else None: trial division of p and p - 1 by the primes up
+    to isqrt(p), from a sieve of that size. What is left of p - 1 after
+    those primes is 1 or a prime above isqrt(p)."""
+    spf = build_sieve(max(math.isqrt(p), 2)).spf
+    n = np.arange(2, len(spf))
+    primes = n[spf[2:] == n].tolist()
+    if any(p % q == 0 for q in primes):
+        return None
+    m, qs = p - 1, []
+    for q in primes:
+        if m % q == 0:
+            qs.append(q)
+            while m % q == 0:
+                m //= q
+    return qs + [m] if m > 1 else qs
+
+
 def build_table(p: int) -> CharacterTable:
     """Find the least primitive root and fill the discrete-log table.
 
-    Primality is read off a sieve of size p, so a modulus above
-    arith.spf_limit(), whose sieve would not fit BYTES_BUDGET, is rejected
-    as invalid before anything is allocated.
+    A modulus above modulus_limit() is rejected as invalid before anything
+    is allocated; primality and the factors of p - 1 come from the primes
+    up to sqrt(p).
     """
-    bound = spf_limit()
-    invalid = ValueError(f"modulus must be an odd prime <= {bound} (the largest "
-                         f"sieve within the byte budget), got {p}")
+    bound = modulus_limit()
+    invalid = ValueError(f"modulus must be an odd prime <= {bound} (the bound "
+                         f"the byte budget sets), got {p}")
     if p < 3 or p % 2 == 0 or p > bound:
         raise invalid
-    sieve = build_sieve(p)
-    if not sieve.is_prime(p):
+    qs = _prime_factors(p)
+    if qs is None:
         raise invalid
-    qs = [q for q, _ in factorize(sieve, p - 1)]
-    del sieve  # free it before the table of the same size is allocated
     g = None
     for cand in range(2, p):
         if all(pow(cand, (p - 1) // q, p) != 1 for q in qs):

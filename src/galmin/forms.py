@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isqrt
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .arith import FactorSieve, _spf_table, phi_table, prime_powers, require_byt
 _BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
-# KernelOperator multiplies V blocks B_L up to this size densely, larger
-# ones by FFT.
+# KernelOperator multiplies V buckets of padded width up to this densely,
+# wider ones by FFT.
 _DENSE_BLOCK_MAX = 64
 
 
@@ -110,30 +111,45 @@ class KernelSpec:
         return _kernel_from_gcd(self.kind, gcd_block(rows, cols), rows, cols)
 
 
-def _group_ranges(n: int):
-    """(d, d_last, L) for each maximal range d..d_last of the d <= n that
-    share L = n // d, in increasing d: O(sqrt n) ranges."""
-    d = 1
-    while d <= n:
-        L = n // d
-        last = n // L
-        yield d, last, L
-        d = last + 1
+def _buckets(n: int):
+    """(d, d_last, P) for each range d..d_last of the d <= n whose
+    L = n // d lies in (P/2, P], for the powers of two P = 1, 2, 4, ...
+    that have such d, in increasing d. L <= P iff d > n // (P + 1), so
+    each bucket is one range of d, and there are O(log n) of them."""
+    P, last = 1, n
+    while last >= 1:
+        d = n // (P + 1) + 1
+        if d <= last:
+            yield d, last, P
+        last = d - 1
+        P *= 2
+
+
+def _pair_count(n: int) -> int:
+    """The number of pairs (d, a) with d * a <= n, that is the sum of n // d
+    over d <= n, by Dirichlet's hyperbola method in O(sqrt n) time."""
+    r = isqrt(n)
+    return 2 * int((n // np.arange(1, r + 1)).sum()) - r * r
 
 
 def _operator_bytes(kind: KernelKind, n: int) -> int:
     """Peak bytes of KernelOperator(kind, n) and one product, in O(sqrt n)
-    time: the int64 rows of every group (n // d of them for each d <= n),
-    1 KiB of headers per group, eight n-vectors held (idx, its float copy,
-    1/sqrt, column's two buffers, phi, spf, the coefficients), eight more
-    for a product's temporaries, and for V the blocks: dense L x L up to
-    _DENSE_BLOCK_MAX, above it L + 1 complex FFT coefficients."""
-    total = 128 * n
-    for d, last, L in _group_ranges(n):
-        total += 8 * (last - d + 1) * L + 1024
-        if kind is KernelKind.V_KERNEL:
-            total += 8 * L * L if L <= _DENSE_BLOCK_MAX else 16 * (L + 1)
-    return total
+    time, as measured with tracemalloc: 16 KiB of headers; 112 bytes an
+    entry of [1, n] for the n-vectors the operator and a product hold; for
+    T, 16 per pair (d, a) (the index, and a product's gather or its
+    repeated weights); for V, 16 per padded entry (the index and a
+    product's weights), the blocks B_P or their FFTs, and the temporaries
+    of the widest bucket: 16 an entry in a dense one, 48 in an FFT one."""
+    total = (16 << 10) + 112 * (n + 1)
+    if kind is KernelKind.T_KERNEL:
+        return total + 16 * _pair_count(n)
+    widest = 0
+    for d, last, P in _buckets(n):
+        size = (last - d + 1) * P
+        dense = P <= _DENSE_BLOCK_MAX
+        total += 16 * size + (8 * P * P if dense else 16 * (P + 1))
+        widest = max(widest, (16 if dense else 48) * size)
+    return total + widest
 
 
 class KernelOperator:
@@ -148,6 +164,20 @@ class KernelOperator:
     operator holds O(n log n) numbers. phi is exact, and a column is built
     from the exact gcd(i, j), so it has the bits of KernelSpec.block for V.
     One smallest-prime-factor table serves phi and the columns.
+
+    V: the d of a _buckets range share the padded width P >= L = n // d,
+    and their rows d * (1..P) - 1 lie in one (rows, P) slab of a flat index;
+    entries past n point at a zero slot n, so they gather 0, and what a
+    product puts there is dropped. B_L is the leading L x L block of B_P,
+    so a bucket is one matmul (P <= _DENSE_BLOCK_MAX) or one batched FFT of
+    length 2P, and one bincount adds every bucket into K w. (A fancy +=
+    would lose updates: the index sets of two d in a bucket may overlap.)
+
+    T: K = D^(-1/2) G D^(-1/2) with the gcd matrix G = sum_d phi(d) 1_d 1_d^T,
+    1_d the indicator of the multiples of d. The flat index of all pairs
+    (d, a), d * a <= n, in increasing d, gives G v in two passes: the sums
+    g_d of v over the multiples of d, then a bincount of phi(d) g_d onto
+    each multiple.
     """
 
     def __init__(self, kind: KernelKind, n: int):
@@ -164,42 +194,80 @@ class KernelOperator:
         # i + j (exact in float64) or the T scale.
         self._ones = np.ones(n)
         self._buf = np.empty(n)
-        # The d with n // d == L form one contiguous range, handled as one
-        # batch: (0-based rows d*(1..L) - 1, phi(d)/d, B_L factor).
-        self.groups = []
-        for d, last, L in _group_ranges(n):
-            ds = np.arange(d, last + 1)
-            rows = np.multiply.outer(ds, self.idx[:L]) - 1
-            self.groups.append((rows, (self.phi[ds] / ds)[:, None], self._block(L)))
+        if kind is KernelKind.T_KERNEL:
+            self._pair_layout()
+        else:
+            self._bucket_layout()
 
-    def _block(self, L: int) -> np.ndarray:
-        """What matvec needs of B_L: s for T; for V the block itself up to
-        _DENSE_BLOCK_MAX, above it the FFT of 1/k for k = 2..2L."""
-        if self.kind is KernelKind.T_KERNEL:
-            return self.inv_sqrt[:L]
-        if L <= _DENSE_BLOCK_MAX:
-            a = self.idx[:L]
+    def _pair_layout(self) -> None:
+        """The 0-based index d * a - 1 of every pair (d, a), d * a <= n, in
+        increasing d, the L = n // d pairs of d starting at _starts[d - 1]."""
+        lengths = self.n // self.idx
+        self._lengths = lengths
+        self._starts = np.cumsum(lengths) - lengths
+        index = np.arange(int(lengths.sum()), dtype=np.int64)
+        index -= np.repeat(self._starts, lengths)  # a - 1
+        index += 1
+        index *= np.repeat(self.idx, lengths)
+        index -= 1
+        self._index = index
+
+    def _bucket_layout(self) -> None:
+        """The padded slab of each _buckets range in one flat index, and
+        per bucket (start, stop, P, phi(d)/d as a column, B_P or its FFT)."""
+        n = self.n
+        ranges = list(_buckets(n))
+        index = np.empty(sum((last - d + 1) * P for d, last, P in ranges),
+                         dtype=np.int64)
+        self._slabs = []
+        start = 0
+        for d, last, P in ranges:
+            ds = np.arange(d, last + 1)
+            stop = start + len(ds) * P
+            rows = index[start:stop].reshape(len(ds), P)
+            np.multiply.outer(ds, np.arange(1, P + 1), out=rows)
+            rows -= 1
+            np.minimum(rows, n, out=rows)  # d * a > n: the zero slot
+            coef = (self.phi[d : last + 1] / ds)[:, None]
+            self._slabs.append((start, stop, P, coef, self._block(P)))
+            start = stop
+        self._index = index
+
+    @staticmethod
+    def _block(P: int) -> np.ndarray:
+        """What matvec needs of B_P: the block itself up to
+        _DENSE_BLOCK_MAX, above it the FFT of 1/k for k = 2..2P."""
+        if P <= _DENSE_BLOCK_MAX:
+            a = np.arange(1, P + 1)
             return 1.0 / np.add.outer(a, a)
-        return np.fft.rfft(1.0 / np.arange(2, 2 * L + 1), 2 * L)
+        return np.fft.rfft(1.0 / np.arange(2, 2 * P + 1), 2 * P)
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        for rows, coef, block in self.groups:
-            x = w[rows]
-            L = rows.shape[1]
-            if self.kind is KernelKind.T_KERNEL:
-                y = np.outer(x @ block, block)
-            elif L <= _DENSE_BLOCK_MAX:
+        n = self.n
+        if self.kind is KernelKind.T_KERNEL:
+            v = w * self.inv_sqrt
+            g = np.add.reduceat(v[self._index], self._starts)
+            g *= self.phi[1:]
+            out = np.bincount(self._index, weights=np.repeat(g, self._lengths),
+                              minlength=n)
+            out *= self.inv_sqrt
+            return out
+        wz = np.zeros(n + 1)
+        wz[:n] = w
+        vals = np.empty(len(self._index))
+        for start, stop, P, coef, block in self._slabs:
+            x = wz[self._index[start:stop]].reshape(-1, P)
+            if P <= _DENSE_BLOCK_MAX:
                 y = x @ block
             else:
                 # y_a = sum_b x_b / (a+b+2) (0-based) as a cyclic correlation
-                # of length 2L; a+b <= 2L-2 never wraps, so y[:L] is exact.
-                y = np.fft.irfft(block * np.conj(np.fft.rfft(x, 2 * L)), 2 * L)[:, :L]
-            # Within a group the index sets d*(1..L) are pairwise disjoint
-            # (d1*a = d2*b with n/(L+1) < d1 < d2 <= n/L forces b > L), so
-            # the fancy-indexed += loses no update.
-            out[rows] += coef * y
-        return out
+                # of length 2P; a+b <= 2P-2 never wraps, so y is exact.
+                f = np.fft.rfft(x, 2 * P)
+                np.conj(f, out=f)
+                f *= block
+                y = np.fft.irfft(f, 2 * P)[:, :P]
+            np.multiply(y, coef, out=vals[start:stop].reshape(-1, P))
+        return np.bincount(self._index, weights=vals, minlength=n + 1)[:n]
 
     def column(self, j: int) -> np.ndarray:
         """K e_j for the 1-based coordinate j in [1, n], as a new array.

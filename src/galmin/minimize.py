@@ -40,6 +40,10 @@ class MinimizationResult:
     certificate_gap: float | None  # None: not applicable (E)
     converged: bool = True
     provenance: str = ""
+    # Why the run stopped. Frank-Wolfe: gap_reached, max_iters or
+    # no_descent_step; E, for the restart returned: small_move, small_drop,
+    # no_armijo_step or max_iters; grid_oracle: grid_scan.
+    stop_reason: str = field(kw_only=True)
 
     def as_dict(self) -> dict:
         return {
@@ -51,6 +55,7 @@ class MinimizationResult:
             "certificate_gap": self.certificate_gap,
             "converged": self.converged,
             "provenance": self.provenance,
+            "stop_reason": self.stop_reason,
             "minimizer_support_size": int(np.count_nonzero(self.minimizer.weights)),
         }
 
@@ -102,44 +107,47 @@ def minimize_quadratic(
     away_buf = np.empty(N)
     gap = math.inf
     it = 0
-    converged = False
+    stop_reason = "max_iters"
     for it in range(1, max_iters + 1):
-        s = int(np.argmin(kw))  # smallest-index tie-break via argmin
-        gap = float(2.0 * value - 2.0 * kw[s])
+        s = int(kw.argmin())  # smallest-index tie-break via argmin
+        kw_s = kw[s].item()
+        gap = 2.0 * value - 2.0 * kw_s
         if gap <= tolerance * max(value, 1e-300) and not exact:
             # Certify only on a full product: the incremental kw drifts.
             kw = op.matvec(w)
             value = float(w @ kw)
             exact = True
-            s = int(np.argmin(kw))
-            gap = float(2.0 * value - 2.0 * kw[s])
+            s = int(kw.argmin())
+            kw_s = kw[s].item()
+            gap = 2.0 * value - 2.0 * kw_s
         if gap <= tolerance * max(value, 1e-300):
-            converged = True
+            stop_reason = "gap_reached"
             break
 
         # The away vertex: largest gradient on the support, smallest index.
         np.add(kw, pen, out=away_buf)
-        a = int(np.argmax(away_buf))
+        a = int(away_buf.argmax())
         while w[a] == 0.0 and pen[a] == 0.0:
             # A weight that underflowed to 0 in a toward step's scaling.
             pen[a] = away_buf[a] = -np.inf
-            a = int(np.argmax(away_buf))
-        away_improve = 2.0 * kw[a] - 2.0 * value
+            a = int(away_buf.argmax())
+        kw_a, w_a = kw[a].item(), w[a].item()
+        away_improve = 2.0 * kw_a - 2.0 * value
 
-        toward = gap >= away_improve or w[a] >= 1.0 - 1e-16
+        toward = gap >= away_improve or w_a >= 1.0 - 1e-16
         if toward:
             # Frank-Wolfe step towards vertex s: d = e_s - w.
             kd = op.column(s + 1)
-            d_kd = value - 2.0 * kw[s] + kd[s]
-            g_d = 2.0 * kw[s] - 2.0 * value
+            d_kd = value - 2.0 * kw_s + kd[s].item()
+            g_d = 2.0 * kw_s - 2.0 * value
             gamma_max = 1.0
             np.subtract(kd, kw, out=kd)
         else:
             # Away step from vertex a: d = w - e_a.
             kd = op.column(a + 1)
-            d_kd = value - 2.0 * kw[a] + kd[a]
-            g_d = 2.0 * value - 2.0 * kw[a]
-            gamma_max = w[a] / (1.0 - w[a])
+            d_kd = value - 2.0 * kw_a + kd[a].item()
+            g_d = 2.0 * value - 2.0 * kw_a
+            gamma_max = w_a / (1.0 - w_a)
             np.subtract(kw, kd, out=kd)
         if d_kd <= 0:
             gamma = gamma_max
@@ -150,6 +158,7 @@ def minimize_quadratic(
             # branch (an away step is taken only when it beats the positive
             # FW gap) and gamma_max > 0, so gamma > 0 unless -g_d / (2 d_kd)
             # rounds to 0. No gap test passed, so this is no certificate.
+            stop_reason = "no_descent_step"
             break
         if toward:
             w *= 1.0 - gamma
@@ -184,8 +193,9 @@ def minimize_quadratic(
         scaled_value=N * value,
         iterations=it,
         certificate_gap=gap,
-        converged=converged,
+        converged=stop_reason == "gap_reached",
         provenance="frank_wolfe(away_steps,exact_line_search)",
+        stop_reason=stop_reason,
     )
 
 
@@ -201,14 +211,13 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _pgd_energy(w0: np.ndarray, max_iters: int,
-                tol: float) -> tuple[np.ndarray, float, int, bool]:
+                tol: float) -> tuple[np.ndarray, float, int, str]:
     """Projected gradient descent with Armijo backtracking on E(c;N).
 
     One EnergyIndex serves every evaluation of the run, and the r of the
     accepted candidate gives the next gradient. Returns (w, value,
-    iterations, stalled): stalled is True only when the run stopped on its
-    small-move or small-drop test, not on max_iters or a failed Armijo
-    search.
+    iterations, stop reason): small_move or small_drop when a stall test
+    stopped the run, else no_armijo_step or max_iters.
     """
     index = EnergyIndex(len(w0))
     w = w0.copy()
@@ -216,7 +225,7 @@ def _pgd_energy(w0: np.ndarray, max_iters: int,
     val = float(r @ r)
     step = 1.0
     it = 0
-    stalled = False
+    reason = "max_iters"
     for it in range(1, max_iters + 1):
         grad = index.gradient(r, w)
         improved = False
@@ -230,15 +239,16 @@ def _pgd_energy(w0: np.ndarray, max_iters: int,
                 break
             step *= 0.5
         if not improved:
+            reason = "no_armijo_step"
             break
         move = float(np.abs(cand - w).sum())
         rel_drop = (val - cand_val) / max(val, 1e-300)
         w, val, r = cand, cand_val, cand_r
         step = min(step * 2.0, 1e6)
         if move < 1e-14 or rel_drop < tol * 1e-3:
-            stalled = True
+            reason = "small_move" if move < 1e-14 else "small_drop"
             break
-    return w, val, it, stalled
+    return w, val, it, reason
 
 
 def minimize_energy(
@@ -273,14 +283,13 @@ def minimize_energy(
     while len(starts) < restarts:
         starts.append(("dirichlet", rng.dirichlet(np.ones(N))))
 
-    best_w, best_val, best_tag, total_it = None, math.inf, "", 0
-    converged = False
+    best_w, best_val, best_tag, total_it, reason = None, math.inf, "", 0, ""
     starts = starts[:restarts]
     for tag, w0 in starts:
-        w, val, it, stalled = _pgd_energy(w0, max_iters, tolerance)
+        w, val, it, stop = _pgd_energy(w0, max_iters, tolerance)
         total_it += it
         if val < best_val:
-            best_w, best_val, best_tag, converged = w, val, tag, stalled
+            best_w, best_val, best_tag, reason = w, val, tag, stop
 
     # Clamp tiny negatives from projection round-off and renormalize.
     best_w = np.maximum(best_w, 0.0)
@@ -293,8 +302,9 @@ def minimize_energy(
         scaled_value=N * N * best_val,
         iterations=total_it,
         certificate_gap=None,
-        converged=converged,
+        converged=reason in ("small_move", "small_drop"),
         provenance=f"pgd(best_of={len(starts)},start={best_tag});upper_bound_non_certified",
+        stop_reason=reason,
     )
 
 
@@ -357,6 +367,7 @@ def minimize_with_witness(
             scaled_value=N * min(wit_value, uniform_value),
             iterations=res.iterations, certificate_gap=res.certificate_gap,
             converged=False, provenance=res.provenance + ";start_retained",
+            stop_reason=res.stop_reason,
         )
     return res, wit_value
 
@@ -409,6 +420,7 @@ def scaling_report(
                 "scaled_inf": res.scaled_value,
                 "witness_value": wit_val,
                 "gap": gap,
+                "stop_reason": res.stop_reason,
             })
 
     slope = None
@@ -581,4 +593,5 @@ def grid_oracle(objective_kind: str, N: int, step: float,
         certificate_gap=None,
         converged=True,
         provenance=f"grid_oracle(step=1/{K},refined)",
+        stop_reason="grid_scan",
     )

@@ -148,6 +148,56 @@ def test_tables_match_recurrences(sieve, upto):
     assert np.array_equal(so, small)
 
 
+def _peel(sieve, upto):
+    """Yield (n, p) for the prime factors of every 2 <= n <= upto, one numpy
+    pass per factor: pass i holds the i-th smallest prime factor p, counted
+    with multiplicity, of each n that has at least i of them."""
+    spf = sieve.spf
+    n = np.arange(2, upto + 1, dtype=np.int64)
+    m = n
+    while len(n):
+        p = spf[m]
+        yield n, p
+        m = m // p
+        keep = m > 1
+        n, m = n[keep], m[keep]
+
+
+def _peel_distinct(sieve, upto):
+    """Like _peel, but each distinct prime factor of n once."""
+    last = np.zeros(upto + 1, dtype=np.int64)
+    for n, p in _peel(sieve, upto):
+        new = p != last[n]
+        last[n] = p
+        yield n[new], p[new]
+
+
+def _peeled_tables(sieve, upto):
+    """Omega, omega and phi by peeling prime factors, the tables' earlier
+    construction."""
+    big = np.zeros(upto + 1, dtype=np.int32)
+    for n, _ in _peel(sieve, upto):
+        big[n] += 1
+    small = np.zeros(upto + 1, dtype=np.int32)
+    phi = np.arange(upto + 1, dtype=np.int64)
+    for n, p in _peel_distinct(sieve, upto):
+        small[n] += 1
+        phi[n] = phi[n] // p * (p - 1)
+    return big, small, phi
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 10**5])
+def test_block_tables_match_peeled_tables(upto):
+    # 2^k - 1, 2^k and 2^k + 1 end a doubling block, fill it or open one.
+    sieve = build_sieve(max(upto, 2))
+    big, small, phi = _peeled_tables(sieve, upto)
+    got = (big_omega_table(sieve, upto), small_omega_table(sieve, upto),
+           phi_table(sieve, upto))
+    assert [a.dtype for a in got] == [np.int32, np.int32, np.int64]
+    for a, want in zip(got, (big, small, phi)):
+        assert a.tobytes() == want.tobytes()
+
+
 def test_phi_table_matches_exact(sieve):
     tab = phi_table(sieve, 2000)
     assert tab.dtype == np.int64

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from galmin import characters
-from galmin.arith import BudgetError, spf_bytes
+from galmin.arith import BudgetError, build_sieve, factorize, spf_bytes
 from galmin.characters import (
     CharacterTable,
     ThetaConfig,
@@ -15,6 +15,7 @@ from galmin.characters import (
     character_matrix,
     character_sums,
     gauss_sum,
+    modulus_limit,
     orthogonality_check,
     polya_partial_sum,
     theta,
@@ -32,6 +33,45 @@ def test_build_table_rejects_composites():
         build_table(1)
     with pytest.raises(ValueError):
         build_table(9)
+
+
+def _table_from_full_sieve(p):
+    """(g, dlog) with primality and the factors of p - 1 read off a sieve
+    of size p, as build_table once did."""
+    sieve = build_sieve(p)
+    assert sieve.is_prime(p)
+    qs = [q for q, _ in factorize(sieve, p - 1)]
+    g = next(c for c in range(2, p) if all(pow(c, (p - 1) // q, p) != 1 for q in qs))
+    return g, _dlog_by_loop(p, g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 101, 10007, 100003])
+def test_table_matches_full_sieve_construction(p):
+    g, dlog = _table_from_full_sieve(p)
+    table = build_table(p)
+    assert table.g == g
+    assert table.dlog.tobytes() == dlog.tobytes()
+
+
+def test_prime_factors_match_full_sieve():
+    sieve = build_sieve(3000)
+    for p in range(3, 3000, 2):
+        want = ([q for q, _ in factorize(sieve, p - 1)] if sieve.is_prime(p)
+                else None)
+        assert characters._prime_factors(p) == want
+
+
+# Carmichael numbers; a prime square and a product of two primes, each
+# below the bound with a factor just under sqrt(p); the first odd number
+# above the bound.
+@pytest.mark.parametrize("p", [561, 1105, 9871**2, 9859 * 9871, "above"])
+def test_build_table_rejects_composites_and_the_first_odd_above_the_bound(p):
+    if p == "above":
+        p = modulus_limit() + 1 + modulus_limit() % 2
+    else:
+        assert p <= modulus_limit()
+    with pytest.raises(ValueError, match="modulus must be an odd prime"):
+        build_table(p)
 
 
 def _dlog_by_loop(p, g):

@@ -51,6 +51,16 @@ def test_minimize_v(capsys):
     assert doc["values"]["converged"] is True
 
 
+def test_minimize_and_scaling_json_carry_the_stop_reason(capsys):
+    code, out = _run(capsys, "minimize", "--form", "t", "--n", "8")
+    assert code == EXIT_OK
+    assert json.loads(out)["values"]["stop_reason"] == "gap_reached"
+    code, out = _run(capsys, "scaling", "--form", "v", "--n-list", "4,8")
+    assert code == EXIT_OK
+    rows = json.loads(out)["values"]["rows"]
+    assert [row["stop_reason"] for row in rows] == ["gap_reached"] * 2
+
+
 def test_minimize_energy(capsys):
     code, out = _run(capsys, "minimize", "--form", "e", "--n", "4")
     assert code == EXIT_OK

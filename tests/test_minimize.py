@@ -71,6 +71,32 @@ def test_operator_matches_dense_kernel():
                     assert op.column(j).tobytes() == _exact_column(op, j).tobytes()
 
 
+def _dense_product(kind, w):
+    """K w from KernelSpec.block, 512 rows at a time."""
+    n = len(w)
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    spec = KernelSpec(kind)
+    return np.concatenate([spec.block(idx[lo : lo + 512], idx) @ w
+                           for lo in range(0, n, 512)])
+
+
+# The bucket edges (padded widths 1, 2, 64 | 128, and 2^k +- 1), and two N
+# at which 2N has a large prime factor (4570 = 2 * 5 * 457).
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 127, 128, 129, 130, 4555, 4570])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_bucketed_products_match_dense_blocks(kind, n):
+    rng = np.random.default_rng(n)
+    sparse = rng.random(n)
+    sparse[rng.random(n) < 0.92] = 0.0
+    op = KernelOperator(kind, n)
+    for w in (rng.random(n), sparse):
+        want = _dense_product(kind, w)
+        got = op.matvec(w)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not op.matvec(np.zeros(n)).any()
+
+
 def _exact_column(op, j):
     """K e_j from np.gcd: V with the bits of KernelSpec.block, T with the
     operator's rounding of gcd / sqrt(i j)."""
@@ -276,6 +302,38 @@ def test_stalled_step_is_not_converged(monkeypatch):
     assert res.iterations == 1
     assert not res.converged
     assert res.certificate_gap > 1e-10 * res.value
+
+
+def test_each_frank_wolfe_stop_reason_is_reached(monkeypatch):
+    v = KernelSpec(KernelKind.V_KERNEL)
+    res = minimize_quadratic(v, 8, tolerance=1e-6)
+    assert (res.stop_reason, res.converged) == ("gap_reached", True)
+    res = minimize_quadratic(v, 8, tolerance=1e-300, max_iters=5)
+    assert (res.stop_reason, res.converged, res.iterations) == ("max_iters", False, 5)
+
+    class Stalled(KernelOperator):
+        def column(self, j):
+            return np.full(self.n, np.inf)
+
+    monkeypatch.setattr(minimize, "_QuadraticOperator", Stalled)
+    res = minimize_quadratic(v, 8, tolerance=1e-10)
+    assert (res.stop_reason, res.converged) == ("no_descent_step", False)
+    assert res.as_dict()["stop_reason"] == "no_descent_step"
+
+
+def test_each_energy_stop_reason_is_reached(monkeypatch):
+    # N = 1: the only simplex point, so the first step does not move.
+    assert minimize_energy(1, restarts=1).stop_reason == "small_move"
+    res = minimize_energy(8, tolerance=1.0, restarts=1)
+    assert (res.stop_reason, res.converged) == ("small_drop", True)
+    res = minimize_energy(8, restarts=1, max_iters=1)
+    assert (res.stop_reason, res.converged) == ("max_iters", False)
+    # Every candidate is the vertex e_1, where E = 1 exceeds E(uniform).
+    monkeypatch.setattr(minimize, "project_to_simplex",
+                        lambda v: np.eye(len(v))[0])
+    res = minimize_energy(2, restarts=1)
+    assert (res.stop_reason, res.converged) == ("no_armijo_step", False)
+    assert grid_oracle("V", 2, step=0.5).stop_reason == "grid_scan"
 
 
 def test_minimizer_feasible_and_value_consistent():
