@@ -38,6 +38,21 @@ _MODULUS_ENTRY_BYTES = 11
 # Peak bytes per term of theta: the int64 ns, the float64 damping and
 # chi.values' index, angle and complex temporaries (81 at 10^4 terms).
 _THETA_TERM_BYTES = 88
+# Peak bytes per term of chi.values over a range of n, with the int64 range
+# and, in gauss_sum, the complex exponentials (73 at 10^4 to 10^6 terms).
+_CHI_TERM_BYTES = 80
+# Peak bytes per h of polya_partial_sum's Fourier terms, both signs held
+# at once (88 at 10^5 terms).
+_POLYA_TERM_BYTES = 96
+# Peak bytes per class of a sum over every character: the binned weights,
+# the FFT's complex input and output and the scaled result (40 at p >= 10^5).
+_CLASS_BYTES = 48
+# Peak bytes per term binned by _class_bins: residues, mask, index and
+# class (26 at 10^5 terms).
+_BIN_TERM_BYTES = 28
+# Peak bytes per term of a theta_all_even chunk: the damping and its float
+# temporaries, then _class_bins (41 at 3.7 * 10^5 terms).
+_THETA_BIN_TERM_BYTES = 44
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,8 @@ def character_sums(table: CharacterTable, ns, weights,
     class; n = 0 (mod p) has chi(n) = 0 and is left out.
     """
     m = (table.p - 1) // 2 if even_only else table.p - 1
+    require_bytes(_CLASS_BYTES * m + _BIN_TERM_BYTES * len(ns),
+                  f"character sums over {m} classes and {len(ns)} terms")
     return np.fft.ifft(_class_bins(table, ns, weights, m)) * m
 
 
@@ -209,6 +226,7 @@ def char_sum(chi: DirichletCharacter, M: int, N: int) -> complex:
         raise ValueError("N must be >= 0")
     if N == 0:
         return 0j
+    require_bytes(_CHI_TERM_BYTES * N, f"character sum over {N} terms")
     ns = np.arange(M + 1, M + N + 1, dtype=np.int64)
     return complex(chi.values(ns).sum())
 
@@ -218,6 +236,7 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     if chi.is_principal:
         raise ValueError("gauss_sum requires a nonprincipal character")
     p = chi.p
+    require_bytes(_CHI_TERM_BYTES * (p - 1), f"Gauss sum at p={p}")
     ns = np.arange(1, p, dtype=np.int64)
     return complex(chi.values(ns) @ np.exp(2j * np.pi * ns / p))
 
@@ -236,7 +255,12 @@ def polya_partial_sum(chi: DirichletCharacter, t: float, H: int):
     if H < 1:
         raise ValueError("H must be >= 1")
     p = chi.p
+    # The Gauss sum and the exact sum (t < p terms) come first and are
+    # freed before the 2H Fourier terms.
+    require_bytes(max(_CHI_TERM_BYTES * (p - 1), _POLYA_TERM_BYTES * H),
+                  f"Polya expansion at p={p}, H={H}")
     tau = gauss_sum(chi)
+    exact = complex(chi.values(np.arange(1, int(t) + 1, dtype=np.int64)).sum())
     hs = np.arange(1, H + 1, dtype=np.int64)
     vals = np.conj(chi.values(hs))
     pos = (vals / hs) * (1.0 - np.exp(-2j * np.pi * hs * (t / p)))
@@ -246,8 +270,6 @@ def polya_partial_sum(chi: DirichletCharacter, t: float, H: int):
         1.0 - np.exp(2j * np.pi * hs * (t / p))
     )
     approx = tau / (2j * np.pi) * complex(pos.sum() + neg.sum())
-    ns = np.arange(1, int(t) + 1, dtype=np.int64)
-    exact = complex(chi.values(ns).sum())
     return approx, exact, abs(approx - exact)
 
 
@@ -325,6 +347,8 @@ def theta_all_even(table: CharacterTable, config: ThetaConfig) -> np.ndarray:
     p = table.p
     n_max = theta_cutoff(p, config)
     m = (p - 1) // 2
+    require_bytes(_CLASS_BYTES * m + _THETA_BIN_TERM_BYTES * min(n_max, _THETA_CHUNK),
+                  f"theta over {m} even characters")
     binned = np.zeros(m)
     for lo in range(1, n_max + 1, _THETA_CHUNK):
         ns = np.arange(lo, min(lo + _THETA_CHUNK, n_max + 1), dtype=np.int64)

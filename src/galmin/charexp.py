@@ -32,6 +32,9 @@ from .report import ExperimentReport, Timer
 # values, in blocks of about 2^16, so this limits its O(p^2) time, not its
 # memory.
 _BURGESS_P_CAP = 2000
+# zeta_poly_moment minimizes the energy E_N for the ratio it reports only
+# up to this N.
+_ZETA_ENERGY_MAX_N = 128
 
 
 def _window_counts(p: int, M: int, N: int) -> np.ndarray:
@@ -104,7 +107,7 @@ def _burgess_weights(c_mode: str, A: int, sieve: FactorSieve | None) -> WeightVe
         res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), A, tolerance=1e-8)
         return res.minimizer
     if c_mode == "witness":
-        if A >= 16 and sieve is not None:
+        if sieve is not None:
             from .extremal import EmptyWitnessError, witness_t
             from .constants import solve_beta
 
@@ -112,7 +115,7 @@ def _burgess_weights(c_mode: str, A: int, sieve: FactorSieve | None) -> WeightVe
                 return witness_t(sieve, A, solve_beta().beta)
             except EmptyWitnessError:
                 pass
-        return WeightVector.from_weights(np.ones(A))  # degenerate small A
+        return WeightVector.from_weights(np.ones(A))  # no witness at this A
     raise ValueError(f"unknown c_mode {c_mode!r}")
 
 
@@ -257,15 +260,14 @@ def mollified_moments(
     p: int,
     x: float,
     c: WeightVector,
-    zero_threshold: float | None = None,
     table: CharacterTable | None = None,
-    tail_epsilon: float = 1e-15,
 ) -> MollifiedMoments:
     """First/second/fourth mollified moments over the even characters and
     the nonvanishing count they certify.
 
     M1 = sum M(chi) theta(x;chi), M2 = sum |theta|^2, M4 = sum |M(chi)|^4,
-    M0 = #{even chi : |theta| > threshold}; the Hoelder consequence
+    M0 = #{even chi : |theta| > 1e-10 sqrt(n_max)}, n_max the theta
+    cutoff at the default tail epsilon; the Hoelder consequence
     M0 >= M1^4 / (M2^2 M4) is checked by the caller/tests.
     """
     if p < 7:
@@ -276,7 +278,7 @@ def mollified_moments(
     if c.one_norm <= 0:
         raise ValueError("weights must not be all zero")
     table = table or build_table(p)
-    config = ThetaConfig(x=x, tail_epsilon=tail_epsilon)
+    config = ThetaConfig(x=x)
     thetas = theta_all_even(table, config)
     ms = np.arange(1, q + 1, dtype=np.int64)
     mollifiers = np.conj(character_sums(table, ms, c.weights, even_only=True))
@@ -285,8 +287,7 @@ def mollified_moments(
     m4 = float((np.abs(mollifiers) ** 4).sum())
     if m2 == 0.0 or m4 == 0.0:
         raise DegenerateMomentsError("degenerate moments (M2 or M4 vanished)")
-    if zero_threshold is None:
-        zero_threshold = 1e-10 * math.sqrt(theta_cutoff(p, config))
+    zero_threshold = 1e-10 * math.sqrt(theta_cutoff(p, config))
     m0 = int(np.count_nonzero(np.abs(thetas) > zero_threshold))
     holder = m1.real**4 / (m2**2 * m4)
     return MollifiedMoments(
@@ -367,10 +368,10 @@ def low_moment_experiment(
     return rep
 
 
-def zeta_poly_moment(N: int, T: float, r: float, step: float,
-                     energy_budget: int = 128) -> dict:
+def zeta_poly_moment(N: int, T: float, r: float, step: float) -> dict:
     """(1/T) * integral over [0,T] of |sum_{n<=N} n^{it}|^r dt by trapezoid
-    quadrature, with a step-halving error estimate."""
+    quadrature, with a step-halving error estimate; for N up to
+    _ZETA_ENERGY_MAX_N also the exploratory ratio against E_N."""
     if step <= 0 or T < 1 or N < 1:
         raise ValueError("need step > 0, T >= 1, N >= 1")
 
@@ -398,7 +399,7 @@ def zeta_poly_moment(N: int, T: float, r: float, step: float,
         "value": fine, "value_coarse_step": coarse,
         "error_estimate": abs(fine - coarse),
     }
-    if N <= energy_budget:
+    if N <= _ZETA_ENERGY_MAX_N:
         e_n = minimize_energy(N, restarts=3).scaled_value
         out["E_N_upper_bound"] = e_n
         out["ratio_vs_shape"] = fine / (N ** (r / 2) / e_n ** (1 - r / 2))

@@ -77,7 +77,7 @@ def _cmd_constants(args) -> int:
 def _cmd_minimize(args) -> int:
     with Timer() as tm:
         if args.form == "e":
-            sieve = build_sieve(max(args.n, 16)) if args.n >= 4 else None
+            sieve = build_sieve(max(args.n, 16))
             res = minimize_energy(args.n, tolerance=args.tol,
                                   restarts=args.restarts, seed=args.seed,
                                   sieve=sieve)
@@ -101,13 +101,8 @@ def _cmd_scaling(args) -> int:
     return _emit(rep, args.csv)
 
 
-def _sieve_limit(args, n: int) -> int:
-    """--sieve-limit if given (build_sieve rejects a bad one), else what n needs."""
-    return max(n, 16) if args.sieve_limit is None else args.sieve_limit
-
-
 def _cmd_witness(args) -> int:
-    sieve = build_sieve(_sieve_limit(args, args.n))
+    sieve = build_sieve(max(args.n, 16))
     with Timer() as tm:
         if args.kind == "t":
             beta = solve_beta().beta
@@ -130,7 +125,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    sieve = build_sieve(_sieve_limit(args, args.x))
+    sieve = build_sieve(max(args.x, 16))
     with Timer() as tm:
         values = {
             "N_k": level_set_count(sieve, args.x, args.k),
@@ -190,7 +185,7 @@ def _make_mollify_weights(mode: str, q: int):
     if mode == "witness":
         sieve = build_sieve(max(q, 16))
         try:
-            return witness_e(sieve, q) if q >= 4 else WeightVector.from_weights(np.ones(q))
+            return witness_e(sieve, q)
         except EmptyWitnessError:
             return WeightVector.from_weights(np.ones(q))
     # file mode: one weight per line
@@ -258,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="galmin")
     parser.add_argument("--csv", action="store_true",
                         help="emit tabular output as CSV instead of JSON")
-    parser.add_argument("--sieve-limit", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants")
@@ -353,7 +347,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, EmptyWitnessError, OSError, DegenerateMomentsError) as exc:
+    except (ValueError, OSError, DegenerateMomentsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

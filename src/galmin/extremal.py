@@ -21,7 +21,8 @@ from .forms import WeightVector
 
 
 class EmptyWitnessError(ValueError):
-    """No integer satisfies the witness constraints (C too small)."""
+    """The witness set is empty: N lies below the witness's domain, or no
+    candidate satisfies the growth condition (C too small)."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class LocCondition:
                           compare=False)
 
     def __post_init__(self):
-        if self.kappa < 0 or self.C < 0 or self.x < 1:
+        # Written so that NaN fails: running > nan would reject nothing.
+        if not (self.kappa >= 0 and self.C >= 0 and self.x >= 1):
             raise ValueError("LocCondition requires kappa >= 0, C >= 0, x >= 1")
 
     def rhs(self, t: float) -> float:
@@ -71,6 +73,18 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
     return True
 
 
+def _loc_members(sieve: FactorSieve, candidates, cond: LocCondition) -> list[int]:
+    """The candidates that satisfy cond, in order: one satisfies_loc call
+    each."""
+    return [n for n in candidates if satisfies_loc(sieve, n, cond)]
+
+
+def _level_set(sieve: FactorSieve, x: int, k: int) -> list[int]:
+    """{n <= x : Omega(n) = k} in increasing order."""
+    omega = big_omega_table(sieve, x)
+    return (np.flatnonzero(omega[1:] == k) + 1).tolist()
+
+
 def level_set_count(sieve: FactorSieve, x: int, k: int) -> int:
     """N_k(x): number of n <= x with Omega(n) = k."""
     sieve.check_range(x)
@@ -88,9 +102,7 @@ def filtered_count(sieve: FactorSieve, x: int, k: int, C: float,
     if kappa is None:
         kappa = k / math.log(math.log(x))
     cond = LocCondition(kappa=kappa, C=C, x=x)
-    omega = big_omega_table(sieve, x)
-    members = np.flatnonzero(omega[1:] == k) + 1
-    return sum(1 for n in members.tolist() if satisfies_loc(sieve, n, cond))
+    return len(_loc_members(sieve, _level_set(sieve, x, k), cond))
 
 
 def multiplication_table_count(N: int) -> int:
@@ -107,15 +119,13 @@ def multiplication_table_count(N: int) -> int:
 
 def witness_t(sieve: FactorSieve, N: int, beta: float, C: float = 3.0) -> WeightVector:
     """Indicator of {n <= N : Omega(n) = floor(beta*loglog N), growth
-    condition holds with kappa = beta}."""
-    sieve.check_range(N)
+    condition holds with kappa = beta}. Its domain is N >= 16."""
     if N < 16:
-        raise ValueError("witness_t requires N >= 16")
+        raise EmptyWitnessError("witness_t requires N >= 16")
+    sieve.check_range(N)
     k = int(beta * math.log(math.log(N)))
     cond = LocCondition(kappa=beta, C=C, x=N)
-    omega = big_omega_table(sieve, N)
-    members = np.flatnonzero(omega[1:] == k) + 1
-    support = [n for n in members.tolist() if satisfies_loc(sieve, n, cond)]
+    support = _loc_members(sieve, _level_set(sieve, N, k), cond)
     if not support:
         raise EmptyWitnessError(
             f"no n <= {N} with Omega(n)={k} satisfies the growth condition; "
@@ -125,14 +135,13 @@ def witness_t(sieve: FactorSieve, N: int, beta: float, C: float = 3.0) -> Weight
 
 
 def witness_e(sieve: FactorSieve, N: int, C: float = 3.0) -> WeightVector:
-    """Indicator of {n in ]N/2, N] : growth condition with kappa = 1/log 4}."""
-    sieve.check_range(N)
+    """Indicator of {n in ]N/2, N] : growth condition with kappa = 1/log 4}.
+    Its domain is N >= 4."""
     if N < 4:
-        raise ValueError("witness_e requires N >= 4")
+        raise EmptyWitnessError("witness_e requires N >= 4")
+    sieve.check_range(N)
     cond = LocCondition(kappa=1.0 / math.log(4.0), C=C, x=N)
-    support = [
-        n for n in range(N // 2 + 1, N + 1) if satisfies_loc(sieve, n, cond)
-    ]
+    support = _loc_members(sieve, range(N // 2 + 1, N + 1), cond)
     if not support:
         raise EmptyWitnessError(
             f"no n in ]{N // 2}, {N}] satisfies the growth condition; "

@@ -27,6 +27,9 @@ from .forms import (
 
 # Full products refresh the incrementally updated K w every this many steps.
 _REFRESH_EVERY = 256
+# Most rounds of grid_oracle's refinement. Each round moves to a better
+# lattice point or halves the spacing; it stops sooner below 1e-14.
+_REFINE_LEVELS = 48
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,10 @@ def minimize_energy(
 ) -> MinimizationResult:
     """Best-of-restarts upper bound on the energy infimum (non-certified).
 
-    Starts: uniform, the half-interval witness when a sieve is supplied,
-    and seeded random Dirichlet points. converged is True only when the
-    restart returned stopped on its small-move or small-drop test.
+    Starts: uniform, the half-interval witness when a sieve is supplied
+    and N lies in its domain, and seeded random Dirichlet points.
+    converged is True only when the restart returned stopped on its
+    small-move or small-drop test.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -271,7 +275,7 @@ def minimize_energy(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     starts: list[tuple[str, np.ndarray]] = [("uniform", np.full(N, 1.0 / N))]
-    if sieve is not None and N >= 4:
+    if sieve is not None:
         from .extremal import EmptyWitnessError, witness_e
 
         try:
@@ -335,6 +339,8 @@ def minimize_with_witness(
 ) -> tuple[MinimizationResult, float]:
     """Quadratic minimization started from the better of the uniform vector
     and the normalized level-set witness; returns (result, witness value).
+    Where the witness is empty (N < 16 or C too small) the uniform vector
+    stands in for it, and its value is the one returned.
 
     Starting at (or below) the witness makes result.value <= witness value
     a monotonicity guarantee rather than a convergence hope.
@@ -352,7 +358,7 @@ def minimize_with_witness(
 
     try:
         wit = witness_t(sieve, N, beta, C=witness_c).normalized()
-    except (EmptyWitnessError, ValueError):
+    except EmptyWitnessError:
         wit = WeightVector.uniform(N)
     uniform = WeightVector.uniform(N)
     wit_value, uniform_value = objective(wit), objective(uniform)
@@ -405,7 +411,7 @@ def scaling_report(
                 res = minimize_energy(n, tolerance=1e-12, restarts=4,
                                       seed=seed, sieve=sieve)
                 try:
-                    wit_val = e_form(witness_e(sieve, n).normalized()) if n >= 4 else res.value
+                    wit_val = e_form(witness_e(sieve, n).normalized())
                 except EmptyWitnessError:
                     wit_val = float("nan")
                 gap = None
@@ -535,8 +541,7 @@ def _scan_lattice(kind: str, N: int, K: int,
     return w, val
 
 
-def grid_oracle(objective_kind: str, N: int, step: float,
-                refine_levels: int = 48) -> MinimizationResult:
+def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
     """Brute-force oracle: exhaustive lattice scan of the simplex at
     resolution `step`, then local lattice refinement around the incumbent.
 
@@ -568,7 +573,7 @@ def grid_oracle(objective_kind: str, N: int, step: float,
     moves = np.indices((5,) * N).reshape(N, -1) - 2  # {-2..2}^N, lexicographic
     deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
     h = 1.0 / (2 * K)
-    for _ in range(refine_levels):
+    for _ in range(_REFINE_LEVELS):
         cand = w[:, None] + h * deltas
         feasible = (cand >= -1e-15).all(axis=0)
         cand = np.clip(cand[:, feasible], 0.0, None)

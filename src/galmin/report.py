@@ -52,10 +52,10 @@ class ExperimentReport:
             "artifact_version": self.artifact_version,
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        """Canonical JSON. Timing is zeroed by default so identical runs are
-        byte-identical; pass include_timing=True for wall-clock data."""
-        return json.dumps(self.as_dict(include_timing), sort_keys=True,
+    def to_json(self) -> str:
+        """Canonical JSON. Timing is zeroed so identical runs are
+        byte-identical; as_dict() keeps the wall-clock time."""
+        return json.dumps(self.as_dict(include_timing=False), sort_keys=True,
                           indent=2, default=_coerce)
 
 

@@ -19,7 +19,16 @@ from galmin.arith import (
     require_bytes,
     small_omega_table,
 )
-from galmin.characters import ThetaConfig, build_table, theta
+from galmin.characters import (
+    ThetaConfig,
+    build_table,
+    char_sum,
+    character_sums,
+    gauss_sum,
+    polya_partial_sum,
+    theta,
+    theta_all_even,
+)
 from galmin.charexp import shifted_sums
 from galmin.extremal import multiplication_table_count
 from galmin.forms import KernelKind, KernelOperator
@@ -58,6 +67,32 @@ def _shifted_sums(p, B):
 def _theta(p, x):
     chi, config = build_table(p).character(2), ThetaConfig(x=x)
     return "characters", lambda: theta(chi, config)
+
+
+def _char_sum(p, N):
+    chi = build_table(p).character(1)
+    return "characters", lambda: char_sum(chi, 0, N)
+
+
+def _gauss_sum(p):
+    chi = build_table(p).character(1)
+    return "characters", lambda: gauss_sum(chi)
+
+
+def _polya(p, t, H):
+    chi = build_table(p).character(1)
+    return "characters", lambda: polya_partial_sum(chi, t, H)
+
+
+def _character_sums(p, L):
+    table = build_table(p)
+    ns, w = np.arange(1, L + 1, dtype=np.int64), np.ones(L)
+    return "characters", lambda: character_sums(table, ns, w)
+
+
+def _theta_all_even(p, x):
+    table, config = build_table(p), ThetaConfig(x=x)
+    return "characters", lambda: theta_all_even(table, config)
 
 
 def _traced_peak(fn) -> int:
@@ -99,8 +134,18 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_multiplication_table, (2000,)),
     (_shifted_sums, (10007, 10**5)),
     (_theta, (10007, 1e-4)),
+    (_char_sum, (101, 10**5)),
+    (_gauss_sum, (100003,)),
+    (_polya, (10007, 5003, 10**5)),
+    (_polya, (100003, 50001, 1000)),
+    (_character_sums, (100003, 100)),
+    (_character_sums, (101, 10**5)),
+    (_theta_all_even, (10007, 1e-6)),
+    (_theta_all_even, (1000003, 1.0)),
 ], ids=["spf", "Omega", "omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
-        "H", "shifted_sums", "theta"])
+        "H", "shifted_sums", "theta", "char_sum", "gauss_sum", "polya-terms",
+        "polya-modulus", "character_sums-classes", "character_sums-terms",
+        "theta_all_even-terms", "theta_all_even-classes"])
 def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     est, peak = _estimate_and_peak(monkeypatch, *guard(*size))
     assert peak <= est <= 2 * peak
@@ -116,7 +161,13 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_multiplication_table, (50,)),
     (_shifted_sums, (101, 50)),
     (_theta, (101, 0.01)),
-], ids=["spf", "Omega", "omega", "phi", "V", "T", "H", "shifted_sums", "theta"])
+    (_char_sum, (101, 50)),
+    (_gauss_sum, (101,)),
+    (_polya, (101, 50, 10)),
+    (_character_sums, (101, 50)),
+    (_theta_all_even, (101, 0.01)),
+], ids=["spf", "Omega", "omega", "phi", "V", "T", "H", "shifted_sums", "theta",
+        "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
     module, call = guard(*size)
     est, _ = _estimate_and_peak(monkeypatch, module, call)

@@ -425,13 +425,56 @@ def test_counts_table_n_zero_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["counts", "--x", "1000", "--k", "2"],
-    ["witness", "--kind", "e", "--n", "100"],
+    ["counts", "--x", "100000", "--k", "4", "--C", "nan"],
+    ["witness", "--kind", "e", "--n", "100", "--C", "nan"],
+    ["witness", "--kind", "t", "--n", "1000", "--C", "nan"],
 ])
-def test_sieve_limit_zero_exits_2(capsys, argv):
-    code = main(["--sieve-limit", "0", *argv])
+def test_nan_growth_constant_exits_2(capsys, argv):
+    # A NaN bound would accept every candidate.
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "sieve limit must be >= 2" in capsys.readouterr().err
+    assert captured.out == ""
+    assert "LocCondition requires" in captured.err
+
+
+@pytest.mark.parametrize("p", ["7", "13", "31"])
+def test_mollify_witness_weights_below_the_witness_domain_are_unit_weights(capsys, p):
+    _, uniform = _run(capsys, "mollify", "--p", p, "--x", "1.0")
+    code, witness = _run(capsys, "mollify", "--p", p, "--x", "1.0",
+                         "--weights", "witness")
+    assert code == EXIT_OK
+    uniform, witness = json.loads(uniform), json.loads(witness)
+    assert witness["parameters"]["q"] < 4
+    assert witness["values"] == uniform["values"]
+
+
+def test_burgess_witness_mode_below_the_witness_domain_uses_unit_weights(capsys):
+    argv = ["burgess", "--p", "101", "--r", "2", "--n", "30"]
+    _, uniform = _run(capsys, *argv)
+    code, witness = _run(capsys, *argv, "--c-mode", "witness")
+    assert code == EXIT_OK
+    uniform, witness = json.loads(uniform), json.loads(witness)
+    assert witness["parameters"]["A"] < 16
+    assert witness["values"] == uniform["values"]
+    assert witness["assertions"] == uniform["assertions"]
+
+
+def test_scaling_e_below_the_witness_domain_reports_nan(capsys):
+    code, out = _run(capsys, "scaling", "--form", "e", "--n-list", "2,3")
+    assert code == EXIT_OK
+    rows = json.loads(out)["values"]["rows"]
+    assert all(math.isnan(row["witness_value"]) for row in rows)
+
+
+def test_charsum_over_budget_exits_3_at_once(capsys):
+    # 10^11 terms would need about 7 TB; nothing is allocated.
+    code = main(["charsum", "--p", "101", "--j", "1", "--m", "0",
+                 "--n", "100000000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: character sum")
 
 
 @pytest.mark.parametrize("form", ["v", "t", "e"])
@@ -476,6 +519,7 @@ def _argv(*parts):
 @example(["minimize", "--form", "v", "--n", "30000000"])
 @example(["minimize", "--form", "t", "--n", "30000000"])
 @example(["burgess", "--p", "3", "--r", "2", "--n", "0"])
+@example(["charsum", "--p", "101", "--j", "1", "--m", "0", "--n", "100000000000"])
 def test_exit_contract_on_tiny_arguments(argv):
     # 0 ok, 1 exactly when a reported assertion is false, 2 usage, 3
     # budget; never 4. A refused command prints no report.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from galmin.arith import BudgetError, big_omega, build_sieve, factorize, small_omega
+from galmin import extremal
 from galmin.extremal import (
     EmptyWitnessError,
     LocCondition,
@@ -42,13 +43,21 @@ def _loc_oracle(n, kappa, C, x):
     return True
 
 
-def test_loc_validation():
+def test_loc_validation(sieve):
     with pytest.raises(ValueError):
         LocCondition(kappa=-1.0, C=0.0, x=10)
     with pytest.raises(ValueError):
         LocCondition(kappa=0.5, C=0.0, x=0)
+    # A NaN bound would reject nothing: running > nan is always false.
+    for kappa, C in ((math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            LocCondition(kappa=kappa, C=C, x=10)
     cond = LocCondition(kappa=0.5, C=1.0, x=100)
     assert cond.rhs(1.0) == 0.5 * math.log(math.log(3.0)) + 1.0
+    # inf is valid and means no constraint.
+    for kappa, C in ((math.inf, 0.0), (0.0, math.inf)):
+        unconstrained = LocCondition(kappa=kappa, C=C, x=1000)
+        assert all(satisfies_loc(sieve, n, unconstrained) for n in range(1, 1001))
 
 
 def test_used_condition_equals_and_hashes_like_a_fresh_one(sieve):
@@ -192,3 +201,64 @@ def test_d_plus_small_n(sieve):
     # N < 3: threshold collapses to 0 and everything is in the plus set.
     assert d_plus(sieve, 2, 0.5) == {1, 2}
     assert d_minus(sieve, 2, 0.5) == set()
+
+
+def test_witness_domain_is_checked_before_the_range():
+    # A sieve of 2 covers neither N, so only a domain check made first
+    # raises EmptyWitnessError here.
+    short = build_sieve(2)
+    with pytest.raises(EmptyWitnessError, match="N >= 16"):
+        witness_t(short, 15, 0.48154502844112457)
+    with pytest.raises(EmptyWitnessError, match="N >= 4"):
+        witness_e(short, 3)
+    # Inside the domain, a short sieve is a plain usage error.
+    for call in (lambda: witness_t(short, 16, 0.48154502844112457),
+                 lambda: witness_e(short, 4)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert not isinstance(exc.value, EmptyWitnessError)
+
+
+def _count_loc_calls(monkeypatch):
+    """Record each n that extremal's routines pass to satisfies_loc."""
+    calls = []
+    original = extremal.satisfies_loc
+
+    def counted(sieve, n, cond):
+        calls.append(n)
+        return original(sieve, n, cond)
+
+    monkeypatch.setattr(extremal, "satisfies_loc", counted)
+    return calls
+
+
+@pytest.mark.parametrize("x, k", [(100, 2), (2000, 1), (2000, 3)])
+def test_filtered_count_tests_each_level_set_member_once(sieve, monkeypatch, x, k):
+    level = [n for n in range(1, x + 1) if big_omega(sieve, n) == k]
+    cond = LocCondition(kappa=k / math.log(math.log(x)), C=1.0, x=x)
+    calls = _count_loc_calls(monkeypatch)
+    got = filtered_count(sieve, x, k, 1.0)
+    assert calls == level
+    assert got == sum(1 for n in level if _loc_by_factorize(sieve, n, cond))
+
+
+@pytest.mark.parametrize("N, C", [(16, 3.0), (5000, 3.0), (5000, 0.6)])
+def test_witness_t_support_is_every_filtered_member(sieve, monkeypatch, N, C):
+    beta = 0.48154502844112457
+    k = int(beta * math.log(math.log(N)))
+    level = [n for n in range(1, N + 1) if big_omega(sieve, n) == k]
+    cond = LocCondition(kappa=beta, C=C, x=N)
+    calls = _count_loc_calls(monkeypatch)
+    support = [int(n) for n in witness_t(sieve, N, beta, C=C).support()]
+    assert calls == level
+    assert support == [n for n in level if _loc_by_factorize(sieve, n, cond)]
+
+
+@pytest.mark.parametrize("N, C", [(4, 3.0), (5, 3.0), (1001, 3.0), (1001, 0.5)])
+def test_witness_e_support_is_every_filtered_candidate(sieve, monkeypatch, N, C):
+    candidates = list(range(N // 2 + 1, N + 1))
+    cond = LocCondition(kappa=1.0 / math.log(4.0), C=C, x=N)
+    calls = _count_loc_calls(monkeypatch)
+    support = [int(n) for n in witness_e(sieve, N, C=C).support()]
+    assert calls == candidates
+    assert support == [n for n in candidates if _loc_by_factorize(sieve, n, cond)]

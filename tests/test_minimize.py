@@ -544,6 +544,40 @@ def test_witness_chain_holds():
         assert res.value <= wit_val + 1e-12
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_witness_start_raises_on_a_wrong_input(kind):
+    # A sieve shorter than N and a NaN beta are usage errors; neither may
+    # report the uniform vector's value as the witness value.
+    beta = solve_beta().beta
+    with pytest.raises(ValueError, match="sieve"):
+        minimize_with_witness(kind, 100, build_sieve(50), beta)
+    with pytest.raises(ValueError):
+        minimize_with_witness(kind, 100, build_sieve(100), math.nan)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_witness_start_below_its_domain_is_the_uniform_vector(kind):
+    N = 15
+    res, wit_val = minimize_with_witness(kind, N, build_sieve(16),
+                                         solve_beta().beta, max_iters=50)
+    u = WeightVector.uniform(N).weights
+    assert wit_val == float(u @ KernelOperator(kind, N).matvec(u))
+    assert res.value <= wit_val
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_energy_below_the_witness_domain_ignores_the_sieve(N):
+    with_sieve = minimize_energy(N, restarts=4, seed=5, sieve=build_sieve(16))
+    without = minimize_energy(N, restarts=4, seed=5)
+    assert with_sieve.as_dict() == without.as_dict()
+    assert np.array_equal(with_sieve.minimizer.weights, without.minimizer.weights)
+
+
+def test_scaling_e_rows_below_the_witness_domain_report_nan():
+    rows = scaling_report("E", [2, 3, 4]).values["rows"]
+    assert [math.isnan(row["witness_value"]) for row in rows] == [True, True, False]
+
+
 def test_scaling_report_shape():
     rep = scaling_report("T", [16, 64, 256], tolerance=1e-6)
     rows = rep.values["rows"]
