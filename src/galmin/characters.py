@@ -102,13 +102,11 @@ def _prime_factors(p: int) -> list[int] | None:
     return qs + [m] if m > 1 else qs
 
 
-def build_table(p: int) -> CharacterTable:
-    """Find the least primitive root and fill the discrete-log table.
-
-    A modulus above modulus_limit() is rejected as invalid before anything
-    is allocated; primality and the factors of p - 1 come from the primes
-    up to sqrt(p).
-    """
+def _modulus_factors(p: int) -> list[int]:
+    """The distinct prime factors of p - 1 for a modulus build_table
+    accepts, else ValueError. A modulus above modulus_limit() is rejected
+    before anything is allocated; primality and the factors come from the
+    primes up to sqrt(p)."""
     bound = modulus_limit()
     invalid = ValueError(f"modulus must be an odd prime <= {bound} (the bound "
                          f"the byte budget sets), got {p}")
@@ -117,6 +115,24 @@ def build_table(p: int) -> CharacterTable:
     qs = _prime_factors(p)
     if qs is None:
         raise invalid
+    return qs
+
+
+def require_with_table(p: int, later, what: str) -> None:
+    """Refuse, before build_table(p) fills its table, work that holds the
+    table and then needs later() bytes more: the table is counted at
+    _MODULUS_ENTRY_BYTES a residue, the bound build_table keeps. A modulus
+    build_table rejects raises its ValueError first."""
+    _modulus_factors(p)
+    require_bytes(_MODULUS_ENTRY_BYTES * p + later(), f"{what}, table included")
+
+
+def build_table(p: int) -> CharacterTable:
+    """Find the least primitive root and fill the discrete-log table.
+
+    The modulus is checked as _modulus_factors checks it.
+    """
+    qs = _modulus_factors(p)
     g = None
     for cand in range(2, p):
         if all(pow(cand, (p - 1) // q, p) != 1 for q in qs):
@@ -206,9 +222,14 @@ def character_sums(table: CharacterTable, ns, weights,
     class; n = 0 (mod p) has chi(n) = 0 and is left out.
     """
     m = (table.p - 1) // 2 if even_only else table.p - 1
-    require_bytes(_CLASS_BYTES * m + _BIN_TERM_BYTES * len(ns),
+    require_bytes(character_sums_bytes(m, len(ns)),
                   f"character sums over {m} classes and {len(ns)} terms")
     return np.fft.ifft(_class_bins(table, ns, weights, m)) * m
+
+
+def character_sums_bytes(m: int, n_terms: int) -> int:
+    """Peak bytes of character_sums over m classes and n_terms terms."""
+    return _CLASS_BYTES * m + _BIN_TERM_BYTES * n_terms
 
 
 def _class_bins(table: CharacterTable, ns, weights, m: int) -> np.ndarray:
@@ -337,6 +358,11 @@ def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
     return complex(chi.values(ns) @ damp)
 
 
+def theta_all_even_bytes(p: int, n_max: int) -> int:
+    """Peak bytes of theta_all_even at p with cutoff n_max."""
+    return _CLASS_BYTES * ((p - 1) // 2) + _THETA_BIN_TERM_BYTES * min(n_max, _THETA_CHUNK)
+
+
 def theta_all_even(table: CharacterTable, config: ThetaConfig) -> np.ndarray:
     """theta(x;chi) for every even character, in index order j = 0,2,4,...
 
@@ -347,8 +373,7 @@ def theta_all_even(table: CharacterTable, config: ThetaConfig) -> np.ndarray:
     p = table.p
     n_max = theta_cutoff(p, config)
     m = (p - 1) // 2
-    require_bytes(_CLASS_BYTES * m + _THETA_BIN_TERM_BYTES * min(n_max, _THETA_CHUNK),
-                  f"theta over {m} even characters")
+    require_bytes(theta_all_even_bytes(p, n_max), f"theta over {m} even characters")
     binned = np.zeros(m)
     for lo in range(1, n_max + 1, _THETA_CHUNK):
         ns = np.arange(lo, min(lo + _THETA_CHUNK, n_max + 1), dtype=np.int64)

@@ -21,7 +21,10 @@ from .characters import (
     ThetaConfig,
     build_table,
     character_sums,
+    character_sums_bytes,
+    require_with_table,
     theta_all_even,
+    theta_all_even_bytes,
     theta_cutoff,
 )
 from .forms import KernelKind, KernelSpec, WeightVector, e_form, v_form
@@ -277,8 +280,15 @@ def mollified_moments(
         raise ValueError(f"weights must have length q = floor(sqrt(p/3)) = {q}")
     if c.one_norm <= 0:
         raise ValueError("weights must not be all zero")
-    table = table or build_table(p)
     config = ThetaConfig(x=x)
+    if table is None:
+        # The table, then theta over the even characters, or the mollifier
+        # sums with the m complex thetas held, whichever needs more.
+        m = (p - 1) // 2
+        require_with_table(p, lambda: max(
+            theta_all_even_bytes(p, theta_cutoff(p, config)),
+            character_sums_bytes(m, q) + 16 * m), f"mollified moments at p={p}, x={x}")
+        table = build_table(p)
     thetas = theta_all_even(table, config)
     ms = np.arange(1, q + 1, dtype=np.int64)
     mollifiers = np.conj(character_sums(table, ms, c.weights, even_only=True))
@@ -326,7 +336,12 @@ def low_moment_experiment(
         raise ValueError("need 1 <= N < p")
     u, v, s, t = low_moment_exponents(r)
     with Timer() as tm:
-        table = table or build_table(p)
+        if table is None:
+            # The table, then the second sums with the first's p - 1
+            # complex values held.
+            require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
+                               f"low moments at p={p}, N={N}")
+            table = build_table(p)
         c = c or WeightVector.from_weights(np.ones(N))
         if c.n_max != N:
             raise ValueError("weights must have length N")

@@ -133,14 +133,16 @@ def _pair_count(n: int) -> int:
 
 
 def _operator_bytes(kind: KernelKind, n: int) -> int:
-    """Peak bytes of KernelOperator(kind, n) and one product, in O(sqrt n)
-    time, as measured with tracemalloc: 16 KiB of headers; 112 bytes an
-    entry of [1, n] for the n-vectors the operator and a product hold; for
+    """Peak bytes of KernelOperator(kind, n) and one product in a
+    Frank-Wolfe solve, in O(sqrt n) time, as measured with tracemalloc:
+    16 KiB of headers; 160 bytes an entry of [1, n], 112 for the n-vectors
+    the operator and a product hold and 48 for the solve's (its start, w,
+    K w and the one a refresh replaces, the away mask and buffer); for
     T, 16 per pair (d, a) (the index, and a product's gather or its
     repeated weights); for V, 16 per padded entry (the index and a
     product's weights), the blocks B_P or their FFTs, and the temporaries
     of the widest bucket: 16 an entry in a dense one, 48 in an FFT one."""
-    total = (16 << 10) + 112 * (n + 1)
+    total = (16 << 10) + 160 * (n + 1)
     if kind is KernelKind.T_KERNEL:
         return total + 16 * _pair_count(n)
     widest = 0

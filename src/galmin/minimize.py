@@ -30,6 +30,10 @@ _REFRESH_EVERY = 256
 # Most rounds of grid_oracle's refinement. Each round moves to a better
 # lattice point or halves the spacing; it stops sooner below 1e-14.
 _REFINE_LEVELS = 48
+# grid_oracle scans a lattice of at most this many points in one batch. A
+# speed choice: the slab scan pays numpy's per-call cost once a slab, which
+# dominates small slabs. It covers N = 3 and N = 4 at step 1/60.
+_ONE_BATCH_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,8 @@ def minimize_quadratic(
     tolerance: float = 1e-6,
     max_iters: int = 200_000,
     start: WeightVector | None = None,
+    *,
+    operator: _QuadraticOperator | None = None,
 ) -> MinimizationResult:
     """Minimize c^T K c over the probability simplex by away-step
     Frank-Wolfe with exact line search.
@@ -84,13 +90,20 @@ def minimize_quadratic(
     updated one; the returned value and gap come from that product, and the
     value is then within certificate_gap of the true minimum. A run stopped
     by max_iters takes no extra product. Coordinate ties are broken by
-    smallest index.
+    smallest index. operator, when given, is the KernelOperator of kernel
+    on [1, N], so a caller that has built one does not hold a second.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_tolerance(tolerance)
     kind_name = "V" if kernel.kind is KernelKind.V_KERNEL else "T"
-    op = _QuadraticOperator(kernel.kind, N)
+    if operator is None:
+        op = _QuadraticOperator(kernel.kind, N)
+    elif operator.kind is kernel.kind and operator.n == N:
+        op = operator
+    else:
+        raise ValueError(f"operator is {operator.kind.value} on [1, {operator.n}], "
+                         f"not {kernel.kind.value} on [1, {N}]")
 
     if start is not None:
         if start.n_max != N:
@@ -364,7 +377,7 @@ def minimize_with_witness(
     wit_value, uniform_value = objective(wit), objective(uniform)
     start = wit if wit_value <= uniform_value else uniform
     res = minimize_quadratic(KernelSpec(kind), N, tolerance=tolerance,
-                             max_iters=max_iters, start=start)
+                             max_iters=max_iters, start=start, operator=op)
     if res.value > min(wit_value, uniform_value):
         # Line-search FW is monotone, so this can only be float noise.
         res = MinimizationResult(
@@ -447,26 +460,22 @@ def scaling_report(
     return rep
 
 
-def _lattice_points(n: int, K: int, first: int | None = None) -> np.ndarray:
+def _lattice_points(n: int, K: int) -> np.ndarray:
     """All integer vectors of length n with nonnegative entries summing to K,
-    in lexicographic order (grid_oracle's argmin keeps the first minimum).
-    Given first = k0, only the slab of those whose first entry is k0.
+    in lexicographic order (grid_oracle's scan keeps the first minimum).
 
     The (B, n) result is the row view .T of a C-contiguous (n, B) array, so
     each coordinate of the batch is one contiguous row of pts.T."""
-    lead = 0 if first is None else 1
     cols: list[np.ndarray] = []
-    rem = np.array([K - (first or 0)], dtype=np.int64)
+    rem = np.array([K], dtype=np.int64)
     # Each leading coordinate splits a row with remainder r into r + 1 rows.
-    for _ in range(n - lead - 1):
+    for _ in range(n - 1):
         counts = rem + 1
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         cols = [np.repeat(c, counts) for c in cols] + [k]
         rem = np.repeat(rem, counts) - k
     coords = np.empty((n, len(rem)), dtype=np.int64)
-    if lead:
-        coords[0] = first
-    for j, col in enumerate(cols + [rem], start=lead):
+    for j, col in enumerate(cols + [rem]):
         coords[j] = col
     return coords.T
 
@@ -498,17 +507,20 @@ def _term_classes(kind: str, n: int,
     return [classes[m] for m in sorted(classes)]
 
 
-def _batch_objective(kind: str, pts: np.ndarray,
-                     kmat: np.ndarray | None = None) -> np.ndarray:
+def _batch_objective(kind: str, pts: np.ndarray, kmat: np.ndarray | None = None,
+                     terms: list | None = None) -> np.ndarray:
     """Objective values for a (B, N) batch of simplex points; kmat is
-    _kernel_matrix(kind, N), built once per oracle call (unused for E).
+    _kernel_matrix(kind, N) (unused for E), and terms is
+    _term_classes(kind, N, kmat), built here when not given.
 
     Every pass is elementwise over whole coordinate rows of pts.T, so no
     pass mixes points: a point's value has the same bits in any batch."""
     x = pts.T
+    if terms is None:
+        terms = _term_classes(kind, x.shape[0], kmat)
     out = np.zeros(x.shape[1])
     r, t = np.empty_like(out), np.empty_like(out)
-    for (c, i, j), *rest in _term_classes(kind, x.shape[0], kmat):
+    for (c, i, j), *rest in terms:
         np.multiply(x[i], x[j], out=r)
         r *= c
         for c, i, j in rest:
@@ -521,23 +533,55 @@ def _batch_objective(kind: str, pts: np.ndarray,
     return out
 
 
-def _scan_lattice(kind: str, N: int, K: int,
-                  kmat: np.ndarray | None) -> tuple[np.ndarray, float]:
+def _slabs(N: int, K: int):
+    """For k0 = 0..K, the slab of _lattice_points(N, K) / K with first
+    coordinate k0, as a (B, N) batch in template order, and the template
+    index of each row; N >= 2. Each batch is a view that the next one
+    overwrites.
+
+    The slabs share one template: the vectors m of the N - 2 middle
+    coordinates with sum s <= K, in lexicographic order, stably sorted by
+    s. Slab k0 is the template's prefix with s <= R = K - k0, with k0 / K
+    in front and (R - s) / K behind, so each point is divided as in
+    _lattice_points(N, K) / K. Sorting the rows by template index puts the
+    slab in lexicographic order."""
+    mid = _lattice_points(N - 1, K)[:, :-1]
+    s = mid.sum(axis=1)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    ends = np.searchsorted(s, np.arange(K + 1), side="right")
+    x = np.empty((N, len(s)))  # coordinate rows; slab k0 uses the first ends[R]
+    np.divide(mid[order].T, K, out=x[1:-1])
+    for k0 in range(K + 1):
+        R = K - k0
+        slab = x[:, :ends[R]]
+        slab[0] = k0 / K
+        np.divide(R - s[:ends[R]], K, out=slab[-1])
+        yield slab.T, order[:ends[R]]
+
+
+def _scan_lattice(kind: str, N: int, K: int, terms: list) -> tuple[np.ndarray, float]:
     """The first minimum, in lexicographic order, of the objective over
-    _lattice_points(N, K) / K, scanned one slab of fixed first coordinate
-    at a time: the slabs in order are the lattice in order. kmat is as for
-    _batch_objective."""
-    if N <= 2:
-        slabs = [_lattice_points(N, K)]  # at most K + 1 points: one batch
-    else:
-        slabs = (_lattice_points(N, K, first=k0) for k0 in range(K + 1))
-    w, val = None, math.inf
-    for slab in slabs:
-        pts = slab / K
-        vals = _batch_objective(kind, pts, kmat)
+    _lattice_points(N, K) / K, and its value; terms is as for
+    _batch_objective.
+
+    A lattice of at most _ONE_BATCH_POINTS points, or any at N <= 2, is
+    one batch. A larger one is scanned one slab of _slabs at a time, the
+    slabs in order, keeping the first minimum by a strict <; within a slab,
+    the minimum of least template index comes first in the lattice."""
+    if N <= 2 or math.comb(K + N - 1, N - 1) <= _ONE_BATCH_POINTS:
+        pts = _lattice_points(N, K) / K
+        vals = _batch_objective(kind, pts, terms=terms)
         b = int(np.argmin(vals))
-        if vals[b] < val:
-            w, val = pts[b].copy(), float(vals[b])
+        return pts[b].copy(), float(vals[b])
+    w, val = None, math.inf
+    for pts, rank in _slabs(N, K):
+        vals = _batch_objective(kind, pts, terms=terms)
+        v = vals.min()
+        if v < val:
+            ties = np.flatnonzero(vals == v)
+            b = ties[np.argmin(rank[ties])]
+            w, val = pts[b].copy(), float(v)
     return w, val
 
 
@@ -565,8 +609,8 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
     # holds one slab at a time, so its peak stays far below this.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
-    kmat = _kernel_matrix(objective_kind, N)
-    w, val = _scan_lattice(objective_kind, N, K, kmat)
+    terms = _term_classes(objective_kind, N, _kernel_matrix(objective_kind, N))
+    w, val = _scan_lattice(objective_kind, N, K, terms)
 
     # Local refinement: zero-sum integer moves on a halving lattice, one
     # column per move (the coordinate rows _batch_objective passes over).
@@ -578,7 +622,7 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
         feasible = (cand >= -1e-15).all(axis=0)
         cand = np.clip(cand[:, feasible], 0.0, None)
         cand /= cand.sum(axis=0)
-        cvals = _batch_objective(objective_kind, cand.T, kmat)
+        cvals = _batch_objective(objective_kind, cand.T, terms=terms)
         b = int(np.argmin(cvals))
         if cvals[b] < val:
             w, val = cand[:, b], float(cvals[b])

@@ -5,6 +5,7 @@ An estimate is read off the call's own require_bytes, recorded on the way
 through, so the tests hold whatever formula the guard uses.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,9 +30,11 @@ from galmin.characters import (
     theta,
     theta_all_even,
 )
-from galmin.charexp import shifted_sums
+from galmin.charexp import low_moment_experiment, mollified_moments, shifted_sums
+from galmin.constants import solve_beta
 from galmin.extremal import multiplication_table_count
-from galmin.forms import KernelKind, KernelOperator
+from galmin.forms import KernelKind, KernelOperator, WeightVector
+from galmin.minimize import minimize_with_witness
 
 # Each guard maps a size to (the module whose require_bytes it calls, the
 # guarded call); what the call needs besides is built outside it.
@@ -95,6 +98,15 @@ def _theta_all_even(p, x):
     return "characters", lambda: theta_all_even(table, config)
 
 
+def _mollified_moments(p, x):
+    c = WeightVector.from_weights(np.ones(math.isqrt(p // 3)))
+    return "characters", lambda: mollified_moments(p, x, c)
+
+
+def _low_moments(p, N):
+    return "characters", lambda: low_moment_experiment(p, N, 1.0, energy_budget=0)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -142,10 +154,15 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_character_sums, (101, 10**5)),
     (_theta_all_even, (10007, 1e-6)),
     (_theta_all_even, (1000003, 1.0)),
+    (_mollified_moments, (1000003, 1.0)),
+    (_mollified_moments, (1000003, 1e-3)),
+    (_low_moments, (1000003, 10)),
+    (_low_moments, (100003, 100000)),
 ], ids=["spf", "Omega", "omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
         "H", "shifted_sums", "theta", "char_sum", "gauss_sum", "polya-terms",
         "polya-modulus", "character_sums-classes", "character_sums-terms",
-        "theta_all_even-terms", "theta_all_even-classes"])
+        "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
+        "mollified-theta", "low_moments-classes", "low_moments-terms"])
 def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     est, peak = _estimate_and_peak(monkeypatch, *guard(*size))
     assert peak <= est <= 2 * peak
@@ -166,8 +183,11 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_polya, (101, 50, 10)),
     (_character_sums, (101, 50)),
     (_theta_all_even, (101, 0.01)),
+    (_mollified_moments, (101, 1.0)),
+    (_low_moments, (101, 9)),
 ], ids=["spf", "Omega", "omega", "phi", "V", "T", "H", "shifted_sums", "theta",
-        "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even"])
+        "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
+        "mollified_moments", "low_moments"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
     module, call = guard(*size)
     est, _ = _estimate_and_peak(monkeypatch, module, call)
@@ -182,6 +202,19 @@ def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard,
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("max_iters", [1, 300])
+@pytest.mark.parametrize("n", [10**4, 10**5])
+@pytest.mark.parametrize("kind", [V, T])
+def test_witness_solve_stays_within_its_operator_estimate(monkeypatch, kind, n,
+                                                           max_iters):
+    # One operator scores the witness and the uniform vector and serves the
+    # solve; 300 steps include a refresh of K w.
+    sieve, beta = build_sieve(n), solve_beta().beta
+    est, peak = _estimate_and_peak(monkeypatch, "forms", lambda: minimize_with_witness(
+        kind, n, sieve, beta, max_iters=max_iters))
+    assert peak <= est
 
 
 @pytest.mark.parametrize("kind", [V, T])

@@ -283,6 +283,36 @@ def test_polyzeta_over_budget_exits_3_at_once(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["mollify", "--p", "97612891", "--x", "1.0"],
+    ["lowmoment", "--p", "23000009", "--n", "10", "--r", "1.0"],
+], ids=["mollify", "lowmoment"])
+def test_character_experiment_over_budget_exits_3_before_the_table(
+        capsys, monkeypatch, argv):
+    # The table alone fits the budget; with the sums after it, it does not.
+    def no_table(p):
+        raise AssertionError(f"table of {p} built for a refused request")
+
+    monkeypatch.setattr("galmin.charexp.build_table", no_table)
+    monkeypatch.setattr("galmin.characters.build_table", no_table)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert "table included" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mollify", "--p", "97612892", "--x", "1.0"],
+    ["lowmoment", "--p", "23000008", "--n", "10", "--r", "1.0"],
+], ids=["mollify", "lowmoment"])
+def test_character_experiment_bad_modulus_exits_2_before_the_budget(capsys, argv):
+    code = main(argv)
+    assert code == EXIT_USAGE
+    assert "modulus must be an odd prime" in capsys.readouterr().err
+
+
 def test_minimize_e_over_budget_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 1 << 20)
     code = main(["minimize", "--form", "e", "--n", "512"])

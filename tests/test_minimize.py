@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from galmin.minimize import (
     _kernel_matrix,
     _lattice_points,
     _scan_lattice,
+    _slabs,
+    _term_classes,
     grid_oracle,
     minimize_energy,
     minimize_quadratic,
@@ -395,21 +398,40 @@ def test_lattice_points_match_product_reference(n, K):
 @pytest.mark.parametrize("K", [1, 2, 7, 12])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lattice_slab_is_the_lattice_with_its_first_coordinate(n, K):
-    for k0 in range(K + 1):
-        want = np.insert(_lattice_points(n - 1, K - k0), 0, k0, axis=1)
-        slab = _lattice_points(n, K, first=k0)
-        assert np.array_equal(slab, want)
-        assert slab.dtype == np.int64
+    # Each slab of the shared template, its rows put in template-index
+    # order, is the lattice's slab of first coordinate k0 with its bits.
+    lattice = _lattice_points(n, K)
+    k0 = -1
+    for k0, (pts, rank) in enumerate(_slabs(n, K)):
+        want = lattice[lattice[:, 0] == k0] / K
+        got = pts[np.argsort(rank)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert k0 == K
 
 
-def _oracle_batches(N, K):
-    """The batches grid_oracle evaluates at N: each slab of the step-1/K
-    lattice (the whole lattice at N = 1), then refinement candidates around
-    a lattice point at three step sizes, formed as grid_oracle forms them."""
-    if N == 1:
-        batches = [_lattice_points(N, K) / K]
-    else:
-        batches = [_lattice_points(N, K, first=k0) / K for k0 in range(K + 1)]
+def _terms(kind, N):
+    return _term_classes(kind, N, _kernel_matrix(kind, N))
+
+
+def _oracle_batches(kind, N, K):
+    """The batches grid_oracle evaluates at step 1/K, as its scan passes
+    them to _batch_objective: the whole lattice in one batch, and the slabs
+    a lattice too large for one batch takes (forced by _ONE_BATCH_POINTS
+    = 0); then refinement candidates around a lattice point at three step
+    sizes, formed as grid_oracle forms them."""
+    batches = []
+    real = minimize._batch_objective
+
+    def record(kind, pts, kmat=None, terms=None):
+        # Copied as coordinate rows: the next slab overwrites the view.
+        batches.append(np.ascontiguousarray(pts.T).T)
+        return real(kind, pts, kmat, terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimize, "_batch_objective", record)
+        for one_batch in (minimize._ONE_BATCH_POINTS, 0):
+            mp.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
+            _scan_lattice(kind, N, K, _terms(kind, N))
     moves = np.indices((5,) * N).reshape(N, -1) - 2
     deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
     w = _lattice_points(N, K)[len(batches[0]) // 2] / K
@@ -438,10 +460,10 @@ def _e_by_columns(pts):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["V", "T", "E"])
 def test_batch_objective_is_batch_invariant(kind, N):
-    kmat = _kernel_matrix(kind, N)
-    for pts in _oracle_batches(N, 12):
-        vals = _batch_objective(kind, pts, kmat)
-        alone = np.array([_batch_objective(kind, pts[b:b + 1], kmat)[0]
+    terms = _terms(kind, N)
+    for pts in _oracle_batches(kind, N, 12):
+        vals = _batch_objective(kind, pts, terms=terms)
+        alone = np.array([_batch_objective(kind, pts[b:b + 1], terms=terms)[0]
                           for b in range(len(pts))])
         assert np.array_equal(alone.view(np.int64), vals.view(np.int64))
 
@@ -452,7 +474,7 @@ def test_batch_objective_matches_reference_forms(kind, N):
     # Every term is nonnegative and a value sums at most N^2 = 25 products,
     # so float64 rounding stays within a few dozen ulp: rel 1e-14 is ~45.
     kmat = _kernel_matrix(kind, N)
-    for pts in _oracle_batches(N, 12):
+    for pts in _oracle_batches(kind, N, 12):
         want = _e_by_columns(pts) if kind == "E" else _v_t_by_einsum(pts, kmat)
         got = _batch_objective(kind, pts, kmat)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -465,17 +487,79 @@ def test_grid_oracle_memory_budget(monkeypatch):
         grid_oracle("E", 5, step=1 / 60)
 
 
+def _one_shot_argmin(kind, N, K):
+    pts = _lattice_points(N, K) / K
+    vals = _batch_objective(kind, pts, _kernel_matrix(kind, N))
+    best = int(np.argmin(vals))
+    return pts[best], vals[best]
+
+
 @pytest.mark.parametrize("K", [1, 2, 7, 12, 40])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["V", "T", "E"])
-def test_scan_lattice_matches_one_shot_argmin(kind, N, K):
-    pts = _lattice_points(N, K) / K
-    kmat = _kernel_matrix(kind, N)
-    vals = _batch_objective(kind, pts, kmat)
-    best = int(np.argmin(vals))
-    w, val = _scan_lattice(kind, N, K, kmat)
-    assert val == vals[best]
-    assert np.array_equal(w, pts[best])
+def test_scan_lattice_matches_one_shot_argmin(monkeypatch, kind, N, K):
+    want_w, want_val = _one_shot_argmin(kind, N, K)
+    # _ONE_BATCH_POINTS = 0 scans every lattice at N >= 3 slab by slab.
+    for one_batch in (minimize._ONE_BATCH_POINTS, 0):
+        monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
+        w, val = _scan_lattice(kind, N, K, _terms(kind, N))
+        assert val == want_val
+        assert np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("kind", ["V", "T"])
+def test_scan_lattice_matches_one_shot_argmin_at_step_1_60(kind):
+    # The oracle calls of verify-all at N = 5, where the scan takes slabs.
+    want_w, want_val = _one_shot_argmin(kind, 5, 60)
+    w, val = _scan_lattice(kind, 5, 60, _terms(kind, 5))
+    assert val == want_val
+    assert np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("one_batch", [None, 0])
+@pytest.mark.parametrize("N, K", [(1, 7), (2, 7), (3, 7), (4, 12), (5, 12), (5, 40)])
+def test_scan_lattice_keeps_the_lexicographically_first_tie(monkeypatch, N, K,
+                                                           one_batch):
+    if one_batch is not None:
+        monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
+    # Every point ties: the first lattice point wins.
+    monkeypatch.setattr(minimize, "_batch_objective",
+                        lambda kind, pts, kmat=None, terms=None: np.zeros(len(pts)))
+    w, val = _scan_lattice("V", N, K, None)
+    assert val == 0.0
+    assert np.array_equal(w, np.eye(N)[-1])
+    if N < 4:
+        return
+    # Ties of different middle-coordinate sums: m = (0, 2) comes before
+    # m = (1, 0) in the lattice, though its sum is larger.
+    def tied(kind, pts, kmat=None, terms=None):
+        m = np.rint(pts * K)
+        return np.abs(2 * m[:, 1] + m[:, 2] - 2).astype(np.float64)
+
+    monkeypatch.setattr(minimize, "_batch_objective", tied)
+    w, val = _scan_lattice("V", N, K, None)
+    assert val == 0.0
+    assert np.array_equal(np.rint(w * K), [0, 0, 2] + [0] * (N - 4) + [K - 2])
+
+
+@pytest.mark.parametrize("one_batch", [None, 0])
+@pytest.mark.parametrize("N, K", [(1, 7), (2, 12), (3, 12), (4, 40), (5, 40)])
+def test_scan_lattice_evaluates_each_point_once(monkeypatch, N, K, one_batch):
+    if one_batch is not None:
+        monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
+    rows = []
+    real = minimize._batch_objective
+
+    def counted(kind, pts, kmat=None, terms=None):
+        rows.append(len(pts))
+        return real(kind, pts, kmat, terms)
+
+    monkeypatch.setattr(minimize, "_batch_objective", counted)
+    _scan_lattice("T", N, K, _terms("T", N))
+    n_points = math.comb(K + N - 1, N - 1)
+    assert sum(rows) == n_points
+    one = N <= 2 or n_points <= minimize._ONE_BATCH_POINTS
+    assert len(rows) == (1 if one else K + 1)
 
 
 def test_grid_oracle_scans_one_slab_at_a_time():
@@ -563,6 +647,32 @@ def test_witness_start_below_its_domain_is_the_uniform_vector(kind):
     u = WeightVector.uniform(N).weights
     assert wit_val == float(u @ KernelOperator(kind, N).matvec(u))
     assert res.value <= wit_val
+
+
+@pytest.mark.parametrize("form", ["V", "T"])
+def test_scaling_report_holds_one_operator_at_a_time(monkeypatch, form):
+    # Each witness solve builds one operator, and the last row's is dead
+    # before the next row builds its own.
+    built = []
+
+    class Tracked(KernelOperator):
+        def __init__(self, kind, n):
+            assert all(ref() is None for ref in built)
+            super().__init__(kind, n)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(minimize, "_QuadraticOperator", Tracked)
+    scaling_report(form, [16, 64, 256])
+    assert len(built) == 3
+
+
+def test_minimize_quadratic_rejects_another_kernels_operator():
+    with pytest.raises(ValueError, match="operator"):
+        minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 10,
+                           operator=KernelOperator(KernelKind.T_KERNEL, 10))
+    with pytest.raises(ValueError, match="operator"):
+        minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 10,
+                           operator=KernelOperator(KernelKind.T_KERNEL, 11))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
