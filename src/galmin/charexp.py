@@ -342,13 +342,13 @@ def low_moment_experiment(
             require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
                                f"low moments at p={p}, N={N}")
             table = build_table(p)
-        c = c or WeightVector.from_weights(np.ones(N))
-        if c.n_max != N:
+        if c is not None and c.n_max != N:
             raise ValueError("weights must have length N")
         ns = np.arange(1, N + 1, dtype=np.int64)
         # All characters, j = 0 first; [1:] keeps the nonprincipal ones.
         S = character_sums(table, ns, np.ones(N))[1:]
-        Mol = np.conj(character_sums(table, ns, c.weights))[1:]
+        # Unit weights (the default) mollify with S itself.
+        Mol = np.conj(S if c is None else character_sums(table, ns, c.weights)[1:])
         norm = p - 2
         s_r = float((np.abs(S) ** r).sum()) / norm
         s_2 = float((np.abs(S) ** 2).sum()) / norm

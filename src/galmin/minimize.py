@@ -3,7 +3,8 @@
 V and T are convex quadratics (both kernels are positive semidefinite), so a
 conditional-gradient method with a duality-gap certificate applies; away
 steps and exact line search are used for linear convergence. E is quartic
-and not certified convex: projected gradient descent with restarts yields an
+and not certified convex: projected gradient descent with a spectral
+(Barzilai-Borwein) trial step, Armijo backtracking and restarts yields an
 upper bound only.
 """
 
@@ -228,10 +229,15 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 def _pgd_energy(w0: np.ndarray, max_iters: int,
                 tol: float) -> tuple[np.ndarray, float, int, str]:
-    """Projected gradient descent with Armijo backtracking on E(c;N).
+    """Projected gradient descent with a spectral trial step and Armijo
+    backtracking on E(c;N).
 
-    One EnergyIndex serves every evaluation of the run, and the r of the
-    accepted candidate gives the next gradient. Returns (w, value,
+    Each iteration first tries the Barzilai-Borwein step s·y / y·y from the
+    last move s and gradient change y, when s·y > 0. If that candidate fails
+    the Armijo test, the backtracking search runs: it starts at ``step``,
+    halves up to 60 times, and doubles ``step`` after the candidate it
+    accepts. One EnergyIndex serves every evaluation of the run, and the r
+    of the accepted candidate gives the next gradient. Returns (w, value,
     iterations, stop reason): small_move or small_drop when a stall test
     stopped the run, else no_armijo_step or max_iters.
     """
@@ -240,29 +246,44 @@ def _pgd_energy(w0: np.ndarray, max_iters: int,
     r = index.counts(w)
     val = float(r @ r)
     step = 1.0
+    prev_grad = None
     it = 0
     reason = "max_iters"
+
+    def armijo(t: float):
+        cand = project_to_simplex(w - t * grad)
+        cand_r = index.counts(cand)
+        cand_val = float(cand_r @ cand_r)
+        # Sufficient decrease against the projected move.
+        ok = cand_val <= val - 1e-4 * float(grad @ (w - cand))
+        return ok, cand, cand_r, cand_val
+
     for it in range(1, max_iters + 1):
         grad = index.gradient(r, w)
         improved = False
-        for _ in range(60):
-            cand = project_to_simplex(w - step * grad)
-            cand_r = index.counts(cand)
-            cand_val = float(cand_r @ cand_r)
-            # Armijo: sufficient decrease against the projected move.
-            if cand_val <= val - 1e-4 * float(grad @ (w - cand)):
-                improved = True
-                break
-            step *= 0.5
+        if prev_grad is not None:
+            y = grad - prev_grad
+            sy = float(move @ y)
+            if sy > 0.0:
+                spectral = min(sy / float(y @ y), 1e6)
+                improved, cand, cand_r, cand_val = armijo(spectral)
         if not improved:
-            reason = "no_armijo_step"
-            break
-        move = float(np.abs(cand - w).sum())
+            for _ in range(60):
+                improved, cand, cand_r, cand_val = armijo(step)
+                if improved:
+                    break
+                step *= 0.5
+            if not improved:
+                reason = "no_armijo_step"
+                break
+            step = min(step * 2.0, 1e6)
+        move = cand - w
+        l1_move = float(np.abs(move).sum())
         rel_drop = (val - cand_val) / max(val, 1e-300)
+        prev_grad = grad
         w, val, r = cand, cand_val, cand_r
-        step = min(step * 2.0, 1e6)
-        if move < 1e-14 or rel_drop < tol * 1e-3:
-            reason = "small_move" if move < 1e-14 else "small_drop"
+        if l1_move < 1e-14 or rel_drop < tol * 1e-3:
+            reason = "small_move" if l1_move < 1e-14 else "small_drop"
             break
     return w, val, it, reason
 
@@ -421,7 +442,7 @@ def scaling_report(
     with Timer() as tm:
         for n in n_list:
             if objective_kind == "E":
-                res = minimize_energy(n, tolerance=1e-12, restarts=4,
+                res = minimize_energy(n, tolerance=tolerance, restarts=4,
                                       seed=seed, sieve=sieve)
                 try:
                     wit_val = e_form(witness_e(sieve, n).normalized())

@@ -205,6 +205,25 @@ def test_low_moment_experiment_holds():
         low_moment_experiment(101, 101, 0.5)
 
 
+def test_low_moment_unit_weights_take_one_character_sum(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return characters.character_sums(*args, **kwargs)
+
+    monkeypatch.setattr(charexp, "character_sums", counted)
+    table = build_table(101)
+    default = low_moment_experiment(101, 9, 1.0, table=table, energy_budget=0)
+    assert len(calls) == 1
+    explicit = low_moment_experiment(101, 9, 1.0, WeightVector.from_weights(np.ones(9)),
+                                     table=table, energy_budget=0)
+    assert len(calls) == 3
+    # Reusing S for unit weights keeps every bit.
+    assert default.values == explicit.values
+    assert default.as_dict()["assertions"] == explicit.as_dict()["assertions"]
+
+
 def test_zeta_poly_moment_limits():
     # At r = 2 and large T the mean square tends to N (diagonal terms).
     out = zeta_poly_moment(4, 20_000.0, 2.0, step=0.5)

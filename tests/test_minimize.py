@@ -13,6 +13,7 @@ from galmin.arith import BudgetError, build_sieve
 from galmin.constants import solve_beta
 from galmin.extremal import witness_t
 from galmin.forms import (
+    EnergyIndex,
     KernelKind,
     KernelOperator,
     KernelSpec,
@@ -619,6 +620,74 @@ def test_energy_value_is_e_form_at_minimizer():
     assert math.isclose(res.value, e_form(res.minimizer), rel_tol=1e-12)
 
 
+def _doubling_pgd(w0, max_iters, tol):
+    """The E loop before the spectral trial step: try twice the last
+    accepted step, then halve until the Armijo test passes."""
+    index = EnergyIndex(len(w0))
+    w = w0.copy()
+    r = index.counts(w)
+    val = float(r @ r)
+    step = 1.0
+    it = 0
+    reason = "max_iters"
+    for it in range(1, max_iters + 1):
+        grad = index.gradient(r, w)
+        improved = False
+        for _ in range(60):
+            cand = project_to_simplex(w - step * grad)
+            cand_r = index.counts(cand)
+            cand_val = float(cand_r @ cand_r)
+            if cand_val <= val - 1e-4 * float(grad @ (w - cand)):
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            reason = "no_armijo_step"
+            break
+        move = float(np.abs(cand - w).sum())
+        rel_drop = (val - cand_val) / max(val, 1e-300)
+        w, val, r = cand, cand_val, cand_r
+        step = min(step * 2.0, 1e6)
+        if move < 1e-14 or rel_drop < tol * 1e-3:
+            reason = "small_move" if move < 1e-14 else "small_drop"
+            break
+    return w, val, it, reason
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_energy_bound_no_worse_than_the_doubling_search(monkeypatch, tol):
+    sieve = build_sieve(128)
+    cases = list(itertools.product([4, 12, 32, 64, 128], [0, 3]))
+    got = [minimize_energy(N, tolerance=tol, seed=seed, sieve=sieve).value
+           for N, seed in cases]
+    monkeypatch.setattr(minimize, "_pgd_energy", _doubling_pgd)
+    for (N, seed), value in zip(cases, got):
+        ref = minimize_energy(N, tolerance=tol, seed=seed, sieve=sieve)
+        assert value <= ref.value * (1 + 1e-12), (N, seed, value, ref.value)
+
+
+def test_energy_spectral_step_saves_counts(monkeypatch):
+    # The doubling search alone takes 15,870 counts here.
+    calls = []
+    counts = EnergyIndex.counts
+
+    def counted(self, w):
+        calls.append(1)
+        return counts(self, w)
+
+    monkeypatch.setattr(EnergyIndex, "counts", counted)
+    res = minimize_energy(32, restarts=4, seed=0, tolerance=1e-12)
+    assert res.converged
+    assert len(calls) <= 500
+
+
+def test_energy_spectral_failure_falls_back_to_the_search():
+    # Without the backtracking fallback this run ends on no_armijo_step.
+    res = minimize_energy(256, restarts=4, seed=0, sieve=build_sieve(256))
+    assert res.converged
+    assert res.stop_reason in ("small_move", "small_drop")
+
+
 def test_witness_chain_holds():
     sieve = build_sieve(2048)
     beta = solve_beta().beta
@@ -686,6 +755,20 @@ def test_energy_below_the_witness_domain_ignores_the_sieve(N):
 def test_scaling_e_rows_below_the_witness_domain_report_nan():
     rows = scaling_report("E", [2, 3, 4]).values["rows"]
     assert [math.isnan(row["witness_value"]) for row in rows] == [True, True, False]
+
+
+def test_scaling_report_hands_its_tolerance_to_the_energy_solve(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tolerance"])
+        return minimize_energy(*args, **kwargs)
+
+    monkeypatch.setattr(minimize, "minimize_energy", spy)
+    for tol in (1e-3, 1e-8):
+        rep = scaling_report("E", [8], tolerance=tol)
+        assert rep.parameters["tolerance"] == tol
+    assert seen == [1e-3, 1e-8]
 
 
 def test_scaling_report_shape():
