@@ -29,7 +29,7 @@ from .characters import (
 )
 from .forms import KernelKind, KernelSpec, WeightVector, e_form, v_form
 from .minimize import minimize_energy, minimize_quadratic
-from .report import ExperimentReport, Timer
+from .report import ExperimentReport
 
 # burgess_experiment runs every nonprincipal character over about 2p
 # values, in blocks of about 2^16, so this limits its O(p^2) time, not its
@@ -103,22 +103,25 @@ def burgess_R(c: WeightVector, A: int, M: int, N: int, p: int) -> float:
     return float(r @ r)
 
 
-def _burgess_weights(c_mode: str, A: int, sieve: FactorSieve | None) -> WeightVector:
+def _burgess_weights(c_mode: str, A: int,
+                     sieve: FactorSieve | None) -> tuple[WeightVector, str]:
+    """The weights and which of uniform, witness or minimizer they are."""
     if c_mode == "uniform":
-        return WeightVector.from_weights(np.ones(A))
+        return WeightVector.from_weights(np.ones(A)), "uniform"
     if c_mode == "minimizer":
         res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), A, tolerance=1e-8)
-        return res.minimizer
+        return res.minimizer, "minimizer"
     if c_mode == "witness":
         if sieve is not None:
             from .extremal import EmptyWitnessError, witness_t
             from .constants import solve_beta
 
             try:
-                return witness_t(sieve, A, solve_beta().beta)
+                return witness_t(sieve, A, solve_beta().beta), "witness"
             except EmptyWitnessError:
                 pass
-        return WeightVector.from_weights(np.ones(A))  # no witness at this A
+        # No witness at this A.
+        return WeightVector.from_weights(np.ones(A)), "uniform"
     raise ValueError(f"unknown c_mode {c_mode!r}")
 
 
@@ -149,96 +152,95 @@ def burgess_experiment(
     if not 1 <= N <= 2 * p:
         # The windows ]m, m+N] run over m = 0..2p-N.
         raise ValueError(f"window length N must satisfy 1 <= N <= 2p, got N={N}")
-    with Timer() as tm:
-        table = table or build_table(p)
-        A_raw = int(N / (16 * r * p ** (1 / (2 * r))))
-        B_raw = int(r * p ** (1 / (2 * r)))
-        # Degenerate regimes are clamped to 1 so small-p experiments still run.
-        A = max(1, A_raw)
-        B = max(1, B_raw)
-        c = _burgess_weights(c_mode, A, sieve)
-        rvals = burgess_r_values(c, M, N, p)
-        sum_r = float(rvals.sum())
-        R = float(rvals @ rvals)
+    table = table or build_table(p)
+    A_raw = int(N / (16 * r * p ** (1 / (2 * r))))
+    B_raw = int(r * p ** (1 / (2 * r)))
+    # Degenerate regimes are clamped to 1 so small-p experiments still run.
+    A = max(1, A_raw)
+    B = max(1, B_raw)
+    c, c_used = _burgess_weights(c_mode, A, sieve)
+    rvals = burgess_r_values(c, M, N, p)
+    sum_r = float(rvals.sum())
+    R = float(rvals @ rvals)
 
-        rep = ExperimentReport(
-            "burgess",
-            parameters={"p": p, "r": r, "N": N, "M": M, "c_mode": c_mode,
-                        "A": A, "B": B, "A_raw": A_raw, "B_raw": B_raw},
-        )
-        rep.check("sum_r_equals_N_times_norm", sum_r, N * c.one_norm,
-                  math.isclose(sum_r, N * c.one_norm, rel_tol=1e-9))
-        v_at_c = v_form(c)
-        if A <= N and A * N <= p:
-            bound = c.one_norm**2 + 2 * N * v_at_c
-            rep.check("R_bound_gcd_form", R, bound, R <= bound * (1 + 1e-12))
+    rep = ExperimentReport(
+        "burgess",
+        parameters={"p": p, "r": r, "N": N, "M": M, "c_mode": c_mode,
+                    "A": A, "B": B, "A_raw": A_raw, "B_raw": B_raw},
+    )
+    rep.check("sum_r_equals_N_times_norm", sum_r, N * c.one_norm,
+              math.isclose(sum_r, N * c.one_norm, rel_tol=1e-9))
+    v_at_c = v_form(c)
+    if A <= N and A * N <= p:
+        bound = c.one_norm**2 + 2 * N * v_at_c
+        rep.check("R_bound_gcd_form", R, bound, R <= bound * (1 + 1e-12))
 
-        weil_rhs = weil_bound(B, r, p)
-        holder_min_slack = math.inf
-        max_abs_s = 0.0
-        max_window = 0.0
-        # chi_j(n) for n = 0..L-1 is a gather from the p-1 roots of unity, at
-        # (j * ind(n)) mod (p-1), for a block of characters at a time. One
-        # prefix sum C[k] = sum_{n<=k} chi(n) then gives the shifted sums
-        # I(l) = C[l+B] - C[l], l = 1..p, and the window sums
-        # S = C[m+N] - C[m], m = 0..2p-N. The roots are computed by the
-        # expression of DirichletCharacter.values, so chi agrees bit for bit.
-        m = p - 1
-        roots = np.exp(2j * np.pi * np.arange(m) / m)
-        L = max(p + B + 1, 2 * p + 1)
-        ns = np.arange(L, dtype=np.int64) % p
-        ind = table.dlog[ns]
-        zero = ns == 0
-        # About 2^16 values (1 MiB of complex) per block array.
-        block = max(1, (1 << 16) // L)
-        for j0 in range(1, p - 1, block):
-            js = np.arange(j0, min(j0 + block, p - 1), dtype=np.int64)
-            vals = roots[np.outer(js, ind) % m]
-            vals[:, zero] = 0.0
-            cum = np.cumsum(vals, axis=1)
-            abs_inner = np.abs(cum[:, B + 1 : p + B + 1] - cum[:, 1 : p + 1])
-            w_moments = (abs_inner ** (2 * r)).sum(axis=1)
-            windows = np.abs(cum[:, N : 2 * p + 1] - cum[:, : 2 * p + 1 - N])
-            max_window = max(max_window, float(windows.max()))
-            for j, inner_j, w_moment in zip(js, abs_inner, w_moments):
-                w_moment = float(w_moment)
-                if w_moment > weil_rhs * (1 + 1e-12):
-                    rep.check(f"weil_moment_chi_{j}", w_moment, weil_rhs, False)
-                s_val = float(rvals @ inner_j)
-                lhs = s_val ** (2 * r)
-                rhs = sum_r ** (2 * r - 2) * R * w_moment
-                slack = rhs - lhs
-                holder_min_slack = min(holder_min_slack, slack)
-                if lhs > rhs * (1 + 1e-9):
-                    rep.check(f"holder_chain_chi_{j}", lhs, rhs, False)
-                max_abs_s = max(max_abs_s, s_val)
-        rep.check("holder_chain_all_chi", holder_min_slack, 0.0,
-                  holder_min_slack >= -1e-9)
-        rep.check("trivial_window_bound", max_window, float(N),
-                  max_window <= N + 1e-9)
+    weil_rhs = weil_bound(B, r, p)
+    holder_min_slack = math.inf
+    max_abs_s = 0.0
+    max_window = 0.0
+    # chi_j(n) for n = 0..L-1 is a gather from the p-1 roots of unity, at
+    # (j * ind(n)) mod (p-1), for a block of characters at a time. One
+    # prefix sum C[k] = sum_{n<=k} chi(n) then gives the shifted sums
+    # I(l) = C[l+B] - C[l], l = 1..p, and the window sums
+    # S = C[m+N] - C[m], m = 0..2p-N. The roots are computed by the
+    # expression of DirichletCharacter.values, so chi agrees bit for bit.
+    m = p - 1
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    L = max(p + B + 1, 2 * p + 1)
+    ns = np.arange(L, dtype=np.int64) % p
+    ind = table.dlog[ns]
+    zero = ns == 0
+    # About 2^16 values (1 MiB of complex) per block array.
+    block = max(1, (1 << 16) // L)
+    for j0 in range(1, p - 1, block):
+        js = np.arange(j0, min(j0 + block, p - 1), dtype=np.int64)
+        vals = roots[np.outer(js, ind) % m]
+        vals[:, zero] = 0.0
+        cum = np.cumsum(vals, axis=1)
+        abs_inner = np.abs(cum[:, B + 1 : p + B + 1] - cum[:, 1 : p + 1])
+        w_moments = (abs_inner ** (2 * r)).sum(axis=1)
+        windows = np.abs(cum[:, N : 2 * p + 1] - cum[:, : 2 * p + 1 - N])
+        max_window = max(max_window, float(windows.max()))
+        for j, inner_j, w_moment in zip(js, abs_inner, w_moments):
+            w_moment = float(w_moment)
+            if w_moment > weil_rhs * (1 + 1e-12):
+                rep.check(f"weil_moment_chi_{j}", w_moment, weil_rhs, False)
+            s_val = float(rvals @ inner_j)
+            lhs = s_val ** (2 * r)
+            rhs = sum_r ** (2 * r - 2) * R * w_moment
+            slack = rhs - lhs
+            holder_min_slack = min(holder_min_slack, slack)
+            if lhs > rhs * (1 + 1e-9):
+                rep.check(f"holder_chain_chi_{j}", lhs, rhs, False)
+            max_abs_s = max(max_abs_s, s_val)
+    rep.check("holder_chain_all_chi", holder_min_slack, 0.0,
+              holder_min_slack >= -1e-9)
+    rep.check("trivial_window_bound", max_window, float(N),
+              max_window <= N + 1e-9)
 
-        t_caps = [minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), x,
-                                     tolerance=1e-8).scaled_value
-                  for x in range(1, A + 1)]
-        v_caps = [minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), x,
-                                     tolerance=1e-8).scaled_value
-                  for x in range(1, A + 1)]
-        base_shape = N ** (1 - 1 / r) * p ** ((r + 1) / (4 * r**2))
-        shape_t = base_shape * max(t_caps) ** (1 / (2 * r))
-        shape_v = base_shape * max(v_caps) ** (1 / (2 * r))
-        rep.values.update({
-            "sum_r": sum_r,
-            "R": R,
-            "v_form_at_c": v_at_c,
-            "max_S_window": max_window,
-            "max_averaged_S": max_abs_s,
-            "shape_T_normalization": shape_t,
-            "shape_V_normalization": shape_v,
-            "ratio_T": max_window / shape_t,
-            "ratio_V": max_window / shape_v,
-            "holder_min_slack": holder_min_slack,
-        })
-    rep.timing_ms = tm.ms
+    t_caps = [minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), x,
+                                 tolerance=1e-8).scaled_value
+              for x in range(1, A + 1)]
+    v_caps = [minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), x,
+                                 tolerance=1e-8).scaled_value
+              for x in range(1, A + 1)]
+    base_shape = N ** (1 - 1 / r) * p ** ((r + 1) / (4 * r**2))
+    shape_t = base_shape * max(t_caps) ** (1 / (2 * r))
+    shape_v = base_shape * max(v_caps) ** (1 / (2 * r))
+    rep.values.update({
+        "sum_r": sum_r,
+        "R": R,
+        "v_form_at_c": v_at_c,
+        "max_S_window": max_window,
+        "max_averaged_S": max_abs_s,
+        "shape_T_normalization": shape_t,
+        "shape_V_normalization": shape_v,
+        "ratio_T": max_window / shape_t,
+        "ratio_V": max_window / shape_v,
+        "holder_min_slack": holder_min_slack,
+        "c_used": c_used,
+    })
     return rep
 
 
@@ -335,51 +337,49 @@ def low_moment_experiment(
     if not 1 <= N < p:
         raise ValueError("need 1 <= N < p")
     u, v, s, t = low_moment_exponents(r)
-    with Timer() as tm:
-        if table is None:
-            # The table, then the second sums with the first's p - 1
-            # complex values held.
-            require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
-                               f"low moments at p={p}, N={N}")
-            table = build_table(p)
-        if c is not None and c.n_max != N:
-            raise ValueError("weights must have length N")
-        ns = np.arange(1, N + 1, dtype=np.int64)
-        # All characters, j = 0 first; [1:] keeps the nonprincipal ones.
-        S = character_sums(table, ns, np.ones(N))[1:]
-        # Unit weights (the default) mollify with S itself.
-        Mol = np.conj(S if c is None else character_sums(table, ns, c.weights)[1:])
-        norm = p - 2
-        s_r = float((np.abs(S) ** r).sum()) / norm
-        s_2 = float((np.abs(S) ** 2).sum()) / norm
-        m_4 = float((np.abs(Mol) ** 4).sum()) / norm
-        cross = abs(complex((S * Mol).sum())) / norm
+    if table is None:
+        # The table, then the second sums with the first's p - 1
+        # complex values held.
+        require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
+                           f"low moments at p={p}, N={N}")
+        table = build_table(p)
+    if c is not None and c.n_max != N:
+        raise ValueError("weights must have length N")
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    # All characters, j = 0 first; [1:] keeps the nonprincipal ones.
+    S = character_sums(table, ns, np.ones(N))[1:]
+    # Unit weights (the default) mollify with S itself.
+    Mol = np.conj(S if c is None else character_sums(table, ns, c.weights)[1:])
+    norm = p - 2
+    s_r = float((np.abs(S) ** r).sum()) / norm
+    s_2 = float((np.abs(S) ** 2).sum()) / norm
+    m_4 = float((np.abs(Mol) ** 4).sum()) / norm
+    cross = abs(complex((S * Mol).sum())) / norm
 
-        rep = ExperimentReport(
-            "lowmoment",
-            parameters={"p": p, "N": N, "r": r, "u": u, "v": v, "s": s, "t": t},
-        )
-        rep.check("exponent_identity", 1 / s + 1 / t + 1 / 4, 1.0,
-                  math.isclose(1 / s + 1 / t + 1 / 4, 1.0, rel_tol=1e-12))
-        holder_rhs = s_r ** (1 / s) * s_2 ** (1 / t) * m_4 ** (1 / 4)
-        rep.check("holder_moments", cross, holder_rhs,
-                  cross <= holder_rhs + 1e-9 * max(holder_rhs, 1.0))
-        s2_exact = ((p - 1) * N - N * N) / (p - 2)
-        rep.check("second_moment_identity", s_2, s2_exact,
-                  math.isclose(s_2, s2_exact, rel_tol=1e-9, abs_tol=1e-9))
+    rep = ExperimentReport(
+        "lowmoment",
+        parameters={"p": p, "N": N, "r": r, "u": u, "v": v, "s": s, "t": t},
+    )
+    rep.check("exponent_identity", 1 / s + 1 / t + 1 / 4, 1.0,
+              math.isclose(1 / s + 1 / t + 1 / 4, 1.0, rel_tol=1e-12))
+    holder_rhs = s_r ** (1 / s) * s_2 ** (1 / t) * m_4 ** (1 / 4)
+    rep.check("holder_moments", cross, holder_rhs,
+              cross <= holder_rhs + 1e-9 * max(holder_rhs, 1.0))
+    s2_exact = ((p - 1) * N - N * N) / (p - 2)
+    rep.check("second_moment_identity", s_2, s2_exact,
+              math.isclose(s_2, s2_exact, rel_tol=1e-9, abs_tol=1e-9))
 
-        nu = min(N, p / N)
-        nu_int = max(1, int(nu))
-        ratio = None
-        if nu_int <= energy_budget:
-            e_nu = minimize_energy(nu_int, restarts=3).scaled_value
-            ratio = s_r * e_nu ** (1 - r / 2) / N ** (r / 2)
-            rep.values["E_nu_upper_bound"] = e_nu
-        rep.values.update({
-            "moment_r": s_r, "moment_2": s_2, "mollified_4": m_4,
-            "cross_term": cross, "nu": nu, "ratio_vs_shape": ratio,
-        })
-    rep.timing_ms = tm.ms
+    nu = min(N, p / N)
+    nu_int = max(1, int(nu))
+    ratio = None
+    if nu_int <= energy_budget:
+        e_nu = minimize_energy(nu_int, restarts=3).scaled_value
+        ratio = s_r * e_nu ** (1 - r / 2) / N ** (r / 2)
+        rep.values["E_nu_upper_bound"] = e_nu
+    rep.values.update({
+        "moment_r": s_r, "moment_2": s_2, "mollified_4": m_4,
+        "cross_term": cross, "nu": nu, "ratio_vs_shape": ratio,
+    })
     return rep
 
 

@@ -1,15 +1,17 @@
 """Command-line entry point.
 
-One experiment per invocation; the report is a single JSON document on
-stdout (CSV is a projection of the same numbers via --csv). Exit codes:
-0 success, 1 failed assertion, 2 usage error or degenerate input,
-3 budget violation, 4 internal error.
+One experiment per invocation. Each command only builds and returns an
+ExperimentReport; main() times the command, from after argument parsing
+to the returned report, and emits it: a single JSON document on stdout
+(CSV is a projection of the same numbers via --csv), then on stderr the
+time and, for a report with assertions, its count of checks and
+failures. Exit codes: 0 success, 1 failed assertion, 2 usage error or
+degenerate input, 3 budget violation, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import traceback
@@ -45,160 +47,139 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(report: ExperimentReport, csv: bool) -> int:
-    if csv:
-        rows = report.values.get("rows")
-        if rows:
-            keys = list(rows[0].keys())
-            print(",".join(keys))
-            for row in rows:
-                print(",".join("" if row[k] is None else repr(row[k])
-                               for k in keys))
-        else:
-            print("key,value")
-            for k in sorted(report.values):
-                print(f"{k},{report.values[k]!r}")
-    else:
+def _emit(report: ExperimentReport, args) -> None:
+    """The report on stdout, as JSON or as CSV rows; its time and, if it
+    carries assertions, their count and failures on stderr."""
+    if not args.csv:
         print(report.to_json())
+    elif rows := args.csv_rows(report):
+        keys = list(rows[0].keys())
+        print(",".join(keys))
+        for row in rows:
+            print(",".join("" if row[k] is None else repr(row[k])
+                           for k in keys))
+    else:
+        print("key,value")
+        for k in sorted(report.values):
+            print(f"{k},{report.values[k]!r}")
     print(f"[galmin] {report.experiment}: {report.timing_ms:.1f} ms",
           file=sys.stderr)
-    return EXIT_OK if report.all_hold else EXIT_ASSERTION
+    if report.assertions:
+        n_fail = sum(1 for a in report.assertions if not a.holds)
+        print(f"[galmin] {report.experiment}: {len(report.assertions)} checks, "
+              f"{n_fail} failures", file=sys.stderr)
 
 
-def _cmd_constants(args) -> int:
-    with Timer() as tm:
-        pc = solve_beta(args.tol)
-    rep = ExperimentReport("constants", parameters={"tolerance": args.tol},
-                           values=pc.as_dict())
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
+def _cmd_constants(args) -> ExperimentReport:
+    pc = solve_beta(args.tol)
+    return ExperimentReport("constants", parameters={"tolerance": args.tol},
+                            values=pc.as_dict())
 
 
-def _cmd_minimize(args) -> int:
-    with Timer() as tm:
-        if args.form == "e":
-            sieve = build_sieve(max(args.n, 16))
-            res = minimize_energy(args.n, tolerance=args.tol,
-                                  restarts=args.restarts, seed=args.seed,
-                                  sieve=sieve)
-        else:
-            kind = KernelKind.V_KERNEL if args.form == "v" else KernelKind.T_KERNEL
-            res = minimize_quadratic(KernelSpec(kind), args.n, tolerance=args.tol)
-    rep = ExperimentReport(
+def _cmd_minimize(args) -> ExperimentReport:
+    if args.form == "e":
+        sieve = build_sieve(max(args.n, 16))
+        res = minimize_energy(args.n, tolerance=args.tol,
+                              restarts=args.restarts, seed=args.seed,
+                              sieve=sieve)
+    else:
+        kind = KernelKind.V_KERNEL if args.form == "v" else KernelKind.T_KERNEL
+        res = minimize_quadratic(KernelSpec(kind), args.n, tolerance=args.tol)
+    return ExperimentReport(
         "minimize",
         parameters={"form": args.form, "n": args.n, "tol": args.tol,
                     "restarts": args.restarts, "seed": args.seed},
         values=res.as_dict(),
     )
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
 
 
-def _cmd_scaling(args) -> int:
+def _cmd_scaling(args) -> ExperimentReport:
     n_list = [int(x) for x in args.n_list.split(",")]
-    rep = scaling_report(args.form.upper(), n_list, tolerance=args.tol,
-                         seed=args.seed)
-    return _emit(rep, args.csv)
+    return scaling_report(args.form.upper(), n_list, tolerance=args.tol,
+                          seed=args.seed)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> ExperimentReport:
     sieve = build_sieve(max(args.n, 16))
-    with Timer() as tm:
-        if args.kind == "t":
-            beta = solve_beta().beta
-            wv = witness_t(sieve, args.n, beta, C=args.C)
-        else:
-            wv = witness_e(sieve, args.n, C=args.C)
+    if args.kind == "t":
+        beta = solve_beta().beta
+        wv = witness_t(sieve, args.n, beta, C=args.C)
+    else:
+        wv = witness_e(sieve, args.n, C=args.C)
     support = [int(v) for v in wv.support()]
-    rep = ExperimentReport(
+    return ExperimentReport(
         "witness",
         parameters={"kind": args.kind, "n": args.n, "C": args.C},
         values={"support_size": len(support), "support": support},
     )
-    rep.timing_ms = tm.ms
-    if args.csv:
-        print("n")
-        for v in support:
-            print(v)
-        return EXIT_OK
-    return _emit(rep, False)
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args) -> ExperimentReport:
     sieve = build_sieve(max(args.x, 16))
-    with Timer() as tm:
-        values = {
-            "N_k": level_set_count(sieve, args.x, args.k),
-            "F_k": filtered_count(sieve, args.x, args.k, args.C),
-        }
-        if args.table_n is not None:
-            values["H"] = multiplication_table_count(args.table_n)
-    rep = ExperimentReport(
+    values = {
+        "N_k": level_set_count(sieve, args.x, args.k),
+        "F_k": filtered_count(sieve, args.x, args.k, args.C),
+    }
+    if args.table_n is not None:
+        values["H"] = multiplication_table_count(args.table_n)
+    return ExperimentReport(
         "counts",
         parameters={"x": args.x, "k": args.k, "C": args.C,
                     "table_n": args.table_n},
         values=values,
     )
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
 
 
-def _cmd_charsum(args) -> int:
-    with Timer() as tm:
-        table = build_table(args.p)
-        s = char_sum(table.character(args.j), args.m, args.n)
-    rep = ExperimentReport(
+def _cmd_charsum(args) -> ExperimentReport:
+    table = build_table(args.p)
+    s = char_sum(table.character(args.j), args.m, args.n)
+    return ExperimentReport(
         "charsum",
         parameters={"p": args.p, "j": args.j, "m": args.m, "n": args.n},
         values={"sum_re": s.real, "sum_im": s.imag, "abs": abs(s)},
     )
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> ExperimentReport:
     if not args.all_even and not (args.j % 2 == 0 and 0 <= args.j <= args.p - 3):
         raise ValueError(f"--j must be even with 0 <= j <= p-3, got {args.j}")
-    with Timer() as tm:
-        table = build_table(args.p)
-        config = ThetaConfig(x=args.x)
-        thetas = theta_all_even(table, config)
-        if args.all_even:
-            rows = [{"j": 2 * i, "theta_re": float(t.real),
-                     "theta_im": float(t.imag), "abs": float(abs(t))}
-                    for i, t in enumerate(thetas)]
-            values = {"rows": rows}
-        else:
-            t0 = thetas[args.j // 2]
-            values = {"theta_re": t0.real, "theta_im": t0.imag, "abs": abs(t0)}
-    rep = ExperimentReport("theta",
-                           parameters={"p": args.p, "x": args.x, "j": args.j,
-                                       "all_even": args.all_even},
-                           values=values)
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
+    table = build_table(args.p)
+    config = ThetaConfig(x=args.x)
+    thetas = theta_all_even(table, config)
+    if args.all_even:
+        rows = [{"j": 2 * i, "theta_re": float(t.real),
+                 "theta_im": float(t.imag), "abs": float(abs(t))}
+                for i, t in enumerate(thetas)]
+        values = {"rows": rows}
+    else:
+        t0 = thetas[args.j // 2]
+        values = {"theta_re": t0.real, "theta_im": t0.imag, "abs": abs(t0)}
+    return ExperimentReport("theta",
+                            parameters={"p": args.p, "x": args.x, "j": args.j,
+                                        "all_even": args.all_even},
+                            values=values)
 
 
-def _make_mollify_weights(mode: str, q: int):
+def _make_mollify_weights(mode: str, q: int) -> tuple[WeightVector, str]:
+    """The weights and which of uniform, witness or file they are."""
     if mode == "uniform":
-        return WeightVector.from_weights(np.ones(q))
+        return WeightVector.from_weights(np.ones(q)), "uniform"
     if mode == "witness":
         sieve = build_sieve(max(q, 16))
         try:
-            return witness_e(sieve, q)
+            return witness_e(sieve, q), "witness"
         except EmptyWitnessError:
-            return WeightVector.from_weights(np.ones(q))
+            return WeightVector.from_weights(np.ones(q)), "uniform"
     # file mode: one weight per line
     with open(mode) as fh:
         data = [float(line) for line in fh]
-    return WeightVector.from_weights(np.array(data))
+    return WeightVector.from_weights(np.array(data)), "file"
 
 
-def _cmd_mollify(args) -> int:
-    with Timer() as tm:
-        q = math.isqrt(args.p // 3)
-        c = _make_mollify_weights(args.weights, q)
-        mm = mollified_moments(args.p, args.x, c)
+def _cmd_mollify(args) -> ExperimentReport:
+    q = math.isqrt(args.p // 3)
+    c, weights_used = _make_mollify_weights(args.weights, q)
+    mm = mollified_moments(args.p, args.x, c)
     rep = ExperimentReport(
         "mollify",
         parameters={"p": args.p, "x": args.x, "weights": args.weights,
@@ -206,53 +187,45 @@ def _cmd_mollify(args) -> int:
         values={"M0": mm.M0, "M1_re": mm.M1.real, "M1_im": mm.M1.imag,
                 "M2": mm.M2, "M4": mm.M4,
                 "holder_lower_bound": mm.holder_lower_bound,
-                "theta_min_abs": mm.theta_min_abs},
+                "theta_min_abs": mm.theta_min_abs,
+                "weights_used": weights_used},
     )
     rep.check("M0_vs_holder", mm.M0, mm.holder_lower_bound - 1e-6,
               mm.M0 >= mm.holder_lower_bound - 1e-6)
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
+    return rep
 
 
-def _cmd_burgess(args) -> int:
+def _cmd_burgess(args) -> ExperimentReport:
     sieve = build_sieve(max(args.n, 16))
-    rep = burgess_experiment(args.p, args.r, args.n, M=args.m,
-                             c_mode=args.c_mode, sieve=sieve)
-    return _emit(rep, args.csv)
+    return burgess_experiment(args.p, args.r, args.n, M=args.m,
+                              c_mode=args.c_mode, sieve=sieve)
 
 
-def _cmd_lowmoment(args) -> int:
-    rep = low_moment_experiment(args.p, args.n, args.r)
-    return _emit(rep, args.csv)
+def _cmd_lowmoment(args) -> ExperimentReport:
+    return low_moment_experiment(args.p, args.n, args.r)
 
 
-def _cmd_polyzeta(args) -> int:
-    with Timer() as tm:
-        out = zeta_poly_moment(args.n, args.t, args.r, args.step)
-    rep = ExperimentReport(
+def _cmd_polyzeta(args) -> ExperimentReport:
+    out = zeta_poly_moment(args.n, args.t, args.r, args.step)
+    return ExperimentReport(
         "polyzeta",
         parameters={"n": args.n, "t": args.t, "r": args.r, "step": args.step},
         values=out,
     )
-    rep.timing_ms = tm.ms
-    return _emit(rep, args.csv)
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> ExperimentReport:
     from .verify import run_verification
 
-    rep = run_verification(seed=args.seed, fast=args.fast)
-    code = _emit(rep, args.csv)
-    n_fail = sum(1 for a in rep.assertions if not a.holds)
-    print(f"[galmin] verify-all: {len(rep.assertions)} checks, "
-          f"{n_fail} failures", file=sys.stderr)
-    return code
+    return run_verification(seed=args.seed, fast=args.fast)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="galmin")
     parser.add_argument("--csv", action="store_true",
                         help="emit tabular output as CSV instead of JSON")
+    # The CSV rows of a report: its "rows" value unless a command says.
+    parser.set_defaults(csv_rows=lambda rep: rep.values.get("rows"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants")
@@ -278,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["t", "e"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--C", type=float, default=3.0)
-    p.set_defaults(func=_cmd_witness)
+    p.set_defaults(func=_cmd_witness,
+                   csv_rows=lambda rep: [{"n": m} for m in rep.values["support"]])
 
     p = sub.add_parser("counts")
     p.add_argument("--x", type=int, required=True)
@@ -343,7 +317,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with Timer() as tm:
+            report = args.func(args)
+        report.timing_ms = tm.ms
+        _emit(report, args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -354,6 +331,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+    return EXIT_OK if report.all_hold else EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -373,8 +373,8 @@ def minimize_with_witness(
 ) -> tuple[MinimizationResult, float]:
     """Quadratic minimization started from the better of the uniform vector
     and the normalized level-set witness; returns (result, witness value).
-    Where the witness is empty (N < 16 or C too small) the uniform vector
-    stands in for it, and its value is the one returned.
+    Where the witness is empty (N < 16 or C too small) the run starts from
+    the uniform vector and the witness value is NaN.
 
     Starting at (or below) the witness makes result.value <= witness value
     a monotonicity guarantee rather than a convergence hope.
@@ -390,21 +390,23 @@ def minimize_with_witness(
     def objective(c: WeightVector) -> float:
         return float(c.weights @ op.matvec(c.weights))
 
+    start = WeightVector.uniform(N)
+    start_value = objective(start)
     try:
         wit = witness_t(sieve, N, beta, C=witness_c).normalized()
     except EmptyWitnessError:
-        wit = WeightVector.uniform(N)
-    uniform = WeightVector.uniform(N)
-    wit_value, uniform_value = objective(wit), objective(uniform)
-    start = wit if wit_value <= uniform_value else uniform
+        wit_value = float("nan")
+    else:
+        wit_value = objective(wit)
+        if wit_value <= start_value:
+            start, start_value = wit, wit_value
     res = minimize_quadratic(KernelSpec(kind), N, tolerance=tolerance,
                              max_iters=max_iters, start=start, operator=op)
-    if res.value > min(wit_value, uniform_value):
+    if res.value > start_value:
         # Line-search FW is monotone, so this can only be float noise.
         res = MinimizationResult(
             objective_kind=res.objective_kind, n=N, minimizer=start,
-            value=min(wit_value, uniform_value),
-            scaled_value=N * min(wit_value, uniform_value),
+            value=start_value, scaled_value=N * start_value,
             iterations=res.iterations, certificate_gap=res.certificate_gap,
             converged=False, provenance=res.provenance + ";start_retained",
             stop_reason=res.stop_reason,
@@ -427,7 +429,7 @@ def scaling_report(
     from .arith import build_sieve
     from .constants import solve_beta
     from .extremal import EmptyWitnessError, witness_e
-    from .report import ExperimentReport, Timer
+    from .report import ExperimentReport
 
     if objective_kind not in ("V", "T", "E"):
         raise ValueError(f"unknown objective kind {objective_kind!r}")
@@ -439,29 +441,28 @@ def scaling_report(
     beta = solve_beta().beta
 
     rows = []
-    with Timer() as tm:
-        for n in n_list:
-            if objective_kind == "E":
-                res = minimize_energy(n, tolerance=tolerance, restarts=4,
-                                      seed=seed, sieve=sieve)
-                try:
-                    wit_val = e_form(witness_e(sieve, n).normalized())
-                except EmptyWitnessError:
-                    wit_val = float("nan")
-                gap = None
-            else:
-                kind = KernelKind.V_KERNEL if objective_kind == "V" else KernelKind.T_KERNEL
-                res, wit_val = minimize_with_witness(kind, n, sieve, beta,
-                                                     tolerance=tolerance)
-                gap = res.certificate_gap
-            rows.append({
-                "N": n,
-                "raw_inf": res.value,
-                "scaled_inf": res.scaled_value,
-                "witness_value": wit_val,
-                "gap": gap,
-                "stop_reason": res.stop_reason,
-            })
+    for n in n_list:
+        if objective_kind == "E":
+            res = minimize_energy(n, tolerance=tolerance, restarts=4,
+                                  seed=seed, sieve=sieve)
+            try:
+                wit_val = e_form(witness_e(sieve, n).normalized())
+            except EmptyWitnessError:
+                wit_val = float("nan")
+            gap = None
+        else:
+            kind = KernelKind.V_KERNEL if objective_kind == "V" else KernelKind.T_KERNEL
+            res, wit_val = minimize_with_witness(kind, n, sieve, beta,
+                                                 tolerance=tolerance)
+            gap = res.certificate_gap
+        rows.append({
+            "N": n,
+            "raw_inf": res.value,
+            "scaled_inf": res.scaled_value,
+            "witness_value": wit_val,
+            "gap": gap,
+            "stop_reason": res.stop_reason,
+        })
 
     slope = None
     if len(rows) >= 2:
@@ -470,15 +471,13 @@ def scaling_report(
         if np.ptp(xs) > 0:
             slope = float(np.polyfit(xs, ys, 1)[0])
 
-    rep = ExperimentReport(
+    return ExperimentReport(
         "scaling",
         parameters={"form": objective_kind, "n_list": n_list,
                     "tolerance": tolerance, "seed": seed},
         values={"rows": rows, "loglog_slope": slope,
                 "note": "exploratory; no asymptotic exponent asserted"},
     )
-    rep.timing_ms = tm.ms
-    return rep
 
 
 def _lattice_points(n: int, K: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from .forms import (
     vt_forms_pairwise,
 )
 from .minimize import grid_oracle, minimize_energy, minimize_quadratic
-from .report import ExperimentReport, Timer
+from .report import ExperimentReport
 
 
 def odd_primes(upto: int) -> list[int]:
@@ -57,27 +57,25 @@ def odd_primes(upto: int) -> list[int]:
 def run_verification(seed: int = 0, fast: bool = False) -> ExperimentReport:
     rng = np.random.default_rng(seed)
     rep = ExperimentReport("verify-all", parameters={"seed": seed, "fast": fast})
-    with Timer() as tm:
-        check_constants(rep, 1e-10)
-        _verify_arith(rep)
-        check_kernel_inequality(rep, rng, 50 if fast else 200)
-        check_t_naive_vs_fast(rep, rng, 10 if fast else 25,
-                              (2, 1000 if fast else 2000))
-        _verify_energy(rep, rng)
-        _verify_closed_forms(rep)
-        check_small_n_infima(rep, (3, 4, 5))
-        check_multiplication_table_counts(rep)
-        check_character_sums(rep, odd_primes(50 if fast else 300))
-        _verify_orthogonality(rep)
-        check_polya_decay(rep, [31, 101] if fast else [31, 101, 199, 293])
-        _verify_shifted_sums(rep, rng, [5, 13, 31] if fast
-                             else [5, 13, 31, 61, 101, 151, 199])
-        check_mollified_moments(rep, rng, [13, 31] if fast
-                                else [13, 31, 61, 101, 151])
-        check_low_moment_holder(
-            rep, [(p, max(1, math.isqrt(p) - 1))
-                  for p in ([31, 61] if fast else [31, 61, 101, 151])])
-    rep.timing_ms = tm.ms
+    check_constants(rep, 1e-10)
+    _verify_arith(rep)
+    check_kernel_inequality(rep, rng, 50 if fast else 200)
+    check_t_naive_vs_fast(rep, rng, 10 if fast else 25,
+                          (2, 1000 if fast else 2000))
+    _verify_energy(rep, rng)
+    _verify_closed_forms(rep)
+    check_small_n_infima(rep, (3, 4, 5))
+    check_multiplication_table_counts(rep)
+    check_character_sums(rep, odd_primes(50 if fast else 300))
+    _verify_orthogonality(rep)
+    check_polya_decay(rep, [31, 101] if fast else [31, 101, 199, 293])
+    _verify_shifted_sums(rep, rng, [5, 13, 31] if fast
+                         else [5, 13, 31, 61, 101, 151, 199])
+    check_mollified_moments(rep, rng, [13, 31] if fast
+                            else [13, 31, 61, 101, 151])
+    check_low_moment_holder(
+        rep, [(p, max(1, math.isqrt(p) - 1))
+              for p in ([31, 61] if fast else [31, 61, 101, 151])])
     return rep
 
 

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -10,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from galmin import cli
 from galmin.cli import (
     EXIT_ASSERTION,
     EXIT_BUDGET,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from galmin.report import ExperimentReport, Timer
@@ -370,7 +375,8 @@ GOLDEN_VERIFY_ALL_FAST = Path(__file__).parent / "data" / "verify_all_fast_seed0
 
 
 def _assert_matches_golden(got, want, where="$"):
-    """Names, ints and verdicts exactly; floats to rel 1e-12 (abs 1e-15)."""
+    """Names, ints and verdicts exactly; floats to rel 1e-12 (abs 1e-15),
+    NaN only where NaN is wanted."""
     assert type(got) is type(want), where
     if isinstance(want, dict):
         assert sorted(got) == sorted(want), where
@@ -380,10 +386,86 @@ def _assert_matches_golden(got, want, where="$"):
         assert len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
             _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), where
     elif isinstance(want, float):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (where, got, want)
     else:
         assert got == want, where
+
+
+_TIME_LINE = re.compile(r"\[galmin\] ([\w-]+): (\d+\.\d) ms")
+_CHECKS_LINE = re.compile(r"\[galmin\] ([\w-]+): (\d+) checks, 0 failures")
+
+
+def _assert_stderr_lines(err, n_checks):
+    """One time line; then a checks line exactly when there are checks.
+    Returns the time in ms."""
+    lines = err.splitlines()
+    assert len(lines) == 1 + (n_checks > 0), lines
+    time_line = _TIME_LINE.fullmatch(lines[0])
+    assert time_line, lines
+    if n_checks:
+        checks = _CHECKS_LINE.fullmatch(lines[1])
+        assert checks and checks[1] == time_line[1], lines
+        assert int(checks[2]) == n_checks, lines
+    return float(time_line[2])
+
+
+GOLDEN_CLI_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+def _csv_cells(text):
+    """CSV text as rows of ints, floats and strings (empty for None)."""
+    def cell(s):
+        for parse in (int, float):
+            try:
+                return parse(s)
+            except ValueError:
+                pass
+        return s
+
+    return [[cell(s) for s in line.split(",")] for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CLI_OUTPUTS))
+def test_cli_output_matches_golden(capsys, command):
+    # The README commands at their README sizes, plus CSV, witness-weight
+    # and below-the-witness-domain cases, stored when they last changed on
+    # purpose.
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    want = GOLDEN_CLI_OUTPUTS[command]
+    if isinstance(want, str):
+        _assert_matches_golden(_csv_cells(captured.out), _csv_cells(want))
+        n_checks = 0  # no tabular report carries assertions
+    else:
+        _assert_matches_golden(json.loads(captured.out), want)
+        n_checks = len(want["assertions"])
+    _assert_stderr_lines(captured.err, n_checks)
+
+
+@pytest.mark.parametrize("command", [
+    "witness --kind e --n 100",
+    "--csv witness --kind e --n 100",
+    "counts --x 1000 --k 2",
+    "burgess --p 101 --r 2 --n 30",
+])
+def test_reported_time_spans_the_sieve_build(capsys, monkeypatch, command):
+    build_sieve = cli.build_sieve
+
+    def slow_sieve(limit):
+        time.sleep(0.05)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", slow_sieve)
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    n_checks = 0 if "--csv" in command else len(json.loads(captured.out)["assertions"])
+    assert _assert_stderr_lines(captured.err, n_checks) >= 50.0
 
 
 def test_verify_all_fast(capsys):
@@ -488,6 +570,44 @@ def test_burgess_witness_mode_below_the_witness_domain_uses_unit_weights(capsys)
     assert witness["parameters"]["A"] < 16
     assert witness["values"] == uniform["values"]
     assert witness["assertions"] == uniform["assertions"]
+
+
+@pytest.mark.parametrize("argv,used", [
+    (["burgess", "--p", "101", "--r", "2", "--n", "30", "--c-mode", "witness"],
+     "uniform"),
+    (["burgess", "--p", "1999", "--r", "2", "--n", "3500", "--c-mode", "witness"],
+     "witness"),
+    (["burgess", "--p", "101", "--r", "2", "--n", "30", "--c-mode", "minimizer"],
+     "minimizer"),
+    (["mollify", "--p", "31", "--x", "1.0", "--weights", "witness"], "uniform"),
+    (["mollify", "--p", "499", "--x", "1.0", "--weights", "witness"], "witness"),
+], ids=["burgess-A1", "burgess-A16", "burgess-minimizer", "mollify-q3",
+        "mollify-q12"])
+def test_reports_say_which_weights_they_used(capsys, argv, used):
+    code, out = _run(capsys, *argv)
+    assert code == EXIT_OK
+    values = json.loads(out)["values"]
+    assert values["c_used" if argv[0] == "burgess" else "weights_used"] == used
+
+
+def test_mollify_weights_file_is_reported(capsys, tmp_path):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1.0\n0.5\n0.25\n")
+    code, out = _run(capsys, "mollify", "--p", "31", "--x", "1.0",
+                     "--weights", str(weights))
+    assert code == EXIT_OK
+    assert json.loads(out)["values"]["weights_used"] == "file"
+
+
+def test_readme_commands_parse_and_cover_every_subcommand():
+    parser = build_parser()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = [line.split("#")[0] for line in readme.splitlines()
+                if line.startswith("galmin ")]
+    used = {parser.parse_args(shlex.split(c)[1:]).command for c in commands}
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert used == set(subparsers.choices)
 
 
 def test_scaling_e_below_the_witness_domain_reports_nan(capsys):

@@ -714,8 +714,8 @@ def test_witness_start_below_its_domain_is_the_uniform_vector(kind):
     res, wit_val = minimize_with_witness(kind, N, build_sieve(16),
                                          solve_beta().beta, max_iters=50)
     u = WeightVector.uniform(N).weights
-    assert wit_val == float(u @ KernelOperator(kind, N).matvec(u))
-    assert res.value <= wit_val
+    assert math.isnan(wit_val)
+    assert res.value <= float(u @ KernelOperator(kind, N).matvec(u))
 
 
 @pytest.mark.parametrize("form", ["V", "T"])
@@ -750,6 +750,14 @@ def test_energy_below_the_witness_domain_ignores_the_sieve(N):
     without = minimize_energy(N, restarts=4, seed=5)
     assert with_sieve.as_dict() == without.as_dict()
     assert np.array_equal(with_sieve.minimizer.weights, without.minimizer.weights)
+
+
+@pytest.mark.parametrize("form,at_16", [("V", 0.5), ("T", 1.0)])
+def test_scaling_vt_rows_below_the_witness_domain_report_nan(form, at_16):
+    # witness_t starts at N = 16, where the witness is {1}.
+    rows = scaling_report(form, [4, 8, 15, 16]).values["rows"]
+    assert all(math.isnan(row["witness_value"]) for row in rows[:3])
+    assert rows[3]["witness_value"] == pytest.approx(at_16, rel=1e-12)
 
 
 def test_scaling_e_rows_below_the_witness_domain_report_nan():
