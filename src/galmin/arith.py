@@ -20,8 +20,8 @@ BYTES_BUDGET = 1 << 30
 # mask of its last pass, and the int64 primes that pass sets (under 2 per
 # entry from limit 10^4 on; 10.3 in all at 10^6).
 _SPF_ENTRY_BYTES = 11
-# Peak bytes per entry of the block passes that fill an Omega, omega or
-# phi table, besides the table itself: a block holds at most half of the
+# Peak bytes per entry of the block passes that fill an Omega or phi
+# table, besides the table itself: a block holds at most half of the
 # entries, and a pass over it at most three int64 arrays of its length
 # (phi: m, the factor and phi(m)), so 12, plus 1 for the arrays' headers.
 _BLOCK_PASS_BYTES = 13
@@ -42,11 +42,6 @@ def require_bytes(nbytes: int, what: str) -> None:
 def spf_bytes(limit: int) -> int:
     """Peak bytes of the smallest-prime-factor table up to limit."""
     return _SPF_ENTRY_BYTES * (limit + 1)
-
-
-def spf_limit() -> int:
-    """The largest limit whose spf table fits BYTES_BUDGET."""
-    return BYTES_BUDGET // _SPF_ENTRY_BYTES - 1
 
 
 @dataclass(frozen=True)
@@ -136,17 +131,6 @@ def divisors(sieve: FactorSieve, n: int) -> list[int]:
     return sorted(divs)
 
 
-def omega_partial(sieve: FactorSieve, n: int, t: float) -> int:
-    """Omega(n, t): prime factors p <= t of n counted with multiplicity.
-
-    The threshold t is real-valued; the comparison is p <= floor(t).
-    """
-    if t < 1:
-        raise ValueError(f"threshold t must be >= 1, got {t}")
-    cut = int(t)
-    return sum(e for p, e in factorize(sieve, n) if p <= cut)
-
-
 def _doubling_blocks(sieve: FactorSieve, upto: int):
     """Yield (lo, hi, p, m) for the blocks [lo, hi) = [2^k, 2^(k+1)) of
     [2, upto], in increasing order: p = spf(n) and m = n // p for the n of
@@ -163,31 +147,15 @@ def _doubling_blocks(sieve: FactorSieve, upto: int):
         lo = hi
 
 
-def big_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
+def big_omega_table(sieve: FactorSieve, upto: int) -> np.ndarray:
     """Vector of Omega(n) for 0 <= n <= upto (entries 0, 1 are 0), by
     Omega(n) = Omega(n // p) + 1, p = spf(n)."""
-    upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
     require_bytes((4 + _BLOCK_PASS_BYTES) * (upto + 1),
                   f"Omega table up to {upto}")
     omega = np.zeros(upto + 1, dtype=np.int32)
     for lo, hi, _, m in _doubling_blocks(sieve, upto):
         np.add(omega[m], 1, out=omega[lo:hi])
-    return omega
-
-
-def small_omega_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
-    """Vector of omega(n) for 0 <= n <= upto, by omega(n) = omega(m) plus 1
-    when p = spf(n) does not divide m = n // p, that is when spf(m) != p
-    (spf(1) is 0)."""
-    upto = sieve.limit if upto is None else upto
-    sieve.check_range(max(upto, 1))
-    require_bytes((4 + _BLOCK_PASS_BYTES) * (upto + 1),
-                  f"omega table up to {upto}")
-    omega = np.zeros(upto + 1, dtype=np.int32)
-    for lo, hi, p, m in _doubling_blocks(sieve, upto):
-        new = sieve.spf[m] != p
-        np.add(omega[m], new, out=omega[lo:hi])
     return omega
 
 
@@ -209,11 +177,10 @@ def prime_powers(sieve: FactorSieve, upto: int) -> tuple[np.ndarray, np.ndarray]
     return q[order], p[order]
 
 
-def phi_table(sieve: FactorSieve, upto: int | None = None) -> np.ndarray:
+def phi_table(sieve: FactorSieve, upto: int) -> np.ndarray:
     """Vector of Euler phi(d) for 0 <= d <= upto, exact in int64: with
     p = spf(d) and m = d // p, phi(d) = phi(m) * p when p | m, else
     phi(m) * (p - 1)."""
-    upto = sieve.limit if upto is None else upto
     sieve.check_range(max(upto, 1))
     require_bytes((8 + _BLOCK_PASS_BYTES) * (upto + 1),
                   f"phi table up to {upto}")

@@ -30,6 +30,9 @@ _THETA_CHUNK = 1 << 20
 # Most terms theta_cutoff admits. theta_all_even streams its terms, so this
 # limits its time, not its memory; theta checks its bytes on its own.
 _THETA_TERM_CAP = 100_000_000
+# Theta sums are truncated where the geometric bound on the discarded tail
+# falls below this.
+_THETA_TAIL_EPSILON = 1e-15
 # Bytes per residue that bound the modulus of build_table. Its discrete-log
 # table takes 8 and the rest O(sqrt p); the bound keeps the 11 of the spf
 # sieve of size p that primality was once read off, so that every modulus
@@ -70,10 +73,8 @@ class CharacterTable:
     def character(self, j: int) -> "DirichletCharacter":
         return DirichletCharacter(self, j % (self.p - 1))
 
-    def characters(self, even_only: bool = False, skip_principal: bool = False):
-        step = 2 if even_only else 1
-        start = step if skip_principal else 0
-        for j in range(start, self.p - 1, step):
+    def characters(self, skip_principal: bool = False):
+        for j in range(1 if skip_principal else 0, self.p - 1):
             yield DirichletCharacter(self, j)
 
 
@@ -169,10 +170,6 @@ class DirichletCharacter:
     @property
     def is_principal(self) -> bool:
         return self.j % (self.p - 1) == 0
-
-    @property
-    def is_even(self) -> bool:
-        return self.j % 2 == 0
 
     def __call__(self, n: int) -> complex:
         p = self.p
@@ -297,18 +294,16 @@ def polya_partial_sum(chi: DirichletCharacter, t: float, H: int):
 @dataclass(frozen=True)
 class ThetaConfig:
     x: float
-    tail_epsilon: float = 1e-15
 
     def __post_init__(self):
-        if self.x <= 0:
-            raise ValueError("x must be positive")
-        if not 0 < self.tail_epsilon < 1:
-            raise ValueError("tail_epsilon must lie in ]0,1[")
+        if not (math.isfinite(self.x) and self.x > 0):
+            raise ValueError(f"theta needs a finite x > 0, got x={self.x}")
 
 
 def theta_cutoff(p: int, config: ThetaConfig) -> int:
-    """The first n_max >= n0 = floor(sqrt(max(-log tail_epsilon, 1) / rate)),
-    rate = pi x / p, whose geometric tail bound is below tail_epsilon.
+    """The first n_max >= n0 = floor(sqrt(max(-log eps, 1) / rate)),
+    rate = pi x / p, whose geometric tail bound is below
+    eps = _THETA_TAIL_EPSILON.
 
     An n_max above _THETA_TERM_CAP raises BudgetError: that cap limits
     the time of theta_all_even, which bins the terms in chunks, so its
@@ -321,9 +316,9 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
         # tail after n: sum_{m>n} e^{-rate m^2} <= e^{-rate (n+1)^2}/(1 - e^{-rate(2n+3)})
         head = math.exp(-rate * (n + 1) ** 2)
         denom = 1.0 - math.exp(-rate * (2 * n + 3))
-        return head / denom < config.tail_epsilon
+        return head / denom < _THETA_TAIL_EPSILON
 
-    n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
+    n = max(1, int(math.sqrt(max(-math.log(_THETA_TAIL_EPSILON), 1.0) / rate)))
     # n_max >= n, so a start above the term cap is rejected without a search
     # (far out, the bound's denominator rounds to 0).
     if n <= _THETA_TERM_CAP and not tail_ok(n):
@@ -349,7 +344,7 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
 
 def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
     """theta(x;chi) = sum_{n>=1} chi(n) e^{-pi n^2 x / p}, truncated so the
-    discarded tail is below config.tail_epsilon."""
+    discarded tail is below _THETA_TAIL_EPSILON."""
     p = chi.p
     n_max = theta_cutoff(p, config)
     require_bytes(_THETA_TERM_BYTES * n_max, f"theta over {n_max} terms")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .arith import BudgetError, FactorSieve, require_bytes
 from .characters import (
-    CharacterTable,
     DirichletCharacter,
     ThetaConfig,
     build_table,
@@ -132,7 +131,6 @@ def burgess_experiment(
     M: int = 0,
     c_mode: str = "uniform",
     sieve: FactorSieve | None = None,
-    table: CharacterTable | None = None,
 ) -> ExperimentReport:
     """Averaged shifted-sum experiment for one modulus.
 
@@ -152,7 +150,7 @@ def burgess_experiment(
     if not 1 <= N <= 2 * p:
         # The windows ]m, m+N] run over m = 0..2p-N.
         raise ValueError(f"window length N must satisfy 1 <= N <= 2p, got N={N}")
-    table = table or build_table(p)
+    table = build_table(p)
     A_raw = int(N / (16 * r * p ** (1 / (2 * r))))
     B_raw = int(r * p ** (1 / (2 * r)))
     # Degenerate regimes are clamped to 1 so small-p experiments still run.
@@ -261,19 +259,16 @@ class MollifiedMoments:
     theta_min_abs: float
 
 
-def mollified_moments(
-    p: int,
-    x: float,
-    c: WeightVector,
-    table: CharacterTable | None = None,
-) -> MollifiedMoments:
+def mollified_moments(p: int, x: float, c: WeightVector) -> MollifiedMoments:
     """First/second/fourth mollified moments over the even characters and
     the nonvanishing count they certify.
 
     M1 = sum M(chi) theta(x;chi), M2 = sum |theta|^2, M4 = sum |M(chi)|^4,
-    M0 = #{even chi : |theta| > 1e-10 sqrt(n_max)}, n_max the theta
-    cutoff at the default tail epsilon; the Hoelder consequence
-    M0 >= M1^4 / (M2^2 M4) is checked by the caller/tests.
+    M0 = #{even chi : |theta| > 1e-10 sqrt(n_max)}, n_max = theta_cutoff(p,
+    ThetaConfig(x)); the Hoelder consequence M0 >= M1^4 / (M2^2 M4) is
+    checked by the caller. The character table is built here, after its
+    bytes and those of the larger of the theta and mollifier stages pass
+    the budget.
     """
     if p < 7:
         raise ValueError("p must be a prime >= 7")
@@ -283,14 +278,13 @@ def mollified_moments(
     if c.one_norm <= 0:
         raise ValueError("weights must not be all zero")
     config = ThetaConfig(x=x)
-    if table is None:
-        # The table, then theta over the even characters, or the mollifier
-        # sums with the m complex thetas held, whichever needs more.
-        m = (p - 1) // 2
-        require_with_table(p, lambda: max(
-            theta_all_even_bytes(p, theta_cutoff(p, config)),
-            character_sums_bytes(m, q) + 16 * m), f"mollified moments at p={p}, x={x}")
-        table = build_table(p)
+    # The table, then theta over the even characters, or the mollifier
+    # sums with the m complex thetas held, whichever needs more.
+    m = (p - 1) // 2
+    require_with_table(p, lambda: max(
+        theta_all_even_bytes(p, theta_cutoff(p, config)),
+        character_sums_bytes(m, q) + 16 * m), f"mollified moments at p={p}, x={x}")
+    table = build_table(p)
     thetas = theta_all_even(table, config)
     ms = np.arange(1, q + 1, dtype=np.int64)
     mollifiers = np.conj(character_sums(table, ms, c.weights, even_only=True))
@@ -324,32 +318,26 @@ def low_moment_experiment(
     p: int,
     N: int,
     r: float,
-    c: WeightVector | None = None,
-    table: CharacterTable | None = None,
     energy_budget: int = 64,
 ) -> ExperimentReport:
     """Low-moment lower-bound experiment over nonprincipal characters.
 
-    Computes the r-th and second moments of S(N;chi), the fourth mollified
-    moment, and verifies the Hoelder inequality linking them. The reported
-    ratio against N^{r/2} / E_nu^{1-r/2} is exploratory.
+    Computes the r-th and second moments of S(N;chi), the fourth moment of
+    the unit-weight mollifier conj(S), and verifies the Hoelder inequality
+    linking them. The reported ratio against N^{r/2} / E_nu^{1-r/2} is
+    exploratory; it needs E_nu, minimized only for nu <= energy_budget.
     """
     if not 1 <= N < p:
         raise ValueError("need 1 <= N < p")
     u, v, s, t = low_moment_exponents(r)
-    if table is None:
-        # The table, then the second sums with the first's p - 1
-        # complex values held.
-        require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
-                           f"low moments at p={p}, N={N}")
-        table = build_table(p)
-    if c is not None and c.n_max != N:
-        raise ValueError("weights must have length N")
+    # The table, then the character sums and, beside S, its conjugate.
+    require_with_table(p, lambda: character_sums_bytes(p - 1, N) + 16 * (p - 1),
+                       f"low moments at p={p}, N={N}")
+    table = build_table(p)
     ns = np.arange(1, N + 1, dtype=np.int64)
     # All characters, j = 0 first; [1:] keeps the nonprincipal ones.
     S = character_sums(table, ns, np.ones(N))[1:]
-    # Unit weights (the default) mollify with S itself.
-    Mol = np.conj(S if c is None else character_sums(table, ns, c.weights)[1:])
+    Mol = np.conj(S)
     norm = p - 2
     s_r = float((np.abs(S) ** r).sum()) / norm
     s_2 = float((np.abs(S) ** 2).sum()) / norm
@@ -387,6 +375,8 @@ def zeta_poly_moment(N: int, T: float, r: float, step: float) -> dict:
     """(1/T) * integral over [0,T] of |sum_{n<=N} n^{it}|^r dt by trapezoid
     quadrature, with a step-halving error estimate; for N up to
     _ZETA_ENERGY_MAX_N also the exploratory ratio against E_N."""
+    if not all(map(math.isfinite, (T, r, step))):
+        raise ValueError(f"need finite T, r and step, got T={T}, r={r}, step={step}")
     if step <= 0 or T < 1 or N < 1:
         raise ValueError("need step > 0, T >= 1, N >= 1")
 

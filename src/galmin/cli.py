@@ -48,8 +48,9 @@ EXIT_INTERNAL = 4
 
 
 def _emit(report: ExperimentReport, args) -> None:
-    """The report on stdout, as JSON or as CSV rows; its time and, if it
-    carries assertions, their count and failures on stderr."""
+    """The report on stdout, as JSON or as CSV rows followed by a
+    check,lhs,rhs,holds block when it carries assertions; its time and,
+    if it carries assertions, their count and failures on stderr."""
     if not args.csv:
         print(report.to_json())
     elif rows := args.csv_rows(report):
@@ -62,6 +63,10 @@ def _emit(report: ExperimentReport, args) -> None:
         print("key,value")
         for k in sorted(report.values):
             print(f"{k},{report.values[k]!r}")
+    if args.csv and report.assertions:
+        print("check,lhs,rhs,holds")
+        for a in report.assertions:
+            print(f"{a.name},{a.lhs!r},{a.rhs!r},{a.holds}")
     print(f"[galmin] {report.experiment}: {report.timing_ms:.1f} ms",
           file=sys.stderr)
     if report.assertions:

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (
-    FactorSieve,
-    big_omega_table,
-    require_bytes,
-    small_omega_table,
-)
+from .arith import FactorSieve, big_omega_table, require_bytes
 from .forms import WeightVector
 
 
@@ -94,14 +89,15 @@ def level_set_count(sieve: FactorSieve, x: int, k: int) -> int:
     return int(np.count_nonzero(omega[1:] == k))
 
 
-def filtered_count(sieve: FactorSieve, x: int, k: int, C: float,
-                   kappa: float | None = None) -> int:
+def filtered_count(sieve: FactorSieve, x: int, k: int, C: float) -> int:
     """F_k(x;C): members of the level set that also satisfy the growth
-    condition with kappa = k/loglog(x) unless overridden."""
+    condition with kappa = k/loglog(x). Its domain is x >= 3, where
+    loglog(x) > 0."""
+    if x < 3:
+        raise ValueError(f"filtered_count needs x >= 3 for kappa = k/loglog(x), "
+                         f"got x={x}")
     sieve.check_range(x)
-    if kappa is None:
-        kappa = k / math.log(math.log(x))
-    cond = LocCondition(kappa=kappa, C=C, x=x)
+    cond = LocCondition(kappa=k / math.log(math.log(x)), C=C, x=x)
     return len(_loc_members(sieve, _level_set(sieve, x, k), cond))
 
 
@@ -148,17 +144,3 @@ def witness_e(sieve: FactorSieve, N: int, C: float = 3.0) -> WeightVector:
             f"increase C (currently {C})"
         )
     return WeightVector.indicator(support, N)
-
-
-def d_plus(sieve: FactorSieve, N: int, beta: float) -> set[int]:
-    """{n <= N : omega(n) >= beta * loglog N}."""
-    sieve.check_range(N)
-    threshold = beta * math.log(math.log(N)) if N >= 3 else 0.0
-    omega = small_omega_table(sieve, N)
-    return {int(n) for n in np.flatnonzero(omega[1:] >= threshold) + 1}
-
-
-def d_minus(sieve: FactorSieve, N: int, beta: float) -> set[int]:
-    """Complement of d_plus inside [1, N]."""
-    plus = d_plus(sieve, N, beta)
-    return {n for n in range(1, N + 1) if n not in plus}

@@ -1,5 +1,5 @@
-"""Quadratic and quartic forms: Gal sums, the V and T kernels, weighted
-multiplicative energy and set energy.
+"""Quadratic and quartic forms: the V and T kernels, their exact gcd
+blocks, and weighted multiplicative energy.
 
 Conventions: double sums are unrestricted (diagonal included, both orderings
 counted). Weight vectors are 1-indexed conceptually; ``weights[i]`` is the
@@ -343,24 +343,6 @@ class WeightVector:
         return np.flatnonzero(self.weights > 0) + 1
 
 
-def gal_sum(members, alpha: float) -> float:
-    """S_alpha(M) = sum over m,n in M of (gcd/lcm)^alpha, diagonal included.
-    Members must be positive integers (integral floats are accepted)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in ]0,1], got {alpha}")
-    ms = np.asarray(sorted(set(members)))
-    if ms.size == 0:
-        raise ValueError("member set must be nonempty")
-    integral = ms.dtype.kind in "iu" or (
-        ms.dtype.kind == "f" and np.isfinite(ms).all() and np.all(ms == np.floor(ms)))
-    if not integral or ms[0] < 1:
-        raise ValueError(f"members must be positive integers, got {ms.tolist()}")
-    ms = ms.astype(np.int64)
-    g = gcd_block(ms, ms)
-    ratio = (g * g) / np.multiply.outer(ms, ms).astype(np.float64)
-    return float((ratio**alpha).sum())
-
-
 def _pairwise_forms(kinds: tuple[KernelKind, ...],
                     c: WeightVector) -> tuple[float, ...]:
     """c^T K c for each kernel kind, by pairwise gcd sums over the support.
@@ -449,13 +431,6 @@ def r_counts_dense(c: WeightVector) -> np.ndarray:
     return dense
 
 
-def r_counts(c: WeightVector) -> dict[int, float]:
-    """Sparse map n -> r(n) over the positive entries."""
-    dense = r_counts_dense(c)
-    nz = np.flatnonzero(dense)
-    return {int(k): float(dense[k]) for k in nz}
-
-
 def e_form(c: WeightVector) -> float:
     """Weighted multiplicative energy E(c;N) = sum_n r(n)^2."""
     r = EnergyIndex(c.n_max).counts(c.weights)
@@ -466,23 +441,3 @@ def e_gradient(c: WeightVector) -> np.ndarray:
     """Gradient of E: component a is 4 * sum_{t<=N} r(a*t) c_t."""
     index = EnergyIndex(c.n_max)
     return index.gradient(index.counts(c.weights), c.weights)
-
-
-def set_energy(a_set, b_set) -> int:
-    """Multiplicative energy E(A,B): number of (a,b,a',b') with ab = a'b'."""
-    a = np.asarray(sorted(set(a_set)), dtype=np.int64)
-    b = np.asarray(sorted(set(b_set)), dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        return 0
-    prods = np.multiply.outer(a, b).ravel()
-    _, counts = np.unique(prods, return_counts=True)
-    return int((counts.astype(np.int64) ** 2).sum())
-
-
-def s_of_set(b_set) -> float:
-    """S(B) = sum_{m,n in B} gcd(m,n)/(m+n); V-form of the indicator."""
-    bs = sorted(set(b_set))
-    if not bs:
-        return 0.0
-    n_max = max(bs)
-    return v_form(WeightVector.indicator(bs, n_max))

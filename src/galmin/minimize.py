@@ -369,12 +369,12 @@ def minimize_with_witness(
     beta: float,
     tolerance: float = 1e-6,
     max_iters: int | None = None,
-    witness_c: float = 3.0,
 ) -> tuple[MinimizationResult, float]:
     """Quadratic minimization started from the better of the uniform vector
-    and the normalized level-set witness; returns (result, witness value).
-    Where the witness is empty (N < 16 or C too small) the run starts from
-    the uniform vector and the witness value is NaN.
+    and the normalized level-set witness (growth constant C = 3); returns
+    (result, witness value). Where the witness is empty (N < 16 or no
+    candidate passes) the run starts from the uniform vector and the
+    witness value is NaN.
 
     Starting at (or below) the witness makes result.value <= witness value
     a monotonicity guarantee rather than a convergence hope.
@@ -393,7 +393,7 @@ def minimize_with_witness(
     start = WeightVector.uniform(N)
     start_value = objective(start)
     try:
-        wit = witness_t(sieve, N, beta, C=witness_c).normalized()
+        wit = witness_t(sieve, N, beta).normalized()
     except EmptyWitnessError:
         wit_value = float("nan")
     else:
@@ -418,7 +418,6 @@ def scaling_report(
     objective_kind: str,
     n_list,
     tolerance: float = 1e-6,
-    sieve: FactorSieve | None = None,
     seed: int = 0,
 ):
     """Exploratory table of scaled infimum estimates against witness values.
@@ -436,8 +435,7 @@ def scaling_report(
     n_list = [int(n) for n in n_list]
     if min(n_list, default=0) < 1:
         raise ValueError(f"n_list needs at least one N, each >= 1, got {n_list}")
-    if sieve is None:
-        sieve = build_sieve(max(max(n_list), 16))
+    sieve = build_sieve(max(max(n_list), 16))
     beta = solve_beta().beta
 
     rows = []

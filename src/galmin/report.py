@@ -42,21 +42,22 @@ class ExperimentReport:
     def all_hold(self) -> bool:
         return all(a.holds for a in self.assertions)
 
-    def as_dict(self, include_timing: bool = True) -> dict:
+    def as_dict(self) -> dict:
         return {
             "experiment": self.experiment,
             "parameters": self.parameters,
             "values": self.values,
             "assertions": [a.as_dict() for a in self.assertions],
-            "timing_ms": self.timing_ms if include_timing else 0.0,
+            "timing_ms": self.timing_ms,
             "artifact_version": self.artifact_version,
         }
 
     def to_json(self) -> str:
         """Canonical JSON. Timing is zeroed so identical runs are
         byte-identical; as_dict() keeps the wall-clock time."""
-        return json.dumps(self.as_dict(include_timing=False), sort_keys=True,
-                          indent=2, default=_coerce)
+        doc = self.as_dict()
+        doc["timing_ms"] = 0.0
+        return json.dumps(doc, sort_keys=True, indent=2, default=_coerce)
 
 
 def _coerce(obj):

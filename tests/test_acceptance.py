@@ -213,7 +213,7 @@ def test_criterion_12_exploratory_scaling(sieve_1e5):
     for kind, ns, tol in (("V", [256, 1024, 4096, 8192], 1e-4),
                           ("T", [256, 1024, 4096, 8192], 1e-4),
                           ("E", [32, 128, 512], 1e-12)):
-        rep = scaling_report(kind, ns, tolerance=tol, sieve=sieve_1e5)
+        rep = scaling_report(kind, ns, tolerance=tol)
         rows = rep.values["rows"]
         emitted &= len(rows) == len(ns)
         for row in rows:

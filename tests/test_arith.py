@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from galmin.arith import (
     BYTES_BUDGET,
+    _SPF_ENTRY_BYTES,
     BudgetError,
     big_omega,
     big_omega_table,
@@ -14,14 +15,13 @@ from galmin.arith import (
     divisors,
     euler_phi,
     factorize,
-    omega_partial,
     phi_table,
     prime_powers,
     small_omega,
-    small_omega_table,
     spf_bytes,
-    spf_limit,
 )
+
+from oracles import omega_partial
 
 
 @pytest.fixture(scope="module")
@@ -115,37 +115,25 @@ def test_phi_multiplicative_on_coprimes(a, b):
 
 def test_tables_match_pointwise(sieve):
     bo = big_omega_table(sieve, 10_000)
-    so = small_omega_table(sieve, 10_000)
     for n in range(2, 10_001):
         assert bo[n] == big_omega(sieve, n)
-        assert so[n] == small_omega(sieve, n)
-    assert np.all(bo >= so)
 
 
-def _recurrence_tables(sieve, upto):
-    """The per-n recurrences Omega(n) = Omega(n / p) + 1 and
-    omega(n) = omega(n / p^e) + 1, with p the smallest prime factor."""
+def _recurrence_table(sieve, upto):
+    """The per-n recurrence Omega(n) = Omega(n / p) + 1, with p the
+    smallest prime factor."""
     spf = sieve.spf
     big = np.zeros(upto + 1, dtype=np.int32)
-    small = np.zeros(upto + 1, dtype=np.int32)
     for n in range(2, upto + 1):
-        p = spf[n]
-        big[n] = big[n // p] + 1
-        m = n // p
-        while m % p == 0:
-            m //= p
-        small[n] = small[m] + 1
-    return big, small
+        big[n] = big[n // spf[n]] + 1
+    return big
 
 
 @pytest.mark.parametrize("upto", [1, 2, 3, 10_000])
 def test_tables_match_recurrences(sieve, upto):
-    big, small = _recurrence_tables(sieve, upto)
     bo = big_omega_table(sieve, upto)
-    so = small_omega_table(sieve, upto)
-    assert bo.dtype == np.int32 and so.dtype == np.int32
-    assert np.array_equal(bo, big)
-    assert np.array_equal(so, small)
+    assert bo.dtype == np.int32
+    assert np.array_equal(bo, _recurrence_table(sieve, upto))
 
 
 def _peel(sieve, upto):
@@ -173,28 +161,25 @@ def _peel_distinct(sieve, upto):
 
 
 def _peeled_tables(sieve, upto):
-    """Omega, omega and phi by peeling prime factors, the tables' earlier
+    """Omega and phi by peeling prime factors, the tables' earlier
     construction."""
     big = np.zeros(upto + 1, dtype=np.int32)
     for n, _ in _peel(sieve, upto):
         big[n] += 1
-    small = np.zeros(upto + 1, dtype=np.int32)
     phi = np.arange(upto + 1, dtype=np.int64)
     for n, p in _peel_distinct(sieve, upto):
-        small[n] += 1
         phi[n] = phi[n] // p * (p - 1)
-    return big, small, phi
+    return big, phi
 
 
 @pytest.mark.parametrize("upto", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 10**5])
 def test_block_tables_match_peeled_tables(upto):
     # 2^k - 1, 2^k and 2^k + 1 end a doubling block, fill it or open one.
     sieve = build_sieve(max(upto, 2))
-    big, small, phi = _peeled_tables(sieve, upto)
-    got = (big_omega_table(sieve, upto), small_omega_table(sieve, upto),
-           phi_table(sieve, upto))
-    assert [a.dtype for a in got] == [np.int32, np.int32, np.int64]
-    for a, want in zip(got, (big, small, phi)):
+    big, phi = _peeled_tables(sieve, upto)
+    got = (big_omega_table(sieve, upto), phi_table(sieve, upto))
+    assert [a.dtype for a in got] == [np.int32, np.int64]
+    for a, want in zip(got, (big, phi)):
         assert a.tobytes() == want.tobytes()
 
 
@@ -223,7 +208,7 @@ def test_phi_table_bits_match_sieve_loop(sieve, upto):
 
 
 def test_phi_table_range(sieve):
-    assert np.array_equal(phi_table(sieve), phi_table(sieve, 10_000))
+    assert len(phi_table(sieve, sieve.limit)) == sieve.limit + 1
     with pytest.raises(ValueError):
         phi_table(sieve, 10_001)
 
@@ -251,6 +236,7 @@ def test_range_checks(sieve):
     with pytest.raises(ValueError):
         build_sieve(1)
     # The largest sieve within the byte budget, just above it refused.
-    assert spf_bytes(spf_limit()) <= BYTES_BUDGET < spf_bytes(spf_limit() + 1)
+    limit = BYTES_BUDGET // _SPF_ENTRY_BYTES - 1
+    assert spf_bytes(limit) <= BYTES_BUDGET < spf_bytes(limit + 1)
     with pytest.raises(BudgetError):
-        build_sieve(spf_limit() + 1)
+        build_sieve(limit + 1)

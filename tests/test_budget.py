@@ -18,7 +18,6 @@ from galmin.arith import (
     build_sieve,
     phi_table,
     require_bytes,
-    small_omega_table,
 )
 from galmin.characters import (
     ThetaConfig,
@@ -47,7 +46,7 @@ def _spf(limit):
 def _table(fn):
     def guard(upto):
         sieve = build_sieve(upto)
-        return "arith", lambda: fn(sieve)
+        return "arith", lambda: fn(sieve, upto)
     return guard
 
 
@@ -137,7 +136,6 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
 @pytest.mark.parametrize("guard, size", [
     (_spf, (10**6,)),
     (_table(big_omega_table), (10**6,)),
-    (_table(small_omega_table), (10**6,)),
     (_table(phi_table), (10**6,)),
     (_operator(V), (10**4,)),
     (_operator(V), (10**5,)),
@@ -158,7 +156,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_mollified_moments, (1000003, 1e-3)),
     (_low_moments, (1000003, 10)),
     (_low_moments, (100003, 100000)),
-], ids=["spf", "Omega", "omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
+], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
         "H", "shifted_sums", "theta", "char_sum", "gauss_sum", "polya-terms",
         "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
@@ -171,7 +169,6 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
 @pytest.mark.parametrize("guard, size", [
     (_spf, (1000,)),
     (_table(big_omega_table), (1000,)),
-    (_table(small_omega_table), (1000,)),
     (_table(phi_table), (1000,)),
     (_operator(V), (300,)),
     (_operator(T), (300,)),
@@ -185,7 +182,7 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_theta_all_even, (101, 0.01)),
     (_mollified_moments, (101, 1.0)),
     (_low_moments, (101, 9)),
-], ids=["spf", "Omega", "omega", "phi", "V", "T", "H", "shifted_sums", "theta",
+], ids=["spf", "Omega", "phi", "V", "T", "H", "shifted_sums", "theta",
         "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
         "mollified_moments", "low_moments"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):

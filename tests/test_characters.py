@@ -124,7 +124,6 @@ def test_character_periodicity_and_parity():
     table = build_table(11)
     for j in range(10):
         chi = table.character(j)
-        assert chi.is_even == (j % 2 == 0)
         for n in range(1, 30):
             assert abs(chi(n) - chi(n + 11)) < 1e-12
         assert abs(chi(-1) - (1 if j % 2 == 0 else -1)) < 1e-12
@@ -223,7 +222,7 @@ def test_theta_cutoff_tail_negligible():
     cfg = ThetaConfig(x=0.5)
     cut = theta_cutoff(p, cfg)
     tail = sum(math.exp(-math.pi * n * n * cfg.x / p) for n in range(cut + 1, cut + 200))
-    assert tail < cfg.tail_epsilon * 10
+    assert tail < characters._THETA_TAIL_EPSILON * 10
 
 
 def test_theta_all_even_consistent():
@@ -231,7 +230,7 @@ def test_theta_all_even_consistent():
     table = build_table(p)
     cfg = ThetaConfig(x=1.0)
     vals = theta_all_even(table, cfg)
-    evens = list(table.characters(even_only=True))
+    evens = [table.character(j) for j in range(0, p - 1, 2)]
     assert len(vals) == len(evens)
     for got, chi in zip(vals, evens):
         assert abs(got - theta(chi, cfg)) < 1e-10
@@ -265,14 +264,14 @@ def test_theta_all_even_peak_is_one_chunk():
     assert peak < 64 << 20
 
 
-def _theta_cutoff_linear_scan(p, config):
+def _theta_cutoff_linear_scan(p, config, tail_epsilon):
     """The cutoff search as a +1 scan from the same starting n."""
     rate = math.pi * config.x / p
-    n = max(1, int(math.sqrt(max(-math.log(config.tail_epsilon), 1.0) / rate)))
+    n = max(1, int(math.sqrt(max(-math.log(tail_epsilon), 1.0) / rate)))
     while True:
         head = math.exp(-rate * (n + 1) ** 2)
         denom = 1.0 - math.exp(-rate * (2 * n + 3))
-        if head / denom < config.tail_epsilon:
+        if head / denom < tail_epsilon:
             return n
         n += 1
 
@@ -280,9 +279,12 @@ def _theta_cutoff_linear_scan(p, config):
 @pytest.mark.parametrize("tail_epsilon", [1e-15, 1e-6])
 @pytest.mark.parametrize("x", [1e-6, 0.01, 1.0, 7.5])
 @pytest.mark.parametrize("p", [13, 101, 10007])
-def test_theta_cutoff_matches_linear_scan(p, x, tail_epsilon):
-    config = ThetaConfig(x=x, tail_epsilon=tail_epsilon)
-    assert theta_cutoff(p, config) == _theta_cutoff_linear_scan(p, config)
+def test_theta_cutoff_matches_linear_scan(monkeypatch, p, x, tail_epsilon):
+    # 1e-15 is the library's epsilon; 1e-6 moves the search's start and
+    # end, so the doubling and bisection meet other boundaries.
+    monkeypatch.setattr(characters, "_THETA_TAIL_EPSILON", tail_epsilon)
+    config = ThetaConfig(x=x)
+    assert theta_cutoff(p, config) == _theta_cutoff_linear_scan(p, config, tail_epsilon)
 
 
 @pytest.mark.parametrize("x", [1e-12, 1e-40])
@@ -316,10 +318,9 @@ def test_build_table_bound_is_the_largest_sieve_in_the_budget(monkeypatch):
 
 
 def test_theta_config_validation():
-    with pytest.raises(ValueError):
-        ThetaConfig(x=0.0)
-    with pytest.raises(ValueError):
-        ThetaConfig(x=1.0, tail_epsilon=0.0)
+    for x in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            ThetaConfig(x=x)
 
 
 def test_orthogonality_plus_minus_rule():

@@ -97,7 +97,7 @@ def test_burgess_experiment_report():
 def _burgess_per_character(p, r, N, table):
     """The per-character loop of burgess_experiment: holder_min_slack,
     max_averaged_S and max_S_window, one character at a time."""
-    rep = burgess_experiment(p, r, N, table=table)
+    rep = burgess_experiment(p, r, N)
     A, B = rep.parameters["A"], rep.parameters["B"]
     rvals = burgess_r_values(WeightVector.from_weights(np.ones(A)), 0, N, p)
     sum_r, R = float(rvals.sum()), float(rvals @ rvals)
@@ -177,9 +177,8 @@ def test_all_character_sums_skip_the_dense_matrix(monkeypatch):
     table = build_table(p)
     assert len(theta_all_even(table, ThetaConfig(x=1.0))) == (p - 1) // 2
     q = math.isqrt(p // 3)
-    assert mollified_moments(p, 1.0, WeightVector.from_weights(np.ones(q)),
-                             table=table).M0 > 0
-    assert low_moment_experiment(p, 21, 1.0, table=table).all_hold
+    assert mollified_moments(p, 1.0, WeightVector.from_weights(np.ones(q))).M0 > 0
+    assert low_moment_experiment(p, 21, 1.0).all_hold
 
 
 def test_low_moment_exponents_identities():
@@ -213,15 +212,11 @@ def test_low_moment_unit_weights_take_one_character_sum(monkeypatch):
         return characters.character_sums(*args, **kwargs)
 
     monkeypatch.setattr(charexp, "character_sums", counted)
-    table = build_table(101)
-    default = low_moment_experiment(101, 9, 1.0, table=table, energy_budget=0)
+    rep = low_moment_experiment(101, 9, 1.0, energy_budget=0)
     assert len(calls) == 1
-    explicit = low_moment_experiment(101, 9, 1.0, WeightVector.from_weights(np.ones(9)),
-                                     table=table, energy_budget=0)
-    assert len(calls) == 3
-    # Reusing S for unit weights keeps every bit.
-    assert default.values == explicit.values
-    assert default.as_dict()["assertions"] == explicit.as_dict()["assertions"]
+    # The unit-weight mollifier is conj(S), so its fourth moment is S's.
+    S = characters.character_sums(build_table(101), np.arange(1, 10), np.ones(9))[1:]
+    assert rep.values["mollified_4"] == float((np.abs(S) ** 4).sum()) / 99
 
 
 def test_zeta_poly_moment_limits():

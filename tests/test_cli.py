@@ -348,6 +348,16 @@ def test_polyzeta(capsys):
     assert abs(doc["values"]["value"] - 3.0) < 0.2
 
 
+@pytest.mark.parametrize("t, r, step", [("inf", "2", "0.1"), ("10", "nan", "0.1"),
+                                        ("10", "2", "nan"), ("nan", "2", "0.1")])
+def test_polyzeta_rejects_non_finite_input(capsys, t, r, step):
+    code = main(["polyzeta", "--n", "4", "--t", t, "--r", r, "--step", step])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: need finite T, r and step")
+
+
 # Every check of `verify-all --fast`, in report order.
 VERIFY_ALL_CHECKS = [
     "beta_near_048155", "eta_near_016656", "eta_below_one_sixth",
@@ -478,6 +488,32 @@ def test_verify_all_fast(capsys):
     # The canonical output of --seed 0 (the default), stored when it last
     # changed on purpose.
     _assert_matches_golden(doc, json.loads(GOLDEN_VERIFY_ALL_FAST.read_text()))
+
+
+def _csv_checks(out):
+    """The check,lhs,rhs,holds block of CSV output, as rows of strings."""
+    lines = out.splitlines()
+    start = lines.index("check,lhs,rhs,holds")
+    return [line.split(",") for line in lines[start + 1:]]
+
+
+def test_verify_all_fast_csv_lists_its_checks(capsys):
+    code, out = _run(capsys, "--csv", "verify-all", "--fast")
+    assert code == EXIT_OK
+    assert out.startswith("key,value\n")
+    checks = _csv_checks(out)
+    assert [row[0] for row in checks] == VERIFY_ALL_CHECKS
+    assert len(checks) == 40
+    assert all(row[3] == "True" for row in checks)
+
+
+def test_csv_prints_a_failing_check_as_false(capsys, monkeypatch):
+    monkeypatch.setattr("galmin.charexp.weil_bound", lambda B, r, p: 0.0)
+    code, out = _run(capsys, "--csv", "burgess", "--p", "13", "--r", "2", "--n", "9")
+    assert code == EXIT_ASSERTION
+    failed = [row for row in _csv_checks(out) if row[3] == "False"]
+    assert [row[0] for row in failed] == [f"weil_moment_chi_{j}" for j in range(1, 12)]
+    assert all(float(row[2]) == 0.0 for row in failed)
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from galmin.arith import BudgetError, big_omega, build_sieve, factorize, small_omega
+from galmin.arith import BudgetError, big_omega, build_sieve, factorize
 from galmin import extremal
 from galmin.extremal import (
     EmptyWitnessError,
     LocCondition,
-    d_minus,
-    d_plus,
     filtered_count,
     level_set_count,
     multiplication_table_count,
@@ -17,6 +15,8 @@ from galmin.extremal import (
     witness_e,
     witness_t,
 )
+
+from oracles import omega_partial
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,17 @@ def test_satisfies_loc_matches_pointwise_oracle(sieve):
             assert satisfies_loc(sieve, n, cond) == _loc_oracle(n, kappa, C, x)
 
 
+@pytest.mark.parametrize("x", [1, 2, 30, 200])
+def test_satisfies_loc_is_the_literal_definition(sieve, x):
+    # Omega(n, t) <= rhs(t) at every integer 1 <= t <= x.
+    for kappa, C in ((0.0, 1.0), (1.0 / math.log(4.0), 3.0)):
+        cond = LocCondition(kappa=kappa, C=C, x=x)
+        for n in range(1, 501):
+            want = all(omega_partial(sieve, n, t) <= cond.rhs(t)
+                       for t in range(1, x + 1))
+            assert satisfies_loc(sieve, n, cond) == want
+
+
 def _loc_by_factorize(sieve, n, cond):
     """The growth test at each distinct prime p <= x, read off factorize."""
     running = 0
@@ -116,6 +127,14 @@ def test_level_set_count_oracle(sieve):
             assert level_set_count(sieve, x, k) == direct
     # primes up to 100
     assert level_set_count(sieve, 100, 1) == 25
+
+
+@pytest.mark.parametrize("x", [1, 2])
+def test_filtered_count_needs_x_at_least_3(sieve, x):
+    # kappa = k / loglog(x) is undefined at x = 1 and negative at x = 2.
+    with pytest.raises(ValueError, match=r"x >= 3"):
+        filtered_count(sieve, x, 1, 3.0)
+    assert filtered_count(sieve, 3, 1, 3.0) == level_set_count(sieve, 3, 1) == 2
 
 
 def test_filtered_count_subset_and_monotone_in_C(sieve):
@@ -184,23 +203,6 @@ def test_witness_e_interval_and_filter(sieve):
     assert set(int(m) for m in support) == members
     with pytest.raises(ValueError):
         witness_e(sieve, 3)
-
-
-def test_d_plus_minus_partition(sieve):
-    n = 500
-    beta = 0.48154502844112457
-    plus, minus = d_plus(sieve, n, beta), d_minus(sieve, n, beta)
-    assert plus | minus == set(range(1, n + 1))
-    assert plus & minus == set()
-    threshold = beta * math.log(math.log(n))
-    assert all(small_omega(sieve, m) >= threshold for m in plus)
-    assert all(small_omega(sieve, m) < threshold for m in minus)
-
-
-def test_d_plus_small_n(sieve):
-    # N < 3: threshold collapses to 0 and everything is in the plus set.
-    assert d_plus(sieve, 2, 0.5) == {1, 2}
-    assert d_minus(sieve, 2, 0.5) == set()
 
 
 def test_witness_domain_is_checked_before_the_range():

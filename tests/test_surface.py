@@ -1,0 +1,83 @@
+"""The library keeps only what runs: every public top-level function and
+class of src/galmin is used by the package itself or by the benchmark
+under perfbench/, or is a reference that a named test compares against.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "galmin"
+BENCHMARK = ROOT / "perfbench"
+
+# Public names that nothing in the package or the benchmark runs, kept as
+# references for the tests named beside them.
+REFERENCES = (
+    # tests/test_characters.py::test_theta_all_even_consistent checks
+    # theta_all_even against it, test_theta_matches_direct_sum checks it.
+    "theta",
+)
+
+
+def _public_definitions() -> dict[str, str]:
+    """Each public top-level function and class, with its module."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[node.name] = path.stem
+    return defs
+
+
+def _bound_names(func) -> set[str]:
+    """The parameters and assigned names of a function: names that shadow
+    a module-level one inside it."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    bound = {a.arg for a in params}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return bound
+
+
+def _references(tree, strings: bool) -> set[str]:
+    """The names a module uses: loads of a name that no enclosing function
+    rebinds, attributes (module.function, Class.method) and, with strings,
+    the parts of each string that is a dotted name, such as the
+    benchmark's traced layers."""
+    used = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not isinstance(node, ast.Lambda):
+                shadowed = shadowed | _bound_names(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                used.update(parts)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_name_has_a_user_or_is_a_named_reference():
+    defs = _public_definitions()
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        used |= _references(ast.parse(path.read_text()), strings=False)
+    for path in sorted(BENCHMARK.glob("*.py")):
+        used |= _references(ast.parse(path.read_text()), strings=True)
+    unused = sorted(f"{module}.{name}" for name, module in defs.items()
+                    if name not in used and name not in REFERENCES)
+    assert unused == []
+    assert set(REFERENCES) <= set(defs)
