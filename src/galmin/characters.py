@@ -66,10 +66,6 @@ class CharacterTable:
     g: int
     dlog: np.ndarray = field(repr=False)  # dlog[n] for 1 <= n <= p-1
 
-    @property
-    def order(self) -> int:
-        return self.p - 1
-
     def character(self, j: int) -> "DirichletCharacter":
         return DirichletCharacter(self, j % (self.p - 1))
 

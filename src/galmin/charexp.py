@@ -16,6 +16,7 @@ import numpy as np
 
 from .arith import BudgetError, FactorSieve, require_bytes
 from .characters import (
+    CharacterTable,
     DirichletCharacter,
     ThetaConfig,
     build_table,
@@ -45,17 +46,38 @@ def _window_counts(p: int, M: int, N: int) -> np.ndarray:
     return (M + N - t) // p - (M - t) // p
 
 
+def _prefix_sums(table: CharacterTable, js: np.ndarray, B: int, L: int):
+    """Yield (rows, C, I) per block of the characters js, about 2^16 values:
+    C[i, k] = sum_{n<=k} chi_j(n), k < L, j = rows[i], and I[i, l-1] =
+    C[i, l+B] - C[i, l] = sum_{1<=b<=B} chi_j(l+b), l = 1..p. chi_j(n) is
+    read from one roots-of-unity table at (j ind(n)) mod (p-1), bit for bit
+    as DirichletCharacter.values computes it."""
+    p = table.p
+    m = p - 1
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    ind = table.dlog[np.arange(L, dtype=np.int64) % p]
+    block = max(1, (1 << 16) // L)
+    for start in range(0, len(js), block):
+        rows = js[start:start + block]
+        vals = roots[np.outer(rows, ind) % m]
+        vals[:, ::p] = 0.0  # chi(n) = 0 at n = 0 (mod p)
+        cum = np.cumsum(vals, axis=1, out=vals)
+        yield rows, cum, cum[:, B + 1:p + B + 1] - cum[:, 1:p + 1]
+
+
+def _moments(abs_rows: np.ndarray, r: int) -> np.ndarray:
+    """sum_l |I(l)|^{2r} of each row of |I|."""
+    return (abs_rows ** (2 * r)).sum(axis=-1)
+
+
 def shifted_sums(chi: DirichletCharacter, B: int) -> np.ndarray:
-    """I(l) = sum_{1<=b<=B} chi(l+b) for l = 1..p, as differences of one
-    prefix sum of chi(n mod p) over n = 0..p+B."""
+    """I(l) = sum_{1<=b<=B} chi(l+b), l = 1..p: one row of _prefix_sums."""
     p = chi.p
-    # The complex prefix sum and the periodic values it sums, plus the
-    # temporaries of chi.values and the result: 32 * (p + B) + 64 * p.
+    # Per term the int64 ind(n) and exponents and the complex values the
+    # prefix sum overwrites; the roots and the result: 32(p + B) + 64p.
     require_bytes(32 * (p + B) + 64 * p, f"shifted sums at p={p}, B={B}")
-    vals = chi.values(np.arange(p, dtype=np.int64))  # chi(0..p-1)
-    cum = np.zeros(p + B + 2, dtype=np.complex128)
-    np.cumsum(np.resize(vals, p + B + 1), out=cum[1:])  # cum[k] = sum_{n<k}
-    return cum[B + 2:] - cum[2:p + 2]
+    _, _, inner = next(_prefix_sums(chi.table, np.array([chi.j]), B, p + B + 1))
+    return inner[0]
 
 
 def weil_bound(B: int, r: int, p: int) -> float:
@@ -64,21 +86,35 @@ def weil_bound(B: int, r: int, p: int) -> float:
     return (2 * r) ** r * B**r * p + 2 * r * B ** (2 * r) * math.sqrt(p)
 
 
+def weil_holds(moment: float, bound: float) -> bool:
+    """The Weil verdict on a 2r-th moment, with no slack."""
+    return moment <= bound
+
+
 def weil_moment_check(chi: DirichletCharacter, B: int, r: int) -> tuple[float, float]:
-    """Brute-force left side of the 2r-th shifted-sum moment against
-    weil_bound(B, r, p)."""
+    """The 2r-th moment of shifted_sums(chi, B), by the expression
+    burgess_experiment applies to its rows, against weil_bound(B, r, p)."""
     if chi.is_principal:
         raise ValueError("nonprincipal character required")
     if r < 2:
         raise ValueError("r must be >= 2")
     if B < 0:
         raise ValueError("B must be >= 0")
-    rhs = weil_bound(B, r, chi.p)
-    if B == 0:
-        return 0.0, rhs
-    inner = shifted_sums(chi, B)
-    lhs = float((np.abs(inner) ** (2 * r)).sum())
-    return lhs, rhs
+    moment = float(_moments(np.abs(shifted_sums(chi, B)), r))
+    return moment, weil_bound(B, r, chi.p)
+
+
+def r_bound_applies(A: int, N: int, p: int) -> bool:
+    """The domain A <= N, A * N <= p of the bound on R(c; A, M, N)."""
+    return A <= N and A * N <= p
+
+
+def r_bound_check(R: float, c: WeightVector, N: int,
+                  v_at_c: float) -> tuple[float, bool]:
+    """The bound |c|_1^2 + 2N V(c) on R = R(c; A, M, N) where it applies,
+    V(c) = v_at_c, and whether R keeps it to a relative 1e-12."""
+    bound = c.one_norm**2 + 2 * N * v_at_c
+    return bound, R <= bound * (1 + 1e-12)
 
 
 def burgess_r_values(c: WeightVector, M: int, N: int, p: int) -> np.ndarray:
@@ -134,14 +170,14 @@ def burgess_experiment(
 ) -> ExperimentReport:
     """Averaged shifted-sum experiment for one modulus.
 
-    For each nonprincipal chi, computes S = sum_l r(l;c) |sum_b chi(l+b)|
-    and verifies the full Hoelder chain
-    S^{2r} <= (sum_l r(l))^{2r-2} * (sum_l r(l)^2) * (sum_l |sum_b chi(l+b)|^{2r})
-    together with the R bound and the Weil moment bound. Also tabulates
-    max over chi and window starts of |S(M,N;chi)| against the
-    N^{1-1/r} p^{(r+1)/4r^2} shape under both the T and the V normalization
-    (the statement uses T, the proof's induction quantity uses V; both are
-    reported).
+    For each nonprincipal chi, S = sum_l r(l;c) |I(l)| with the shifted
+    sums I of _prefix_sums, whose one prefix sum per character also gives
+    the window sums; checks the Hoelder chain S^{2r} <= (sum_l r(l))^{2r-2}
+    * (sum_l r(l)^2) * (sum_l |I(l)|^{2r}), the R bound and the Weil bound.
+    Also tabulates max over chi and window starts of |S(M,N;chi)| against
+    the N^{1-1/r} p^{(r+1)/4r^2} shape under both the T and the V
+    normalization (the statement uses T, the proof's induction quantity
+    uses V; both are reported).
     """
     if p > _BURGESS_P_CAP:
         raise BudgetError(f"burgess_experiment limited to p <= {_BURGESS_P_CAP}")
@@ -169,40 +205,23 @@ def burgess_experiment(
     rep.check("sum_r_equals_N_times_norm", sum_r, N * c.one_norm,
               math.isclose(sum_r, N * c.one_norm, rel_tol=1e-9))
     v_at_c = v_form(c)
-    if A <= N and A * N <= p:
-        bound = c.one_norm**2 + 2 * N * v_at_c
-        rep.check("R_bound_gcd_form", R, bound, R <= bound * (1 + 1e-12))
+    if r_bound_applies(A, N, p):
+        rep.check("R_bound_gcd_form", R, *r_bound_check(R, c, N, v_at_c))
 
     weil_rhs = weil_bound(B, r, p)
     holder_min_slack = math.inf
     max_abs_s = 0.0
     max_window = 0.0
-    # chi_j(n) for n = 0..L-1 is a gather from the p-1 roots of unity, at
-    # (j * ind(n)) mod (p-1), for a block of characters at a time. One
-    # prefix sum C[k] = sum_{n<=k} chi(n) then gives the shifted sums
-    # I(l) = C[l+B] - C[l], l = 1..p, and the window sums
-    # S = C[m+N] - C[m], m = 0..2p-N. The roots are computed by the
-    # expression of DirichletCharacter.values, so chi agrees bit for bit.
-    m = p - 1
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    L = max(p + B + 1, 2 * p + 1)
-    ns = np.arange(L, dtype=np.int64) % p
-    ind = table.dlog[ns]
-    zero = ns == 0
-    # About 2^16 values (1 MiB of complex) per block array.
-    block = max(1, (1 << 16) // L)
-    for j0 in range(1, p - 1, block):
-        js = np.arange(j0, min(j0 + block, p - 1), dtype=np.int64)
-        vals = roots[np.outer(js, ind) % m]
-        vals[:, zero] = 0.0
-        cum = np.cumsum(vals, axis=1)
-        abs_inner = np.abs(cum[:, B + 1 : p + B + 1] - cum[:, 1 : p + 1])
-        w_moments = (abs_inner ** (2 * r)).sum(axis=1)
+    # The same C gives the window sums S = C[m+N] - C[m], m = 0..2p-N.
+    js = np.arange(1, p - 1, dtype=np.int64)
+    for rows, cum, inner in _prefix_sums(table, js, B, max(p + B + 1, 2 * p + 1)):
+        abs_inner = np.abs(inner)
+        w_moments = _moments(abs_inner, r)
         windows = np.abs(cum[:, N : 2 * p + 1] - cum[:, : 2 * p + 1 - N])
         max_window = max(max_window, float(windows.max()))
-        for j, inner_j, w_moment in zip(js, abs_inner, w_moments):
+        for j, inner_j, w_moment in zip(rows, abs_inner, w_moments):
             w_moment = float(w_moment)
-            if w_moment > weil_rhs * (1 + 1e-12):
+            if not weil_holds(w_moment, weil_rhs):
                 rep.check(f"weil_moment_chi_{j}", w_moment, weil_rhs, False)
             s_val = float(rvals @ inner_j)
             lhs = s_val ** (2 * r)
@@ -217,15 +236,12 @@ def burgess_experiment(
     rep.check("trivial_window_bound", max_window, float(N),
               max_window <= N + 1e-9)
 
-    t_caps = [minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), x,
-                                 tolerance=1e-8).scaled_value
-              for x in range(1, A + 1)]
-    v_caps = [minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), x,
-                                 tolerance=1e-8).scaled_value
-              for x in range(1, A + 1)]
-    base_shape = N ** (1 - 1 / r) * p ** ((r + 1) / (4 * r**2))
-    shape_t = base_shape * max(t_caps) ** (1 / (2 * r))
-    shape_v = base_shape * max(v_caps) ** (1 / (2 * r))
+    def shape(kind: KernelKind) -> float:
+        cap = max(minimize_quadratic(KernelSpec(kind), x, tolerance=1e-8).scaled_value
+                  for x in range(1, A + 1))
+        return N ** (1 - 1 / r) * p ** ((r + 1) / (4 * r**2)) * cap ** (1 / (2 * r))
+
+    shape_t, shape_v = shape(KernelKind.T_KERNEL), shape(KernelKind.V_KERNEL)
     rep.values.update({
         "sum_r": sum_r,
         "R": R,
@@ -258,6 +274,16 @@ class MollifiedMoments:
     zero_threshold: float
     theta_min_abs: float
 
+    def holder_check(self) -> tuple[float, bool]:
+        """M1^4 / (M2^2 M4) - 1e-6 and whether M0 reaches it."""
+        floor = self.holder_lower_bound - 1e-6
+        return floor, self.M0 >= floor
+
+
+def mollifier_length(p: int) -> int:
+    """q = floor(sqrt(p/3)), the length of the mollifier weights mod p."""
+    return math.isqrt(p // 3)
+
 
 def mollified_moments(p: int, x: float, c: WeightVector) -> MollifiedMoments:
     """First/second/fourth mollified moments over the even characters and
@@ -265,14 +291,14 @@ def mollified_moments(p: int, x: float, c: WeightVector) -> MollifiedMoments:
 
     M1 = sum M(chi) theta(x;chi), M2 = sum |theta|^2, M4 = sum |M(chi)|^4,
     M0 = #{even chi : |theta| > 1e-10 sqrt(n_max)}, n_max = theta_cutoff(p,
-    ThetaConfig(x)); the Hoelder consequence M0 >= M1^4 / (M2^2 M4) is
-    checked by the caller. The character table is built here, after its
+    ThetaConfig(x)); the caller checks the Hoelder consequence M0 >= M1^4 /
+    (M2^2 M4) by holder_check. The character table is built here, after its
     bytes and those of the larger of the theta and mollifier stages pass
     the budget.
     """
     if p < 7:
         raise ValueError("p must be a prime >= 7")
-    q = math.isqrt(p // 3)  # floor(sqrt(p/3)) since p is an integer
+    q = mollifier_length(p)
     if c.n_max != q:
         raise ValueError(f"weights must have length q = floor(sqrt(p/3)) = {q}")
     if c.one_norm <= 0:

@@ -35,6 +35,8 @@ _REFINE_LEVELS = 48
 # speed choice: the slab scan pays numpy's per-call cost once a slab, which
 # dominates small slabs. It covers N = 3 and N = 4 at step 1/60.
 _ONE_BATCH_POINTS = 1 << 16
+# Most iterations of one energy restart.
+_ENERGY_MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _pgd_energy(w0: np.ndarray, max_iters: int,
+def _pgd_energy(index: EnergyIndex, w0: np.ndarray,
                 tol: float) -> tuple[np.ndarray, float, int, str]:
     """Projected gradient descent with a spectral trial step and Armijo
     backtracking on E(c;N).
@@ -236,12 +238,11 @@ def _pgd_energy(w0: np.ndarray, max_iters: int,
     last move s and gradient change y, when s·y > 0. If that candidate fails
     the Armijo test, the backtracking search runs: it starts at ``step``,
     halves up to 60 times, and doubles ``step`` after the candidate it
-    accepts. One EnergyIndex serves every evaluation of the run, and the r
-    of the accepted candidate gives the next gradient. Returns (w, value,
+    accepts. The caller's index serves every evaluation, and the r of the
+    accepted candidate gives the next gradient. Returns (w, value,
     iterations, stop reason): small_move or small_drop when a stall test
     stopped the run, else no_armijo_step or max_iters.
     """
-    index = EnergyIndex(len(w0))
     w = w0.copy()
     r = index.counts(w)
     val = float(r @ r)
@@ -258,7 +259,7 @@ def _pgd_energy(w0: np.ndarray, max_iters: int,
         ok = cand_val <= val - 1e-4 * float(grad @ (w - cand))
         return ok, cand, cand_r, cand_val
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, _ENERGY_MAX_ITERS + 1):
         grad = index.gradient(r, w)
         improved = False
         if prev_grad is not None:
@@ -293,7 +294,6 @@ def minimize_energy(
     tolerance: float = 1e-10,
     restarts: int = 4,
     seed: int = 0,
-    max_iters: int = 5000,
     sieve: FactorSieve | None = None,
 ) -> MinimizationResult:
     """Best-of-restarts upper bound on the energy infimum (non-certified).
@@ -323,8 +323,9 @@ def minimize_energy(
 
     best_w, best_val, best_tag, total_it, reason = None, math.inf, "", 0, ""
     starts = starts[:restarts]
+    index = EnergyIndex(N)  # one for every restart
     for tag, w0 in starts:
-        w, val, it, stop = _pgd_energy(w0, max_iters, tolerance)
+        w, val, it, stop = _pgd_energy(index, w0, tolerance)
         total_it += it
         if val < best_val:
             best_w, best_val, best_tag, reason = w, val, tag, stop

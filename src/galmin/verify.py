@@ -28,6 +28,10 @@ from .charexp import (
     burgess_R,
     low_moment_experiment,
     mollified_moments,
+    mollifier_length,
+    r_bound_applies,
+    r_bound_check,
+    weil_holds,
     weil_moment_check,
 )
 from .constants import VariationalConstants, q_of, solve_beta
@@ -247,23 +251,20 @@ def _verify_shifted_sums(rep, rng, primes):
                 continue
             for B in (1, 4, 8):
                 for r in (2, 3):
-                    lhs, rhs = weil_moment_check(chi, B, r)
-                    if lhs > rhs:
-                        ok_weil = False
+                    ok_weil &= weil_holds(*weil_moment_check(chi, B, r))
     rep.check("weil_moment_bound", 1, 1, ok_weil)
 
     ok_r = True
     for p in primes:
         for A in (1, 3, 7):
             for N in (A, 2 * A, p // max(A, 1)):
-                if not (A <= N and A * N <= p and N >= 1):
+                if not r_bound_applies(A, N, p):
                     continue
                 c = WeightVector.from_weights(rng.random(A))
+                v_at_c = v_form(c)
                 for M in (0, 1, p // 2):
                     R = burgess_R(c, A, M, N, p)
-                    bound = c.one_norm**2 + 2 * N * v_form(c)
-                    if R > bound * (1 + 1e-12):
-                        ok_r = False
+                    ok_r &= r_bound_check(R, c, N, v_at_c)[1]
     rep.check("R_bound_gcd_form_grid", 1, 1, ok_r)
 
 
@@ -274,11 +275,11 @@ def check_mollified_moments(rep: ExperimentReport, rng: np.random.Generator,
     rel 1e-8."""
     ok = True
     for p in primes:
-        q = math.isqrt(p // 3)
+        q = mollifier_length(p)
         for c in (WeightVector.from_weights(np.ones(q)),
                   WeightVector.from_weights(rng.random(q) + 0.05)):
             mm = mollified_moments(p, 1.0, c)
-            ok &= mm.M0 >= mm.holder_lower_bound - 1e-6
+            ok &= mm.holder_check()[1]
             ok &= math.isclose(mm.M4, 0.5 * (p - 1) * e_form(c), rel_tol=1e-8)
     rep.check("mollified_holder_and_M4_identity", 1, 1, ok)
 

@@ -103,9 +103,11 @@ def _burgess_per_character(p, r, N, table):
     sum_r, R = float(rvals.sum()), float(rvals @ rvals)
     slack, max_s, max_window = math.inf, 0.0, 0.0
     ns = np.arange(1, 2 * p + 1)
+    # n = l + b for l = 1..p (rows) and b = 1..B (columns).
+    shifts = np.arange(1, p + 1)[:, None] + np.arange(1, B + 1)
     for j in range(1, p - 1):
         chi = table.character(j)
-        inner = np.abs(shifted_sums(chi, B))
+        inner = np.abs(chi.values(shifts.ravel()).reshape(shifts.shape).sum(axis=1))
         s_val = float(rvals @ inner)
         rhs = sum_r ** (2 * r - 2) * R * float((inner ** (2 * r)).sum())
         slack = min(slack, rhs - s_val ** (2 * r))
@@ -130,6 +132,21 @@ def test_burgess_failed_checks_in_character_order(monkeypatch):
     rep = burgess_experiment(p, 2, 200)
     failed = [a.name for a in rep.assertions if not a.holds]
     assert failed == [f"weil_moment_chi_{j}" for j in range(1, p - 1)]
+
+
+def test_one_r_bound_serves_burgess_and_verify_all(monkeypatch):
+    from galmin.verify import run_verification
+
+    def refuse(R, c, N, v_at_c):
+        return 0.0, False
+
+    # Replacing the code of the one function object reaches every module
+    # that imported it.
+    monkeypatch.setattr(charexp.r_bound_check, "__code__", refuse.__code__)
+    burgess = {a.name: a.holds for a in burgess_experiment(101, 2, 30).assertions}
+    grid = {a.name: a.holds for a in run_verification(fast=True).assertions}
+    assert burgess["R_bound_gcd_form"] is False
+    assert grid["R_bound_gcd_form_grid"] is False
 
 
 def test_burgess_experiment_weight_modes():

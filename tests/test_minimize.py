@@ -330,7 +330,9 @@ def test_each_energy_stop_reason_is_reached(monkeypatch):
     assert minimize_energy(1, restarts=1).stop_reason == "small_move"
     res = minimize_energy(8, tolerance=1.0, restarts=1)
     assert (res.stop_reason, res.converged) == ("small_drop", True)
-    res = minimize_energy(8, restarts=1, max_iters=1)
+    with monkeypatch.context() as m:
+        m.setattr(minimize, "_ENERGY_MAX_ITERS", 1)
+        res = minimize_energy(8, restarts=1)
     assert (res.stop_reason, res.converged) == ("max_iters", False)
     # Every candidate is the vertex e_1, where E = 1 exceeds E(uniform).
     monkeypatch.setattr(minimize, "project_to_simplex",
@@ -606,7 +608,9 @@ def test_energy_result_feasible():
 def test_energy_converged_only_when_the_run_stalls(monkeypatch):
     # Every start at N = 64 takes more than one step before it stalls.
     assert minimize_energy(64, restarts=4, seed=0).converged
-    assert not minimize_energy(64, restarts=4, seed=0, max_iters=1).converged
+    with monkeypatch.context() as m:
+        m.setattr(minimize, "_ENERGY_MAX_ITERS", 1)
+        assert not minimize_energy(64, restarts=4, seed=0).converged
     # A projection onto the vertex e_1, worse than any start, fails every
     # Armijo search.
     monkeypatch.setattr("galmin.minimize.project_to_simplex",
@@ -620,17 +624,16 @@ def test_energy_value_is_e_form_at_minimizer():
     assert math.isclose(res.value, e_form(res.minimizer), rel_tol=1e-12)
 
 
-def _doubling_pgd(w0, max_iters, tol):
+def _doubling_pgd(index, w0, tol):
     """The E loop before the spectral trial step: try twice the last
     accepted step, then halve until the Armijo test passes."""
-    index = EnergyIndex(len(w0))
     w = w0.copy()
     r = index.counts(w)
     val = float(r @ r)
     step = 1.0
     it = 0
     reason = "max_iters"
-    for it in range(1, max_iters + 1):
+    for it in range(1, minimize._ENERGY_MAX_ITERS + 1):
         grad = index.gradient(r, w)
         improved = False
         for _ in range(60):
@@ -679,6 +682,19 @@ def test_energy_spectral_step_saves_counts(monkeypatch):
     res = minimize_energy(32, restarts=4, seed=0, tolerance=1e-12)
     assert res.converged
     assert len(calls) <= 500
+
+
+def test_energy_restarts_share_one_index(monkeypatch):
+    builds = []
+    init = EnergyIndex.__init__
+
+    def counted(self, n):
+        builds.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(EnergyIndex, "__init__", counted)
+    minimize_energy(64, restarts=4)
+    assert builds == [64]
 
 
 def test_energy_spectral_failure_falls_back_to_the_search():
