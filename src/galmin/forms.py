@@ -134,15 +134,17 @@ def _pair_count(n: int) -> int:
 
 def _operator_bytes(kind: KernelKind, n: int) -> int:
     """Peak bytes of KernelOperator(kind, n) and one product in a
-    Frank-Wolfe solve, in O(sqrt n) time, as measured with tracemalloc:
-    16 KiB of headers; 160 bytes an entry of [1, n], 112 for the n-vectors
-    the operator and a product hold and 48 for the solve's (its start, w,
-    K w and the one a refresh replaces, the away mask and buffer); for
-    T, 16 per pair (d, a) (the index, and a product's gather or its
-    repeated weights); for V, 16 per padded entry (the index and a
-    product's weights), the blocks B_P or their FFTs, and the temporaries
-    of the widest bucket: 16 an entry in a dense one, 48 in an FFT one."""
-    total = (16 << 10) + 160 * (n + 1)
+    minimize_with_witness solve, in O(sqrt n) time, as measured with
+    tracemalloc: 16 KiB of headers; 152 bytes an entry of [1, n], 112 for
+    the n-vectors the operator and a product hold and 40 for the solve's
+    (the start, w, and the K w, direction d and K d of the last step while
+    a full product replaces K w; a projection's sort and cumsum peak below
+    a product); for T, 16 per pair (d, a) (the index, and a product's
+    gather or its repeated weights); for V, 16 per padded entry (the index
+    and a product's weights), the blocks B_P or their FFTs, and the
+    temporaries of the widest bucket: 16 an entry in a dense one, 48 in an
+    FFT one."""
+    total = (16 << 10) + 152 * (n + 1)
     if kind is KernelKind.T_KERNEL:
         return total + 16 * _pair_count(n)
     widest = 0
@@ -155,17 +157,15 @@ def _operator_bytes(kind: KernelKind, n: int) -> int:
 
 
 class KernelOperator:
-    """Products w -> K w and columns K e_j of the V or T kernel on [1, n],
-    through gcd(m, n) = sum of phi(d) over the common divisors d of m, n:
+    """Products w -> K w of the V or T kernel on [1, n], through
+    gcd(m, n) = sum of phi(d) over the common divisors d of m, n:
 
         K = sum_{d <= n} (phi(d)/d) P_d^T B_{n//d} P_d,
 
     where P_d w = (w_d, w_2d, ...) and B_L is the L x L Hankel block
     1/(a+b) for V, or the rank-one s s^T with s_a = a^(-1/2) for T. A
     product costs O(n log^2 n) time for V, O(n log n) for T, and the
-    operator holds O(n log n) numbers. phi is exact, and a column is built
-    from the exact gcd(i, j), so it has the bits of KernelSpec.block for V.
-    One smallest-prime-factor table serves phi and the columns.
+    operator holds O(n log n) numbers, and phi is exact.
 
     V: the d of a _buckets range share the padded width P >= L = n // d,
     and their rows d * (1..P) - 1 lie in one (rows, P) slab of a flat index;
@@ -188,14 +188,8 @@ class KernelOperator:
         self.n = n
         self.idx = np.arange(1, n + 1, dtype=np.int64)
         sieve = FactorSieve(limit=max(n, 2), spf=_spf_table(max(n, 2)))
-        self._spf = sieve.spf
         self.phi = phi_table(sieve, n)
-        self._idx_float = self.idx.astype(np.float64)
-        self.inv_sqrt = 1.0 / np.sqrt(self._idx_float)
-        # column's buffers: the gcd's starting ones, and the V denominator
-        # i + j (exact in float64) or the T scale.
-        self._ones = np.ones(n)
-        self._buf = np.empty(n)
+        self.inv_sqrt = 1.0 / np.sqrt(self.idx.astype(np.float64))
         if kind is KernelKind.T_KERNEL:
             self._pair_layout()
         else:
@@ -270,30 +264,6 @@ class KernelOperator:
                 y = np.fft.irfft(f, 2 * P)[:, :P]
             np.multiply(y, coef, out=vals[start:stop].reshape(-1, P))
         return np.bincount(self._index, weights=vals, minlength=n + 1)[:n]
-
-    def column(self, j: int) -> np.ndarray:
-        """K e_j for the 1-based coordinate j in [1, n], as a new array.
-
-        gcd(i, j) is the product of the prime powers p^b | j that divide i,
-        so it is built exactly from ones by multiplying the rows p^b | i by
-        p once per prime power p^b | j: Omega(j) strided passes.
-        """
-        if not 1 <= j <= self.n:
-            raise ValueError(f"column j={j} outside [1, {self.n}]")
-        g = self._ones.copy()
-        m = j
-        while m > 1:
-            p = int(self._spf[m])
-            q = p
-            while m % p == 0:
-                g[q - 1 :: q] *= p
-                q *= p
-                m //= p
-        if self.kind is KernelKind.V_KERNEL:
-            np.add(self._idx_float, j, out=self._buf)
-            return np.divide(g, self._buf, out=g)
-        np.multiply(self.inv_sqrt, self.inv_sqrt[j - 1], out=self._buf)
-        return np.multiply(g, self._buf, out=g)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Simplex-constrained minimization of the V, T and E forms.
 
-V and T are convex quadratics (both kernels are positive semidefinite), so a
-conditional-gradient method with a duality-gap certificate applies; away
-steps and exact line search are used for linear convergence. E is quartic
+V and T are convex quadratics (both kernels are positive semidefinite), so
+the Frank-Wolfe duality gap certifies a point: spectral projected gradient
+with exact line search moves every coordinate with each kernel product, and a
+pairwise step takes over where the projected step stalls on a face. E is quartic
 and not certified convex: projected gradient descent with a spectral
 (Barzilai-Borwein) trial step, Armijo backtracking and restarts yields an
 upper bound only.
@@ -11,7 +12,7 @@ upper bound only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +28,11 @@ from .forms import (
 )
 
 # Full products refresh the incrementally updated K w every this many steps.
-_REFRESH_EVERY = 256
+_REFRESH_EVERY = 64
+# A V/T lower bound is value - gap less this share of the value, room for
+# the round-off of the product they come from: against long-double dense
+# products at N <= 10^4, value - gap was within 2.1e-15 of the value.
+_LOWER_BOUND_RTOL = 1e-12
 # Most rounds of grid_oracle's refinement. Each round moves to a better
 # lattice point or halves the spacing; it stops sooner below 1e-14.
 _REFINE_LEVELS = 48
@@ -50,13 +55,20 @@ class MinimizationResult:
     certificate_gap: float | None  # None: not applicable (E)
     converged: bool = True
     provenance: str = ""
-    # Why the run stopped. Frank-Wolfe: gap_reached, max_iters or
+    # Why the run stopped. V and T: gap_reached, max_iters or
     # no_descent_step; E, for the restart returned: small_move, small_drop,
     # no_armijo_step or max_iters; grid_oracle: grid_scan.
     stop_reason: str = field(kw_only=True)
+    # V and T only (None otherwise): a certified lower bound on the minimum,
+    # and the solve's kernel products, pairwise fallback steps and
+    # scheduled refreshes of K w.
+    lower_bound: float | None = field(default=None, kw_only=True)
+    products: int | None = field(default=None, kw_only=True)
+    fallback_steps: int | None = field(default=None, kw_only=True)
+    refreshes: int | None = field(default=None, kw_only=True)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "objective_kind": self.objective_kind,
             "n": self.n,
             "value": self.value,
@@ -68,6 +80,10 @@ class MinimizationResult:
             "stop_reason": self.stop_reason,
             "minimizer_support_size": int(np.count_nonzero(self.minimizer.weights)),
         }
+        if self.lower_bound is not None:
+            out.update(lower_bound=self.lower_bound, products=self.products,
+                       fallback_steps=self.fallback_steps, refreshes=self.refreshes)
+        return out
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -85,16 +101,20 @@ def minimize_quadratic(
     *,
     operator: _QuadraticOperator | None = None,
 ) -> MinimizationResult:
-    """Minimize c^T K c over the probability simplex by away-step
-    Frank-Wolfe with exact line search.
+    """Minimize c^T K c over the probability simplex by spectral projected
+    gradient with exact line search, one product K d per iteration.
 
-    Terminates when the duality gap drops below tolerance * value on a full
-    product K w, taken when the gap test passes on the incrementally
-    updated one; the returned value and gap come from that product, and the
-    value is then within certificate_gap of the true minimum. A run stopped
-    by max_iters takes no extra product. Coordinate ties are broken by
-    smallest index. operator, when given, is the KernelOperator of kernel
-    on [1, N], so a caller that has built one does not hold a second.
+    Each iteration tests the duality gap 2 value - 2 min K w, steps along
+    d = project_to_simplex(w - alpha * 2 K w) - w, or along the pairwise
+    direction w_a (e_s - e_a) when d does not descend (s = argmin K w, a =
+    argmax K w over the support w > 0), and takes the next alpha by
+    Barzilai-Borwein. K w is updated incrementally and refreshed by a full
+    product every _REFRESH_EVERY iterations; a gap test passed on the
+    incremental K w is re-tested on a full product. The returned value, gap,
+    lower bound and converged all come from one full product of the returned
+    minimizer, so the true minimum lies in [lower_bound, value]. operator,
+    when given, is the KernelOperator of kernel on [1, N], so a caller that
+    has built one does not hold a second.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -115,106 +135,93 @@ def minimize_quadratic(
     else:
         w = np.full(N, 1.0 / N)
 
-    # The gradient is 2 K w, so the gradient is never formed: vertices are
-    # picked on K w, and g.w = 2 * value (doubling is exact).
-    kw = op.matvec(w)
-    value = float(w @ kw)
+    products = fallback_steps = refreshes = 0
+
+    def exact_state():
+        """w clamped and renormalised in place, its full product K w, value
+        and gap. The gradient is 2 K w, so g.w = 2 * value exactly."""
+        nonlocal products
+        np.maximum(w, 0.0, out=w)
+        np.divide(w, w.sum(), out=w)
+        kw = op.matvec(w)
+        products += 1
+        value = float(w @ kw)
+        return kw, value, 2.0 * value - 2.0 * kw.min().item()
+
+    def passes(gap: float, value: float) -> bool:
+        return gap <= tolerance * max(value, 1e-300)
+
+    kw, value, gap = exact_state()
     exact = True  # kw is a full product of the current w
-    # The away vertex is argmax(kw + pen): pen is 0 on the support w > 0
-    # and -inf off it, kept in step with w in O(1) per step.
-    pen = np.where(w > 0, 0.0, -np.inf)
-    away_buf = np.empty(N)
-    gap = math.inf
+    alpha = 1.0 / (2.0 * kw.max().item())
     it = 0
     stop_reason = "max_iters"
     for it in range(1, max_iters + 1):
-        s = int(kw.argmin())  # smallest-index tie-break via argmin
-        kw_s = kw[s].item()
-        gap = 2.0 * value - 2.0 * kw_s
-        if gap <= tolerance * max(value, 1e-300) and not exact:
+        if passes(gap, value) and not exact:
             # Certify only on a full product: the incremental kw drifts.
-            kw = op.matvec(w)
-            value = float(w @ kw)
+            kw, value, gap = exact_state()
             exact = True
-            s = int(kw.argmin())
-            kw_s = kw[s].item()
-            gap = 2.0 * value - 2.0 * kw_s
-        if gap <= tolerance * max(value, 1e-300):
+        if passes(gap, value):
             stop_reason = "gap_reached"
             break
 
-        # The away vertex: largest gradient on the support, smallest index.
-        np.add(kw, pen, out=away_buf)
-        a = int(away_buf.argmax())
-        while w[a] == 0.0 and pen[a] == 0.0:
-            # A weight that underflowed to 0 in a toward step's scaling.
-            pen[a] = away_buf[a] = -np.inf
-            a = int(away_buf.argmax())
-        kw_a, w_a = kw[a].item(), w[a].item()
-        away_improve = 2.0 * kw_a - 2.0 * value
-
-        toward = gap >= away_improve or w_a >= 1.0 - 1e-16
-        if toward:
-            # Frank-Wolfe step towards vertex s: d = e_s - w.
-            kd = op.column(s + 1)
-            d_kd = value - 2.0 * kw_s + kd[s].item()
-            g_d = 2.0 * kw_s - 2.0 * value
-            gamma_max = 1.0
-            np.subtract(kd, kw, out=kd)
-        else:
-            # Away step from vertex a: d = w - e_a.
-            kd = op.column(a + 1)
-            d_kd = value - 2.0 * kw_a + kd[a].item()
-            g_d = 2.0 * value - 2.0 * kw_a
-            gamma_max = w_a / (1.0 - w_a)
-            np.subtract(kw, kd, out=kd)
-        if d_kd <= 0:
-            gamma = gamma_max
-        else:
-            gamma = min(gamma_max, -g_d / (2.0 * d_kd))
-        if gamma <= 0:
-            # Not reached while the gap test fails: then g_d < 0 on either
-            # branch (an away step is taken only when it beats the positive
-            # FW gap) and gamma_max > 0, so gamma > 0 unless -g_d / (2 d_kd)
-            # rounds to 0. No gap test passed, so this is no certificate.
+        d = project_to_simplex(w - (2.0 * alpha) * kw)
+        d -= w
+        g_d = 2.0 * float(kw @ d)
+        if not g_d < 0.0:
+            # The projected step has collapsed onto its face: move weight
+            # from the worst support coordinate to the best one.
+            s = int(kw.argmin())
+            a = int(np.where(w > 0.0, kw, -np.inf).argmax())
+            d = np.zeros(N)
+            d[s], d[a] = w[a], -w[a]
+            g_d = 2.0 * w[a].item() * (kw[s].item() - kw[a].item())
+            fallback_steps += 1
+            if not g_d < 0.0:
+                # K w is flat on the support and no lower off it, yet the
+                # gap test failed: round-off, and no certificate.
+                stop_reason = "no_descent_step"
+                break
+        kd = op.matvec(d)
+        products += 1
+        d_kd = float(d @ kd)
+        # K is positive semidefinite; d.Kd <= 0 is round-off on a flat
+        # direction. An infinite or NaN d.Kd gives no step.
+        t = 1.0 if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
+        if not t > 0.0:
             stop_reason = "no_descent_step"
             break
-        if toward:
-            w *= 1.0 - gamma
-            w[s] += gamma
-            if gamma == 1.0:
-                pen = np.where(w > 0, 0.0, -np.inf)
-            else:
-                pen[s] = 0.0
-        else:
-            w *= 1.0 + gamma
-            w[a] -= gamma
-            w[a] = max(w[a], 0.0)
-            if w[a] == 0.0:
-                pen[a] = -np.inf
-        kd *= gamma
-        kw += kd
-        value = float(w @ kw)
-        exact = False
+        t = min(t, 1.0)
+        w += t * d
+        kw += t * kd
+        if d_kd > 0.0:
+            alpha = float(d @ d) / (2.0 * d_kd)
         if it % _REFRESH_EVERY == 0:
-            kw = op.matvec(w)
-            value = float(w @ kw)
+            kw, value, gap = exact_state()
             exact = True
+            refreshes += 1
+        else:
+            value = float(w @ kw)
+            gap = 2.0 * value - 2.0 * kw.min().item()
+            exact = False
 
-    w = np.maximum(w, 0.0)
-    w /= w.sum()
-    minimizer = WeightVector(N, w)
+    if not exact:
+        kw, value, gap = exact_state()
     return MinimizationResult(
         objective_kind=kind_name,
         n=N,
-        minimizer=minimizer,
+        minimizer=WeightVector(N, w),
         value=value,
         scaled_value=N * value,
         iterations=it,
         certificate_gap=gap,
-        converged=stop_reason == "gap_reached",
-        provenance="frank_wolfe(away_steps,exact_line_search)",
+        converged=passes(gap, value),
+        provenance="spectral_projected_gradient(exact_line_search,pairwise_fallback)",
         stop_reason=stop_reason,
+        lower_bound=value - max(gap, 0.0) - _LOWER_BOUND_RTOL * value,
+        products=products,
+        fallback_steps=fallback_steps,
+        refreshes=refreshes,
     )
 
 
@@ -348,7 +355,7 @@ def minimize_energy(
 
 
 def default_quadratic_iters(kind: KernelKind, N: int) -> int:
-    """Default Frank-Wolfe iteration budget for one minimization.
+    """Default iteration budget for one V or T minimization.
 
     The scaling rows of acceptance criterion 12 and of the ``scaling`` CLI
     command are pinned to these values, so they stay fixed although a V
@@ -404,14 +411,11 @@ def minimize_with_witness(
     res = minimize_quadratic(KernelSpec(kind), N, tolerance=tolerance,
                              max_iters=max_iters, start=start, operator=op)
     if res.value > start_value:
-        # Line-search FW is monotone, so this can only be float noise.
-        res = MinimizationResult(
-            objective_kind=res.objective_kind, n=N, minimizer=start,
-            value=start_value, scaled_value=N * start_value,
-            iterations=res.iterations, certificate_gap=res.certificate_gap,
-            converged=False, provenance=res.provenance + ";start_retained",
-            stop_reason=res.stop_reason,
-        )
+        # Exact line search is monotone, so this can only be float noise.
+        # The solve's lower bound holds whichever point is returned.
+        res = replace(res, minimizer=start, value=start_value,
+                      scaled_value=N * start_value, converged=False,
+                      provenance=res.provenance + ";start_retained")
     return res, wit_value
 
 

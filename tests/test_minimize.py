@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -68,11 +69,10 @@ def test_operator_matches_dense_kernel():
             dense = KernelSpec(kind).block(idx, idx)
             sparse = rng.random(n)
             sparse[rng.random(n) < 0.92] = 0.0
-            for w in (rng.random(n), sparse, np.zeros(n)):
+            # The solver multiplies directions, which have negative entries.
+            signed = rng.random(n) - 0.5
+            for w in (rng.random(n), sparse, signed, np.zeros(n)):
                 assert np.allclose(op.matvec(w), dense @ w, rtol=1e-12, atol=1e-15)
-            for j in (1, 7, n):
-                if j <= n:
-                    assert op.column(j).tobytes() == _exact_column(op, j).tobytes()
 
 
 def _dense_product(kind, w):
@@ -99,35 +99,6 @@ def test_bucketed_products_match_dense_blocks(kind, n):
         assert got.shape == (n,)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not op.matvec(np.zeros(n)).any()
-
-
-def _exact_column(op, j):
-    """K e_j from np.gcd: V with the bits of KernelSpec.block, T with the
-    operator's rounding of gcd / sqrt(i j)."""
-    idx = np.arange(1, op.n + 1, dtype=np.int64)
-    if op.kind is KernelKind.V_KERNEL:
-        return KernelSpec(op.kind).block(idx, np.array([j]))[:, 0]
-    return np.gcd(idx, j) * (op.inv_sqrt * op.inv_sqrt[j - 1])
-
-
-@pytest.mark.parametrize("n", [1, 2, 9, 64, 65, 360, 1000])
-@pytest.mark.parametrize("kind", list(KernelKind))
-def test_every_column_is_the_exact_kernel(kind, n):
-    op = KernelOperator(kind, n)
-    for j in range(1, n + 1):
-        col = op.column(j)
-        assert col.tobytes() == _exact_column(op, j).tobytes()
-        # A new array each call: the caller may write into it.
-        col[:] = np.nan
-        assert not np.isnan(op.column(j)).any()
-
-
-def test_column_rejects_j_outside_range():
-    for kind in KernelKind:
-        op = KernelOperator(kind, 10)
-        for j in (0, -1, 11, 100):
-            with pytest.raises(ValueError, match="outside"):
-                op.column(j)
 
 
 def test_operator_form_matches_pairwise_oracle_at_1e4():
@@ -165,74 +136,78 @@ def test_certificate_gap_bounds_suboptimality():
     assert res.value <= t_form_fast(probe) + res.certificate_gap
 
 
-def _fw_masked(op, w, tolerance, max_iters):
-    """minimize_quadratic's loop with the away vertex searched by a masked
-    copy of K w (the support mask rebuilt from w > 0 every step). Returns
-    (iterations, value, gap, converged, minimizer, gamma-1 steps, drops)."""
+def _spg_masked(op, w, tolerance, max_iters):
+    """minimize_quadratic's loop written out plainly, with the fallback's
+    away vertex searched in a masked copy of K w (rebuilt from w > 0 at each
+    fallback). Returns (iterations, value, gap, stop reason, minimizer,
+    products, fallback steps, refreshes, steps that shrink the support)."""
     n = len(w)
     w = w.copy()
-    kw = op.matvec(w)
-    value = float(w @ kw)
-    exact = True
     away_buf = np.empty(n)
-    gap, it, converged, full_steps, drops = math.inf, 0, False, 0, 0
-    for it in range(1, max_iters + 1):
-        s = int(np.argmin(kw))
-        gap = float(2.0 * value - 2.0 * kw[s])
-        if gap <= tolerance * max(value, 1e-300) and not exact:
-            kw = op.matvec(w)
-            value = float(w @ kw)
-            exact = True
-            s = int(np.argmin(kw))
-            gap = float(2.0 * value - 2.0 * kw[s])
-        if gap <= tolerance * max(value, 1e-300):
-            converged = True
-            break
-        np.copyto(away_buf, -np.inf)
-        np.copyto(away_buf, kw, where=w > 0)
-        a = int(np.argmax(away_buf))
-        away_improve = 2.0 * kw[a] - 2.0 * value
-        toward = gap >= away_improve or w[a] >= 1.0 - 1e-16
-        if toward:
-            kd = op.column(s + 1)
-            d_kd = value - 2.0 * kw[s] + kd[s]
-            g_d = 2.0 * kw[s] - 2.0 * value
-            gamma_max = 1.0
-            np.subtract(kd, kw, out=kd)
-        else:
-            kd = op.column(a + 1)
-            d_kd = value - 2.0 * kw[a] + kd[a]
-            g_d = 2.0 * value - 2.0 * kw[a]
-            gamma_max = w[a] / (1.0 - w[a])
-            np.subtract(kw, kd, out=kd)
-        gamma = gamma_max if d_kd <= 0 else min(gamma_max, -g_d / (2.0 * d_kd))
-        if gamma <= 0:
-            break
-        if toward:
-            w *= 1.0 - gamma
-            w[s] += gamma
-            full_steps += gamma == 1.0
-        else:
-            w *= 1.0 + gamma
-            w[a] -= gamma
-            w[a] = max(w[a], 0.0)
-            drops += w[a] == 0.0
-        kd *= gamma
-        kw += kd
+    products = fallbacks = refreshes = drops = 0
+
+    def exact():
+        nonlocal products
+        np.maximum(w, 0.0, out=w)
+        np.divide(w, w.sum(), out=w)
+        kw = op.matvec(w)
+        products += 1
         value = float(w @ kw)
-        exact = False
+        return kw, value, 2.0 * value - 2.0 * kw.min().item()
+
+    kw, value, gap = exact()
+    is_exact = True
+    alpha = 1.0 / (2.0 * kw.max().item())
+    it, reason = 0, "max_iters"
+    for it in range(1, max_iters + 1):
+        if gap <= tolerance * max(value, 1e-300) and not is_exact:
+            kw, value, gap = exact()
+            is_exact = True
+        if gap <= tolerance * max(value, 1e-300):
+            reason = "gap_reached"
+            break
+        d = project_to_simplex(w - (2.0 * alpha) * kw) - w
+        g_d = 2.0 * float(kw @ d)
+        if not g_d < 0.0:
+            np.copyto(away_buf, -np.inf)
+            np.copyto(away_buf, kw, where=w > 0)
+            s, a = int(np.argmin(kw)), int(np.argmax(away_buf))
+            d = np.zeros(n)
+            d[s], d[a] = w[a], -w[a]
+            g_d = 2.0 * w[a].item() * (kw[s].item() - kw[a].item())
+            fallbacks += 1
+            if not g_d < 0.0:
+                reason = "no_descent_step"
+                break
+        kd = op.matvec(d)
+        products += 1
+        d_kd = float(d @ kd)
+        t = 1.0 if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
+        if not t > 0.0:
+            reason = "no_descent_step"
+            break
+        support = np.count_nonzero(w)
+        w += min(t, 1.0) * d
+        drops += np.count_nonzero(w) < support
+        kw += min(t, 1.0) * kd
+        if d_kd > 0.0:
+            alpha = float(d @ d) / (2.0 * d_kd)
         if it % minimize._REFRESH_EVERY == 0:
-            kw = op.matvec(w)
+            kw, value, gap = exact()
+            is_exact = True
+            refreshes += 1
+        else:
             value = float(w @ kw)
-            exact = True
-    w = np.maximum(w, 0.0)
-    w /= w.sum()
-    return it, value, gap, converged, w, full_steps, drops
+            gap = 2.0 * value - 2.0 * kw.min().item()
+            is_exact = False
+    if not is_exact:
+        kw, value, gap = exact()
+    return it, value, gap, reason, w, products, fallbacks, refreshes, drops
 
 
 class _Scaled(KernelOperator):
     """D K D with D = diag(exp(5 sin i)): still positive semidefinite, but
-    its diagonal spans e^-10..e^10, so some toward steps reach gamma = 1."""
+    its diagonal spans e^-10..e^10, so the solves are ill-conditioned."""
 
     def __init__(self, kind, n):
         super().__init__(kind, n)
@@ -240,9 +215,6 @@ class _Scaled(KernelOperator):
 
     def matvec(self, w):
         return self.d * super().matvec(self.d * w)
-
-    def column(self, j):
-        return self.d * self.d[j - 1] * super().column(j)
 
 
 @pytest.mark.parametrize("start", ["uniform", "indicator", "dirichlet"])
@@ -256,29 +228,41 @@ def test_support_mask_matches_masked_copy(monkeypatch, operator, kind, n, start)
           "dirichlet": rng.dirichlet(np.ones(n))}[start]
     start_vec = WeightVector(n, w0)
     tol, iters = 1e-9, 1500
-    want = _fw_masked(operator(kind, n), start_vec.normalized().weights, tol, iters)
+    want = _spg_masked(operator(kind, n), start_vec.normalized().weights, tol, iters)
     monkeypatch.setattr(minimize, "_QuadraticOperator", operator)
     res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol, max_iters=iters,
                              start=start_vec)
-    got = (res.iterations, res.value, res.certificate_gap, res.converged)
+    got = (res.iterations, res.value, res.certificate_gap, res.stop_reason)
     assert got == want[:4]
+    assert res.converged == (want[3] == "gap_reached")
     assert res.minimizer.weights.tobytes() == want[4].tobytes()
-    # The runs take each branch that updates the mask: drop steps, and
-    # gamma = 1 steps (here ahead of 70 or more further steps).
-    if start == "dirichlet" and n >= 8:
-        assert want[6] > 0
-    if start == "indicator" and operator is _Scaled and n >= 40:
-        assert want[5] > 0
+    assert (res.products, res.fallback_steps, res.refreshes) == want[5:8]
+    # The runs take each branch that moves the support: pairwise fallback
+    # steps and steps that zero a weight, and refreshes of K w.
+    if n >= 40:
+        assert want[6] > 0 and want[8] > 0
+    if n == 300:
+        assert want[7] > 0
+
+
+def _direction_products(transform):
+    """A KernelOperator whose products of vectors with a negative entry,
+    the solver's directions, go through transform; the products of weight
+    vectors stay exact."""
+    class Perturbed(KernelOperator):
+        def matvec(self, w):
+            kw = super().matvec(w)
+            return transform(kw) if (w < 0).any() else kw
+
+    return Perturbed
 
 
 def test_certificate_comes_from_an_exact_product(monkeypatch):
-    # Columns off by 1e-6 relative make the incrementally updated K w drift
-    # from the exact one, so a gap test passed on it certifies nothing.
-    class Perturbed(KernelOperator):
-        def column(self, j):
-            return super().column(j) * (1.0 + 1e-6)
-
-    monkeypatch.setattr(minimize, "_QuadraticOperator", Perturbed)
+    # Direction products off by 1e-6 relative make the incrementally
+    # updated K w drift from the exact one, so a gap test passed on it
+    # certifies nothing.
+    monkeypatch.setattr(minimize, "_QuadraticOperator",
+                        _direction_products(lambda kd: kd * (1.0 + 1e-6)))
     tol, n = 1e-6, 40
     for kind in KernelKind:
         res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol)
@@ -287,42 +271,72 @@ def test_certificate_comes_from_an_exact_product(monkeypatch):
         kw = KernelOperator(kind, n).matvec(w)
         value = float(w @ kw)
         gap = 2.0 * value - 2.0 * float(kw.min())
-        # Slack for the final renormalisation of the minimizer.
-        assert 0.0 <= gap <= (tol + 1e-12) * value
-        assert math.isclose(res.value, value, rel_tol=1e-12)
-        assert res.certificate_gap <= tol * res.value
+        assert (res.value, res.certificate_gap) == (value, gap)
+        assert 0.0 <= gap <= tol * value
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_stalled_step_is_not_converged(monkeypatch):
-    # An infinite curvature along every step makes the line search return
-    # gamma = 0 while the gap is still large: no gap test passed, so the
-    # run must not report convergence.
-    class Stalled(KernelOperator):
-        def column(self, j):
-            return np.full(self.n, np.inf)
-
-    monkeypatch.setattr(minimize, "_QuadraticOperator", Stalled)
+    # An infinite curvature along every direction gives a step of 0 while
+    # the gap is still large: no gap test passed, so the run must not
+    # report convergence.
+    monkeypatch.setattr(minimize, "_QuadraticOperator",
+                        _direction_products(lambda kd: np.full_like(kd, np.inf)))
     res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-10)
     assert res.iterations == 1
     assert not res.converged
     assert res.certificate_gap > 1e-10 * res.value
 
 
-def test_each_frank_wolfe_stop_reason_is_reached(monkeypatch):
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_each_quadratic_stop_reason_is_reached(monkeypatch):
     v = KernelSpec(KernelKind.V_KERNEL)
     res = minimize_quadratic(v, 8, tolerance=1e-6)
     assert (res.stop_reason, res.converged) == ("gap_reached", True)
     res = minimize_quadratic(v, 8, tolerance=1e-300, max_iters=5)
     assert (res.stop_reason, res.converged, res.iterations) == ("max_iters", False, 5)
-
-    class Stalled(KernelOperator):
-        def column(self, j):
-            return np.full(self.n, np.inf)
-
-    monkeypatch.setattr(minimize, "_QuadraticOperator", Stalled)
+    # The start, one direction a step and the returned point.
+    assert res.products == 7
+    monkeypatch.setattr(minimize, "_QuadraticOperator",
+                        _direction_products(lambda kd: np.full_like(kd, np.inf)))
     res = minimize_quadratic(v, 8, tolerance=1e-10)
     assert (res.stop_reason, res.converged) == ("no_descent_step", False)
     assert res.as_dict()["stop_reason"] == "no_descent_step"
+
+
+def test_counters_add_up():
+    # Refreshes fall on iterations 64, 128 and 192 of 200; every product is
+    # the start, a step's direction, a refresh or the returned point.
+    res = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 300,
+                             tolerance=1e-300, max_iters=200)
+    assert (res.iterations, res.refreshes) == (200, 3)
+    assert res.products == 1 + 200 + 3 + 1
+    d = res.as_dict()
+    assert (d["products"], d["fallback_steps"], d["refreshes"]) == (
+        res.products, res.fallback_steps, res.refreshes)
+
+
+def test_forced_pairwise_fallback_still_certifies(monkeypatch):
+    # A projection that returns the uniform vector gives d = 0 at the
+    # uniform start, so the first step must be the pairwise one.
+    want = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-8)
+    monkeypatch.setattr(minimize, "project_to_simplex",
+                        lambda v: np.full(len(v), 1.0 / len(v)))
+    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-8)
+    assert res.fallback_steps > 0
+    assert res.converged
+    assert res.lower_bound <= want.value and want.lower_bound <= res.value
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_lower_bound_is_below_the_grid_oracle(kind, N):
+    # The grid value is a feasible point's, so no lower bound may pass it.
+    res = minimize_quadratic(KernelSpec(kind), N, tolerance=1e-12)
+    go = grid_oracle(res.objective_kind, N, step=1 / 40)
+    assert res.value - res.certificate_gap <= go.value
+    assert res.lower_bound < res.value - res.certificate_gap
+    assert res.lower_bound <= go.value <= res.value + 1e-9
 
 
 def test_each_energy_stop_reason_is_reached(monkeypatch):
@@ -711,6 +725,28 @@ def test_witness_chain_holds():
         res, wit_val = minimize_with_witness(kind, 2048, sieve, beta,
                                              max_iters=4000)
         assert res.value <= wit_val + 1e-12
+        assert res.converged and res.lower_bound <= res.value
+
+
+def test_start_is_retained_when_the_solve_ends_above_it(monkeypatch):
+    # Exact line search is monotone, so only round-off could end a solve
+    # above its start; a solve reporting a worse value stands in for it.
+    real = minimize.minimize_quadratic
+    solved = []
+
+    def worse(*args, **kwargs):
+        solved.append(real(*args, **kwargs))
+        return dataclasses.replace(solved[-1], value=1.0)
+
+    monkeypatch.setattr(minimize, "minimize_quadratic", worse)
+    N = 64
+    res, wit_val = minimize_with_witness(KernelKind.T_KERNEL, N, build_sieve(N),
+                                         solve_beta().beta)
+    u = WeightVector.uniform(N).weights
+    start_value = min(wit_val, float(u @ KernelOperator(KernelKind.T_KERNEL, N).matvec(u)))
+    assert res.value == start_value and res.scaled_value == N * start_value
+    assert not res.converged and res.provenance.endswith(";start_retained")
+    assert res.lower_bound == solved[0].lower_bound <= res.value
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
