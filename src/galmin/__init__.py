@@ -3,7 +3,7 @@ the probability simplex, and Dirichlet character experiments."""
 
 from .arith import FactorSieve, build_sieve
 from .constants import VariationalConstants, solve_beta
-from .forms import KernelKind, KernelSpec, WeightVector
+from .forms import KernelKind, WeightVector
 from .minimize import MinimizationResult, grid_oracle, minimize_energy, minimize_quadratic
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __all__ = [
     "VariationalConstants",
     "solve_beta",
     "KernelKind",
-    "KernelSpec",
     "WeightVector",
     "MinimizationResult",
     "grid_oracle",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import BudgetError, FactorSieve, require_bytes
+from .arith import BudgetError, build_sieve, require_bytes
 from .characters import (
     CharacterTable,
     DirichletCharacter,
@@ -27,7 +27,7 @@ from .characters import (
     theta_all_even_bytes,
     theta_cutoff,
 )
-from .forms import KernelKind, KernelSpec, WeightVector, e_form, v_form
+from .forms import KernelKind, WeightVector, e_form, v_form
 from .minimize import minimize_energy, minimize_quadratic
 from .report import ExperimentReport
 
@@ -138,25 +138,22 @@ def burgess_R(c: WeightVector, A: int, M: int, N: int, p: int) -> float:
     return float(r @ r)
 
 
-def _burgess_weights(c_mode: str, A: int,
-                     sieve: FactorSieve | None) -> tuple[WeightVector, str]:
+def _burgess_weights(c_mode: str, A: int) -> tuple[WeightVector, str]:
     """The weights and which of uniform, witness or minimizer they are."""
     if c_mode == "uniform":
         return WeightVector.from_weights(np.ones(A)), "uniform"
     if c_mode == "minimizer":
-        res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), A, tolerance=1e-8)
+        res = minimize_quadratic(KernelKind.V_KERNEL, A, tolerance=1e-8)
         return res.minimizer, "minimizer"
     if c_mode == "witness":
-        if sieve is not None:
-            from .extremal import EmptyWitnessError, witness_t
-            from .constants import solve_beta
+        from .constants import solve_beta
+        from .extremal import EmptyWitnessError, witness_t
 
-            try:
-                return witness_t(sieve, A, solve_beta().beta), "witness"
-            except EmptyWitnessError:
-                pass
-        # No witness at this A.
-        return WeightVector.from_weights(np.ones(A)), "uniform"
+        try:
+            return witness_t(build_sieve(max(A, 16)), A, solve_beta().beta), "witness"
+        except EmptyWitnessError:
+            # No witness at this A.
+            return WeightVector.from_weights(np.ones(A)), "uniform"
     raise ValueError(f"unknown c_mode {c_mode!r}")
 
 
@@ -166,7 +163,6 @@ def burgess_experiment(
     N: int,
     M: int = 0,
     c_mode: str = "uniform",
-    sieve: FactorSieve | None = None,
 ) -> ExperimentReport:
     """Averaged shifted-sum experiment for one modulus.
 
@@ -192,7 +188,7 @@ def burgess_experiment(
     # Degenerate regimes are clamped to 1 so small-p experiments still run.
     A = max(1, A_raw)
     B = max(1, B_raw)
-    c, c_used = _burgess_weights(c_mode, A, sieve)
+    c, c_used = _burgess_weights(c_mode, A)
     rvals = burgess_r_values(c, M, N, p)
     sum_r = float(rvals.sum())
     R = float(rvals @ rvals)
@@ -237,7 +233,7 @@ def burgess_experiment(
               max_window <= N + 1e-9)
 
     def shape(kind: KernelKind) -> float:
-        cap = max(minimize_quadratic(KernelSpec(kind), x, tolerance=1e-8).scaled_value
+        cap = max(minimize_quadratic(kind, x, tolerance=1e-8).scaled_value
                   for x in range(1, A + 1))
         return N ** (1 - 1 / r) * p ** ((r + 1) / (4 * r**2)) * cap ** (1 / (2 * r))
 
@@ -411,8 +407,11 @@ def zeta_poly_moment(N: int, T: float, r: float, step: float) -> dict:
 
     # The fine pass is the larger one. At its peak it holds ts (8 bytes a
     # point), acc (16) and up to three complex temporaries of the exp term.
-    require_bytes(72 * points(step / 2), f"quadrature at step {step / 2} over [0, {T}]")
-    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
+    # Beside it, logs holds 8 bytes an n, and 16 KiB covers headers.
+    require_bytes((16 << 10) + 8 * N + 72 * points(step / 2),
+                  f"log n for n <= {N} and quadrature at step {step / 2} over [0, {T}]")
+    logs = np.arange(1, N + 1, dtype=np.float64)
+    np.log(logs, out=logs)
 
     def quad(h: float) -> float:
         m = points(h)

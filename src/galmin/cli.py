@@ -36,7 +36,7 @@ from .extremal import (
     witness_e,
     witness_t,
 )
-from .forms import KernelKind, KernelSpec, WeightVector
+from .forms import KernelKind, WeightVector
 from .minimize import minimize_energy, minimize_quadratic, scaling_report
 from .report import ExperimentReport, Timer
 
@@ -88,8 +88,7 @@ def _cmd_minimize(args) -> ExperimentReport:
                               restarts=args.restarts, seed=args.seed,
                               sieve=sieve)
     else:
-        kind = KernelKind.V_KERNEL if args.form == "v" else KernelKind.T_KERNEL
-        res = minimize_quadratic(KernelSpec(kind), args.n, tolerance=args.tol)
+        res = minimize_quadratic(KernelKind(args.form), args.n, tolerance=args.tol)
     return ExperimentReport(
         "minimize",
         parameters={"form": args.form, "n": args.n, "tol": args.tol,
@@ -200,9 +199,7 @@ def _cmd_mollify(args) -> ExperimentReport:
 
 
 def _cmd_burgess(args) -> ExperimentReport:
-    sieve = build_sieve(max(args.n, 16))
-    return burgess_experiment(args.p, args.r, args.n, M=args.m,
-                              c_mode=args.c_mode, sieve=sieve)
+    return burgess_experiment(args.p, args.r, args.n, M=args.m, c_mode=args.c_mode)
 
 
 def _cmd_lowmoment(args) -> ExperimentReport:

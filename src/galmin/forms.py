@@ -29,6 +29,12 @@ class KernelKind(Enum):
     T_KERNEL = "t"  # gcd(m,n)/sqrt(m*n)
 
 
+# Calling an Enum with a member returns that member, so KernelSpec(kind) is
+# kind. Kept only for perfbench/workloads.py:115 and
+# perfbench/test_perfbench.py:42, which build forms.KernelSpec(kind).
+KernelSpec = KernelKind
+
+
 def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
     """K[rows, cols] from the block g = gcd(rows, cols) as float64.
@@ -102,13 +108,10 @@ def gcd_block(rows: np.ndarray, cols: np.ndarray,
     return g
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: KernelKind
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense kernel block K[rows, cols] for 1-based integer index arrays."""
-        return _kernel_from_gcd(self.kind, gcd_block(rows, cols), rows, cols)
+def kernel_block(kind: KernelKind, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense kernel block K[rows, cols] for 1-based integer index arrays:
+    the reference that KernelOperator's products are tested against."""
+    return _kernel_from_gcd(kind, gcd_block(rows, cols), rows, cols)
 
 
 def _buckets(n: int):
@@ -268,11 +271,11 @@ class KernelOperator:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative weights c_1..c_{n_max} with cached 1-norm."""
+    """Nonnegative weights c_1..c_{n_max} with their 1-norm, computed once."""
 
     n_max: int
     weights: np.ndarray = field(repr=False)
-    one_norm: float = 0.0
+    one_norm: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)

@@ -11,6 +11,7 @@ upper bound only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,9 +22,9 @@ from .forms import (
     EnergyIndex,
     KernelKind,
     KernelOperator as _QuadraticOperator,  # the name perfbench traces
-    KernelSpec,
     WeightVector,
     e_form,
+    kernel_block,
     v_form,  # noqa: F401  perfbench's tracer test reads minimize.v_form
 )
 
@@ -50,7 +51,6 @@ class MinimizationResult:
     n: int
     minimizer: WeightVector = field(repr=False)
     value: float
-    scaled_value: float
     iterations: int
     certificate_gap: float | None  # None: not applicable (E)
     converged: bool = True
@@ -66,6 +66,12 @@ class MinimizationResult:
     products: int | None = field(default=None, kw_only=True)
     fallback_steps: int | None = field(default=None, kw_only=True)
     refreshes: int | None = field(default=None, kw_only=True)
+
+    @property
+    def scaled_value(self) -> float:
+        """value * n for V and T, value * n^2 for E."""
+        scale = self.n * self.n if self.objective_kind == "E" else self.n
+        return scale * self.value
 
     def as_dict(self) -> dict:
         out = {
@@ -93,7 +99,7 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def minimize_quadratic(
-    kernel: KernelSpec,
+    kind: KernelKind,
     N: int,
     tolerance: float = 1e-6,
     max_iters: int = 200_000,
@@ -113,20 +119,19 @@ def minimize_quadratic(
     incremental K w is re-tested on a full product. The returned value, gap,
     lower bound and converged all come from one full product of the returned
     minimizer, so the true minimum lies in [lower_bound, value]. operator,
-    when given, is the KernelOperator of kernel on [1, N], so a caller that
+    when given, is the KernelOperator of kind on [1, N], so a caller that
     has built one does not hold a second.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_tolerance(tolerance)
-    kind_name = "V" if kernel.kind is KernelKind.V_KERNEL else "T"
     if operator is None:
-        op = _QuadraticOperator(kernel.kind, N)
-    elif operator.kind is kernel.kind and operator.n == N:
+        op = _QuadraticOperator(kind, N)
+    elif operator.kind is kind and operator.n == N:
         op = operator
     else:
         raise ValueError(f"operator is {operator.kind.value} on [1, {operator.n}], "
-                         f"not {kernel.kind.value} on [1, {N}]")
+                         f"not {kind.value} on [1, {N}]")
 
     if start is not None:
         if start.n_max != N:
@@ -208,11 +213,10 @@ def minimize_quadratic(
     if not exact:
         kw, value, gap = exact_state()
     return MinimizationResult(
-        objective_kind=kind_name,
+        objective_kind=kind.value.upper(),
         n=N,
         minimizer=WeightVector(N, w),
         value=value,
-        scaled_value=N * value,
         iterations=it,
         certificate_gap=gap,
         converged=passes(gap, value),
@@ -315,23 +319,28 @@ def minimize_energy(
     _check_tolerance(tolerance)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    starts: list[tuple[str, np.ndarray]] = [("uniform", np.full(N, 1.0 / N))]
+    witness = None
     if sieve is not None:
         from .extremal import EmptyWitnessError, witness_e
 
         try:
-            wit = witness_e(sieve, N).normalized()
-            starts.append(("witness_e", wit.weights))
+            witness = witness_e(sieve, N).normalized().weights
         except EmptyWitnessError:
             pass
-    rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        starts.append(("dirichlet", rng.dirichlet(np.ones(N))))
+
+    def starts():
+        """(tag, start vector) for each restart in turn; the random starts
+        are drawn one at a time, so that only the current one is held."""
+        yield "uniform", np.full(N, 1.0 / N)
+        if witness is not None:
+            yield "witness_e", witness
+        rng = np.random.default_rng(seed)
+        while True:
+            yield "dirichlet", rng.dirichlet(np.ones(N))
 
     best_w, best_val, best_tag, total_it, reason = None, math.inf, "", 0, ""
-    starts = starts[:restarts]
     index = EnergyIndex(N)  # one for every restart
-    for tag, w0 in starts:
+    for tag, w0 in itertools.islice(starts(), restarts):
         w, val, it, stop = _pgd_energy(index, w0, tolerance)
         total_it += it
         if val < best_val:
@@ -345,11 +354,10 @@ def minimize_energy(
         n=N,
         minimizer=WeightVector(N, best_w),
         value=best_val,
-        scaled_value=N * N * best_val,
         iterations=total_it,
         certificate_gap=None,
         converged=reason in ("small_move", "small_drop"),
-        provenance=f"pgd(best_of={len(starts)},start={best_tag});upper_bound_non_certified",
+        provenance=f"pgd(best_of={restarts},start={best_tag});upper_bound_non_certified",
         stop_reason=reason,
     )
 
@@ -408,13 +416,12 @@ def minimize_with_witness(
         wit_value = objective(wit)
         if wit_value <= start_value:
             start, start_value = wit, wit_value
-    res = minimize_quadratic(KernelSpec(kind), N, tolerance=tolerance,
+    res = minimize_quadratic(kind, N, tolerance=tolerance,
                              max_iters=max_iters, start=start, operator=op)
     if res.value > start_value:
         # Exact line search is monotone, so this can only be float noise.
         # The solve's lower bound holds whichever point is returned.
-        res = replace(res, minimizer=start, value=start_value,
-                      scaled_value=N * start_value, converged=False,
+        res = replace(res, minimizer=start, value=start_value, converged=False,
                       provenance=res.provenance + ";start_retained")
     return res, wit_value
 
@@ -454,8 +461,8 @@ def scaling_report(
                 wit_val = float("nan")
             gap = None
         else:
-            kind = KernelKind.V_KERNEL if objective_kind == "V" else KernelKind.T_KERNEL
-            res, wit_val = minimize_with_witness(kind, n, sieve, beta,
+            res, wit_val = minimize_with_witness(KernelKind(objective_kind.lower()),
+                                                 n, sieve, beta,
                                                  tolerance=tolerance)
             gap = res.certificate_gap
         rows.append({
@@ -503,22 +510,15 @@ def _lattice_points(n: int, K: int) -> np.ndarray:
     return coords.T
 
 
-def _kernel_matrix(kind: str, n: int) -> np.ndarray | None:
-    """The dense V or T kernel on [1, n] that _batch_objective takes; None
-    for E."""
-    if kind == "E":
-        return None
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    kernel = KernelSpec(KernelKind.V_KERNEL if kind == "V" else KernelKind.T_KERNEL)
-    return kernel.block(idx, idx)
-
-
-def _term_classes(kind: str, n: int,
-                  kmat: np.ndarray | None) -> list[list[tuple[float, int, int]]]:
+def _term_classes(kind: str, n: int) -> list[list[tuple[float, int, int]]]:
     """The terms c * x_i * x_j (i <= j) of the objective, in classes. V and
-    T: one class, c = K_ii on the diagonal and 2 K_ij above it. E: one class
-    per distinct product m = (i + 1)(j + 1), in increasing m, c = 1 on the
-    diagonal and 2 above it; the class sums r_m are squared."""
+    T: one class, c = K_ii on the diagonal and 2 K_ij above it, K the dense
+    kernel_block on [1, n]. E: one class per distinct product m = (i + 1)(j
+    + 1), in increasing m, c = 1 on the diagonal and 2 above it; the class
+    sums r_m are squared."""
+    if kind != "E":
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        kmat = kernel_block(KernelKind(kind.lower()), idx, idx)
     classes: dict[int, list[tuple[float, int, int]]] = {}
     for i in range(n):
         for j in range(i, n):
@@ -530,17 +530,13 @@ def _term_classes(kind: str, n: int,
     return [classes[m] for m in sorted(classes)]
 
 
-def _batch_objective(kind: str, pts: np.ndarray, kmat: np.ndarray | None = None,
-                     terms: list | None = None) -> np.ndarray:
-    """Objective values for a (B, N) batch of simplex points; kmat is
-    _kernel_matrix(kind, N) (unused for E), and terms is
-    _term_classes(kind, N, kmat), built here when not given.
+def _batch_objective(kind: str, pts: np.ndarray, terms: list) -> np.ndarray:
+    """Objective values for a (B, N) batch of simplex points; terms is
+    _term_classes(kind, N).
 
     Every pass is elementwise over whole coordinate rows of pts.T, so no
     pass mixes points: a point's value has the same bits in any batch."""
     x = pts.T
-    if terms is None:
-        terms = _term_classes(kind, x.shape[0], kmat)
     out = np.zeros(x.shape[1])
     r, t = np.empty_like(out), np.empty_like(out)
     for (c, i, j), *rest in terms:
@@ -594,12 +590,12 @@ def _scan_lattice(kind: str, N: int, K: int, terms: list) -> tuple[np.ndarray, f
     the minimum of least template index comes first in the lattice."""
     if N <= 2 or math.comb(K + N - 1, N - 1) <= _ONE_BATCH_POINTS:
         pts = _lattice_points(N, K) / K
-        vals = _batch_objective(kind, pts, terms=terms)
+        vals = _batch_objective(kind, pts, terms)
         b = int(np.argmin(vals))
         return pts[b].copy(), float(vals[b])
     w, val = None, math.inf
     for pts, rank in _slabs(N, K):
-        vals = _batch_objective(kind, pts, terms=terms)
+        vals = _batch_objective(kind, pts, terms)
         v = vals.min()
         if v < val:
             ties = np.flatnonzero(vals == v)
@@ -632,7 +628,7 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
     # holds one slab at a time, so its peak stays far below this.
     row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
-    terms = _term_classes(objective_kind, N, _kernel_matrix(objective_kind, N))
+    terms = _term_classes(objective_kind, N)
     w, val = _scan_lattice(objective_kind, N, K, terms)
 
     # Local refinement: zero-sum integer moves on a halving lattice, one
@@ -645,7 +641,7 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
         feasible = (cand >= -1e-15).all(axis=0)
         cand = np.clip(cand[:, feasible], 0.0, None)
         cand /= cand.sum(axis=0)
-        cvals = _batch_objective(objective_kind, cand.T, terms=terms)
+        cvals = _batch_objective(objective_kind, cand.T, terms)
         b = int(np.argmin(cvals))
         if cvals[b] < val:
             w, val = cand[:, b], float(cvals[b])
@@ -654,13 +650,11 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
         if h < 1e-14:
             break
 
-    scale = N * N if objective_kind == "E" else N
     return MinimizationResult(
         objective_kind=objective_kind,
         n=N,
         minimizer=WeightVector(N, w),
         value=val,
-        scaled_value=scale * val,
         iterations=0,
         certificate_gap=None,
         converged=True,

@@ -33,7 +33,6 @@ class ExperimentReport:
     values: dict = field(default_factory=dict)
     assertions: list = field(default_factory=list)
     timing_ms: float = 0.0
-    artifact_version: str = ARTIFACT_VERSION
 
     def check(self, name: str, lhs: float, rhs: float, holds: bool) -> None:
         self.assertions.append(Assertion(name, float(lhs), float(rhs), bool(holds)))
@@ -49,7 +48,7 @@ class ExperimentReport:
             "values": self.values,
             "assertions": [a.as_dict() for a in self.assertions],
             "timing_ms": self.timing_ms,
-            "artifact_version": self.artifact_version,
+            "artifact_version": ARTIFACT_VERSION,
         }
 
     def to_json(self) -> str:

@@ -38,7 +38,6 @@ from .constants import VariationalConstants, q_of, solve_beta
 from .extremal import multiplication_table_count
 from .forms import (
     KernelKind,
-    KernelSpec,
     WeightVector,
     e_form,
     e_gradient,
@@ -163,10 +162,10 @@ def _verify_energy(rep, rng):
 
 
 def _verify_closed_forms(rep):
-    v2 = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 2, tolerance=1e-10)
+    v2 = minimize_quadratic(KernelKind.V_KERNEL, 2, tolerance=1e-10)
     rep.check("V2_closed_form", v2.scaled_value, 5 / 6,
               abs(v2.scaled_value - 5 / 6) < 1e-8)
-    t2 = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 2, tolerance=1e-10)
+    t2 = minimize_quadratic(KernelKind.T_KERNEL, 2, tolerance=1e-10)
     rep.check("T2_closed_form", t2.scaled_value, 1 + 1 / math.sqrt(2),
               abs(t2.scaled_value - (1 + 1 / math.sqrt(2))) < 1e-8)
     e2 = minimize_energy(2, restarts=3)
@@ -178,8 +177,8 @@ def check_small_n_infima(rep: ExperimentReport, ns) -> None:
     """Iterative V, T (tolerance 1e-12) and E (4 restarts, seed 0) minima
     against the step-1/60 grid oracle, to 1e-6 for V, T and 1e-4 for E."""
     for n in ns:
-        for kind, spec in (("V", KernelKind.V_KERNEL), ("T", KernelKind.T_KERNEL)):
-            it = minimize_quadratic(KernelSpec(spec), n, tolerance=1e-12)
+        for kind in ("V", "T"):
+            it = minimize_quadratic(KernelKind(kind.lower()), n, tolerance=1e-12)
             go = grid_oracle(kind, n, step=1 / 60)
             rep.check(f"{kind}{n}_vs_grid_oracle", it.value, go.value,
                       abs(it.value - go.value) <= 1e-6)

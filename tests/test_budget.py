@@ -29,7 +29,12 @@ from galmin.characters import (
     theta,
     theta_all_even,
 )
-from galmin.charexp import low_moment_experiment, mollified_moments, shifted_sums
+from galmin.charexp import (
+    low_moment_experiment,
+    mollified_moments,
+    shifted_sums,
+    zeta_poly_moment,
+)
 from galmin.constants import solve_beta
 from galmin.extremal import multiplication_table_count
 from galmin.forms import KernelKind, KernelOperator, WeightVector
@@ -106,6 +111,10 @@ def _low_moments(p, N):
     return "characters", lambda: low_moment_experiment(p, N, 1.0, energy_budget=0)
 
 
+def _polyzeta(N, T, step):
+    return "charexp", lambda: zeta_poly_moment(N, T, 1.0, step)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -156,11 +165,13 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_mollified_moments, (1000003, 1e-3)),
     (_low_moments, (1000003, 10)),
     (_low_moments, (100003, 100000)),
+    (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
         "H", "shifted_sums", "theta", "char_sum", "gauss_sum", "polya-terms",
         "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
-        "mollified-theta", "low_moments-classes", "low_moments-terms"])
+        "mollified-theta", "low_moments-classes", "low_moments-terms",
+        "polyzeta-logs"])
 def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     est, peak = _estimate_and_peak(monkeypatch, *guard(*size))
     assert peak <= est <= 2 * peak
@@ -182,9 +193,10 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_theta_all_even, (101, 0.01)),
     (_mollified_moments, (101, 1.0)),
     (_low_moments, (101, 9)),
+    (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V", "T", "H", "shifted_sums", "theta",
         "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
-        "mollified_moments", "low_moments"])
+        "mollified_moments", "low_moments", "polyzeta-logs"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
     module, call = guard(*size)
     est, _ = _estimate_and_peak(monkeypatch, module, call)

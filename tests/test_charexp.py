@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from galmin.arith import BudgetError, build_sieve
+from galmin.arith import BudgetError
 from galmin import characters, charexp
 from galmin.characters import ThetaConfig, build_table, theta_all_even
 from galmin.charexp import (
@@ -150,10 +150,19 @@ def test_one_r_bound_serves_burgess_and_verify_all(monkeypatch):
 
 
 def test_burgess_experiment_weight_modes():
-    sieve = build_sieve(256)
     for mode in ("uniform", "minimizer", "witness"):
-        rep = burgess_experiment(151, 2, 60, c_mode=mode, sieve=sieve)
+        rep = burgess_experiment(151, 2, 60, c_mode=mode)
         assert rep.all_hold, mode
+
+
+def test_burgess_witness_weights_need_no_sieve_from_the_caller():
+    # A = 18 lies in the witness domain: the library call uses the witness
+    # weights, as the CLI command does, not a uniform fallback.
+    rep = burgess_experiment(1999, 2, 3998, c_mode="witness")
+    assert rep.parameters["A"] == 18
+    assert rep.values["c_used"] == "witness"
+    assert rep.values["R"] == 7996.0
+    assert rep.all_hold
 
 
 def test_mollified_moments_known_instance():

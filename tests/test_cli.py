@@ -461,7 +461,7 @@ def test_cli_output_matches_golden(capsys, command):
     "witness --kind e --n 100",
     "--csv witness --kind e --n 100",
     "counts --x 1000 --k 2",
-    "burgess --p 101 --r 2 --n 30",
+    "minimize --form e --n 64",
 ])
 def test_reported_time_spans_the_sieve_build(capsys, monkeypatch, command):
     build_sieve = cli.build_sieve

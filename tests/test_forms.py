@@ -10,11 +10,11 @@ from galmin.arith import BudgetError
 from galmin.forms import (
     EnergyIndex,
     KernelKind,
-    KernelSpec,
     WeightVector,
     e_form,
     e_gradient,
     gcd_block,
+    kernel_block,
     r_counts_dense,
     t_form_fast,
     t_form_naive,
@@ -192,7 +192,7 @@ def test_kernel_inequality_v_le_half_t(n, seed):
 def test_kernel_block_symmetry():
     idx = np.arange(1, 30, dtype=np.int64)
     for kind in KernelKind:
-        kb = KernelSpec(kind).block(idx, idx)
+        kb = kernel_block(kind, idx, idx)
         assert np.allclose(kb, kb.T)
         # Diagonal: gcd(n,n)=n gives n/(2n)=1/2 for V and n/n=1 for T.
         want = 0.5 if kind is KernelKind.V_KERNEL else 1.0

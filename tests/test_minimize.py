@@ -12,21 +12,20 @@ from hypothesis import strategies as st
 from galmin import minimize
 from galmin.arith import BudgetError, build_sieve
 from galmin.constants import solve_beta
-from galmin.extremal import witness_t
+from galmin.extremal import witness_e, witness_t
 from galmin.forms import (
     EnergyIndex,
     KernelKind,
     KernelOperator,
-    KernelSpec,
     WeightVector,
     e_form,
+    kernel_block,
     t_form_fast,
     v_form,
     vt_forms_pairwise,
 )
 from galmin.minimize import (
     _batch_objective,
-    _kernel_matrix,
     _lattice_points,
     _scan_lattice,
     _slabs,
@@ -66,7 +65,7 @@ def test_operator_matches_dense_kernel():
         for n in (1, 2, 64, 65, 500):
             op = KernelOperator(kind, n)
             idx = np.arange(1, n + 1, dtype=np.int64)
-            dense = KernelSpec(kind).block(idx, idx)
+            dense = kernel_block(kind, idx, idx)
             sparse = rng.random(n)
             sparse[rng.random(n) < 0.92] = 0.0
             # The solver multiplies directions, which have negative entries.
@@ -76,11 +75,10 @@ def test_operator_matches_dense_kernel():
 
 
 def _dense_product(kind, w):
-    """K w from KernelSpec.block, 512 rows at a time."""
+    """K w from kernel_block, 512 rows at a time."""
     n = len(w)
     idx = np.arange(1, n + 1, dtype=np.int64)
-    spec = KernelSpec(kind)
-    return np.concatenate([spec.block(idx[lo : lo + 512], idx) @ w
+    return np.concatenate([kernel_block(kind, idx[lo : lo + 512], idx) @ w
                            for lo in range(0, n, 512)])
 
 
@@ -114,21 +112,21 @@ def test_operator_form_matches_pairwise_oracle_at_1e4():
 
 
 def test_minimize_n1_trivial():
-    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 1)
+    res = minimize_quadratic(KernelKind.V_KERNEL, 1)
     assert res.value == 0.5
     assert res.scaled_value == 0.5
     assert np.allclose(res.minimizer.weights, [1.0])
 
 
 def test_closed_form_n2():
-    v2 = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 2, tolerance=1e-12)
+    v2 = minimize_quadratic(KernelKind.V_KERNEL, 2, tolerance=1e-12)
     assert abs(v2.scaled_value - 5 / 6) < 1e-10
-    t2 = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 2, tolerance=1e-12)
+    t2 = minimize_quadratic(KernelKind.T_KERNEL, 2, tolerance=1e-12)
     assert abs(t2.scaled_value - (1 + 1 / math.sqrt(2))) < 1e-10
 
 
 def test_certificate_gap_bounds_suboptimality():
-    res = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 64, tolerance=1e-8)
+    res = minimize_quadratic(KernelKind.T_KERNEL, 64, tolerance=1e-8)
     assert res.converged
     assert res.certificate_gap <= 1e-8 * res.value
     # The certified value can only beat any feasible point by <= gap.
@@ -230,7 +228,7 @@ def test_support_mask_matches_masked_copy(monkeypatch, operator, kind, n, start)
     tol, iters = 1e-9, 1500
     want = _spg_masked(operator(kind, n), start_vec.normalized().weights, tol, iters)
     monkeypatch.setattr(minimize, "_QuadraticOperator", operator)
-    res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol, max_iters=iters,
+    res = minimize_quadratic(kind, n, tolerance=tol, max_iters=iters,
                              start=start_vec)
     got = (res.iterations, res.value, res.certificate_gap, res.stop_reason)
     assert got == want[:4]
@@ -265,7 +263,7 @@ def test_certificate_comes_from_an_exact_product(monkeypatch):
                         _direction_products(lambda kd: kd * (1.0 + 1e-6)))
     tol, n = 1e-6, 40
     for kind in KernelKind:
-        res = minimize_quadratic(KernelSpec(kind), n, tolerance=tol)
+        res = minimize_quadratic(kind, n, tolerance=tol)
         assert res.converged
         w = res.minimizer.weights
         kw = KernelOperator(kind, n).matvec(w)
@@ -282,7 +280,7 @@ def test_stalled_step_is_not_converged(monkeypatch):
     # report convergence.
     monkeypatch.setattr(minimize, "_QuadraticOperator",
                         _direction_products(lambda kd: np.full_like(kd, np.inf)))
-    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-10)
+    res = minimize_quadratic(KernelKind.V_KERNEL, 8, tolerance=1e-10)
     assert res.iterations == 1
     assert not res.converged
     assert res.certificate_gap > 1e-10 * res.value
@@ -290,7 +288,7 @@ def test_stalled_step_is_not_converged(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_each_quadratic_stop_reason_is_reached(monkeypatch):
-    v = KernelSpec(KernelKind.V_KERNEL)
+    v = KernelKind.V_KERNEL
     res = minimize_quadratic(v, 8, tolerance=1e-6)
     assert (res.stop_reason, res.converged) == ("gap_reached", True)
     res = minimize_quadratic(v, 8, tolerance=1e-300, max_iters=5)
@@ -307,7 +305,7 @@ def test_each_quadratic_stop_reason_is_reached(monkeypatch):
 def test_counters_add_up():
     # Refreshes fall on iterations 64, 128 and 192 of 200; every product is
     # the start, a step's direction, a refresh or the returned point.
-    res = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 300,
+    res = minimize_quadratic(KernelKind.T_KERNEL, 300,
                              tolerance=1e-300, max_iters=200)
     assert (res.iterations, res.refreshes) == (200, 3)
     assert res.products == 1 + 200 + 3 + 1
@@ -319,10 +317,10 @@ def test_counters_add_up():
 def test_forced_pairwise_fallback_still_certifies(monkeypatch):
     # A projection that returns the uniform vector gives d = 0 at the
     # uniform start, so the first step must be the pairwise one.
-    want = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-8)
+    want = minimize_quadratic(KernelKind.V_KERNEL, 8, tolerance=1e-8)
     monkeypatch.setattr(minimize, "project_to_simplex",
                         lambda v: np.full(len(v), 1.0 / len(v)))
-    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, tolerance=1e-8)
+    res = minimize_quadratic(KernelKind.V_KERNEL, 8, tolerance=1e-8)
     assert res.fallback_steps > 0
     assert res.converged
     assert res.lower_bound <= want.value and want.lower_bound <= res.value
@@ -332,7 +330,7 @@ def test_forced_pairwise_fallback_still_certifies(monkeypatch):
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_lower_bound_is_below_the_grid_oracle(kind, N):
     # The grid value is a feasible point's, so no lower bound may pass it.
-    res = minimize_quadratic(KernelSpec(kind), N, tolerance=1e-12)
+    res = minimize_quadratic(kind, N, tolerance=1e-12)
     go = grid_oracle(res.objective_kind, N, step=1 / 40)
     assert res.value - res.certificate_gap <= go.value
     assert res.lower_bound < res.value - res.certificate_gap
@@ -358,7 +356,7 @@ def test_each_energy_stop_reason_is_reached(monkeypatch):
 
 def test_minimizer_feasible_and_value_consistent():
     for kind, form in ((KernelKind.V_KERNEL, v_form), (KernelKind.T_KERNEL, t_form_fast)):
-        res = minimize_quadratic(KernelSpec(kind), 40, tolerance=1e-10)
+        res = minimize_quadratic(kind, 40, tolerance=1e-10)
         w = res.minimizer.weights
         assert np.all(w >= 0)
         assert math.isclose(w.sum(), 1.0, abs_tol=1e-12)
@@ -367,21 +365,21 @@ def test_minimizer_feasible_and_value_consistent():
 
 def test_start_vector_respected_and_monotone():
     start = WeightVector.indicator([3], 8)
-    res = minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 8, start=start,
+    res = minimize_quadratic(KernelKind.V_KERNEL, 8, start=start,
                              tolerance=1e-10)
     assert res.value <= v_form(start) + 1e-12
     with pytest.raises(ValueError):
-        minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 9, start=start)
+        minimize_quadratic(KernelKind.V_KERNEL, 9, start=start)
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 0)
+        minimize_quadratic(KernelKind.V_KERNEL, 0)
     with pytest.raises(ValueError):
-        minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 3, tolerance=-1.0)
+        minimize_quadratic(KernelKind.V_KERNEL, 3, tolerance=-1.0)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
-            minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 8, tolerance=tol)
+            minimize_quadratic(KernelKind.T_KERNEL, 8, tolerance=tol)
         with pytest.raises(ValueError, match="tolerance"):
             minimize_energy(3, tolerance=tol)
     with pytest.raises(ValueError, match="restarts"):
@@ -426,10 +424,6 @@ def test_lattice_slab_is_the_lattice_with_its_first_coordinate(n, K):
     assert k0 == K
 
 
-def _terms(kind, N):
-    return _term_classes(kind, N, _kernel_matrix(kind, N))
-
-
 def _oracle_batches(kind, N, K):
     """The batches grid_oracle evaluates at step 1/K, as its scan passes
     them to _batch_objective: the whole lattice in one batch, and the slabs
@@ -439,16 +433,16 @@ def _oracle_batches(kind, N, K):
     batches = []
     real = minimize._batch_objective
 
-    def record(kind, pts, kmat=None, terms=None):
+    def record(kind, pts, terms):
         # Copied as coordinate rows: the next slab overwrites the view.
         batches.append(np.ascontiguousarray(pts.T).T)
-        return real(kind, pts, kmat, terms)
+        return real(kind, pts, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimize, "_batch_objective", record)
         for one_batch in (minimize._ONE_BATCH_POINTS, 0):
             mp.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
-            _scan_lattice(kind, N, K, _terms(kind, N))
+            _scan_lattice(kind, N, K, _term_classes(kind, N))
     moves = np.indices((5,) * N).reshape(N, -1) - 2
     deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
     w = _lattice_points(N, K)[len(batches[0]) // 2] / K
@@ -477,10 +471,10 @@ def _e_by_columns(pts):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["V", "T", "E"])
 def test_batch_objective_is_batch_invariant(kind, N):
-    terms = _terms(kind, N)
+    terms = _term_classes(kind, N)
     for pts in _oracle_batches(kind, N, 12):
-        vals = _batch_objective(kind, pts, terms=terms)
-        alone = np.array([_batch_objective(kind, pts[b:b + 1], terms=terms)[0]
+        vals = _batch_objective(kind, pts, terms)
+        alone = np.array([_batch_objective(kind, pts[b:b + 1], terms)[0]
                           for b in range(len(pts))])
         assert np.array_equal(alone.view(np.int64), vals.view(np.int64))
 
@@ -490,10 +484,14 @@ def test_batch_objective_is_batch_invariant(kind, N):
 def test_batch_objective_matches_reference_forms(kind, N):
     # Every term is nonnegative and a value sums at most N^2 = 25 products,
     # so float64 rounding stays within a few dozen ulp: rel 1e-14 is ~45.
-    kmat = _kernel_matrix(kind, N)
+    idx = np.arange(1, N + 1, dtype=np.int64)
+    terms = _term_classes(kind, N)
     for pts in _oracle_batches(kind, N, 12):
-        want = _e_by_columns(pts) if kind == "E" else _v_t_by_einsum(pts, kmat)
-        got = _batch_objective(kind, pts, kmat)
+        if kind == "E":
+            want = _e_by_columns(pts)
+        else:
+            want = _v_t_by_einsum(pts, kernel_block(KernelKind(kind.lower()), idx, idx))
+        got = _batch_objective(kind, pts, terms)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -506,7 +504,7 @@ def test_grid_oracle_memory_budget(monkeypatch):
 
 def _one_shot_argmin(kind, N, K):
     pts = _lattice_points(N, K) / K
-    vals = _batch_objective(kind, pts, _kernel_matrix(kind, N))
+    vals = _batch_objective(kind, pts, _term_classes(kind, N))
     best = int(np.argmin(vals))
     return pts[best], vals[best]
 
@@ -519,7 +517,7 @@ def test_scan_lattice_matches_one_shot_argmin(monkeypatch, kind, N, K):
     # _ONE_BATCH_POINTS = 0 scans every lattice at N >= 3 slab by slab.
     for one_batch in (minimize._ONE_BATCH_POINTS, 0):
         monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
-        w, val = _scan_lattice(kind, N, K, _terms(kind, N))
+        w, val = _scan_lattice(kind, N, K, _term_classes(kind, N))
         assert val == want_val
         assert np.array_equal(w, want_w)
 
@@ -528,7 +526,7 @@ def test_scan_lattice_matches_one_shot_argmin(monkeypatch, kind, N, K):
 def test_scan_lattice_matches_one_shot_argmin_at_step_1_60(kind):
     # The oracle calls of verify-all at N = 5, where the scan takes slabs.
     want_w, want_val = _one_shot_argmin(kind, 5, 60)
-    w, val = _scan_lattice(kind, 5, 60, _terms(kind, 5))
+    w, val = _scan_lattice(kind, 5, 60, _term_classes(kind, 5))
     assert val == want_val
     assert np.array_equal(w, want_w)
 
@@ -541,7 +539,7 @@ def test_scan_lattice_keeps_the_lexicographically_first_tie(monkeypatch, N, K,
         monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
     # Every point ties: the first lattice point wins.
     monkeypatch.setattr(minimize, "_batch_objective",
-                        lambda kind, pts, kmat=None, terms=None: np.zeros(len(pts)))
+                        lambda kind, pts, terms: np.zeros(len(pts)))
     w, val = _scan_lattice("V", N, K, None)
     assert val == 0.0
     assert np.array_equal(w, np.eye(N)[-1])
@@ -549,7 +547,7 @@ def test_scan_lattice_keeps_the_lexicographically_first_tie(monkeypatch, N, K,
         return
     # Ties of different middle-coordinate sums: m = (0, 2) comes before
     # m = (1, 0) in the lattice, though its sum is larger.
-    def tied(kind, pts, kmat=None, terms=None):
+    def tied(kind, pts, terms):
         m = np.rint(pts * K)
         return np.abs(2 * m[:, 1] + m[:, 2] - 2).astype(np.float64)
 
@@ -567,12 +565,12 @@ def test_scan_lattice_evaluates_each_point_once(monkeypatch, N, K, one_batch):
     rows = []
     real = minimize._batch_objective
 
-    def counted(kind, pts, kmat=None, terms=None):
+    def counted(kind, pts, terms):
         rows.append(len(pts))
-        return real(kind, pts, kmat, terms)
+        return real(kind, pts, terms)
 
     monkeypatch.setattr(minimize, "_batch_objective", counted)
-    _scan_lattice("T", N, K, _terms("T", N))
+    _scan_lattice("T", N, K, _term_classes("T", N))
     n_points = math.comb(K + N - 1, N - 1)
     assert sum(rows) == n_points
     one = N <= 2 or n_points <= minimize._ONE_BATCH_POINTS
@@ -592,8 +590,8 @@ def test_grid_oracle_scans_one_slab_at_a_time():
 
 def test_grid_oracle_agreement_small_n():
     for n in (1, 2, 3, 4, 5):
-        for kind, spec in (("V", KernelKind.V_KERNEL), ("T", KernelKind.T_KERNEL)):
-            it = minimize_quadratic(KernelSpec(spec), n, tolerance=1e-12)
+        for kind in ("V", "T"):
+            it = minimize_quadratic(KernelKind(kind.lower()), n, tolerance=1e-12)
             go = grid_oracle(kind, n, step=1 / 40)
             assert abs(it.value - go.value) <= 1e-6
         em = minimize_energy(n, restarts=4, seed=0)
@@ -711,6 +709,49 @@ def test_energy_restarts_share_one_index(monkeypatch):
     assert builds == [64]
 
 
+def _stub_energy_solves(monkeypatch, record):
+    """Replace every restart's solve by one that passes its start to record
+    and returns it unchanged at the value 1.0."""
+    def solve(index, w0, tol):
+        record(w0)
+        return w0, 1.0, 1, "small_move"
+
+    monkeypatch.setattr(minimize, "_pgd_energy", solve)
+
+
+def test_energy_starts_are_uniform_witness_then_seeded_draws(monkeypatch):
+    starts = []
+    _stub_energy_solves(monkeypatch, starts.append)
+    sieve = build_sieve(64)
+    minimize_energy(64, restarts=5, seed=3, sieve=sieve)
+    rng = np.random.default_rng(3)
+    want = [np.full(64, 1 / 64), witness_e(sieve, 64).normalized().weights]
+    want += [rng.dirichlet(np.ones(64)) for _ in range(3)]
+    assert len(starts) == len(want)
+    for got, w in zip(starts, want):
+        assert np.array_equal(got, w)
+
+
+def test_energy_restarts_hold_one_start_at_a_time(monkeypatch):
+    # All 8,000 start vectors at N = 512 would take about 31 MiB at once.
+    sieve = build_sieve(512)
+
+    def peak(restarts):
+        solves = []
+        with monkeypatch.context() as m:
+            _stub_energy_solves(m, lambda w0: solves.append(len(w0)))
+            tracemalloc.start()
+            try:
+                minimize_energy(512, restarts=restarts, sieve=sieve)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert solves == [512] * restarts
+
+    # 64 KiB covers bookkeeping, such as the list of solves.
+    assert peak(8000) <= peak(4) + (64 << 10)
+
+
 def test_energy_spectral_failure_falls_back_to_the_search():
     # Without the backtracking fallback this run ends on no_armijo_step.
     res = minimize_energy(256, restarts=4, seed=0, sieve=build_sieve(256))
@@ -789,10 +830,10 @@ def test_scaling_report_holds_one_operator_at_a_time(monkeypatch, form):
 
 def test_minimize_quadratic_rejects_another_kernels_operator():
     with pytest.raises(ValueError, match="operator"):
-        minimize_quadratic(KernelSpec(KernelKind.V_KERNEL), 10,
+        minimize_quadratic(KernelKind.V_KERNEL, 10,
                            operator=KernelOperator(KernelKind.T_KERNEL, 10))
     with pytest.raises(ValueError, match="operator"):
-        minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 10,
+        minimize_quadratic(KernelKind.T_KERNEL, 10,
                            operator=KernelOperator(KernelKind.T_KERNEL, 11))
 
 
@@ -844,6 +885,6 @@ def test_scaling_report_shape():
 def test_as_dict_serializable():
     import json
 
-    res = minimize_quadratic(KernelSpec(KernelKind.T_KERNEL), 10)
+    res = minimize_quadratic(KernelKind.T_KERNEL, 10)
     s = json.dumps(res.as_dict())
     assert '"objective_kind"' in s
