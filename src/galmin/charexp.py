@@ -38,6 +38,11 @@ _BURGESS_P_CAP = 2000
 # zeta_poly_moment minimizes the energy E_N for the ratio it reports only
 # up to this N.
 _ZETA_ENERGY_MAX_N = 128
+# zeta_poly_moment adds one exp term per n and quadrature point, in a Python
+# loop over n: about 33 ns a term, and 3.3 us, the cost of 100 terms, per n
+# and pass (2 vCPUs). Counting each pass over an n as 100 terms, this cap
+# limits its time, not its memory, to a few seconds.
+_ZETA_TERMS_CAP = 10**8
 
 
 def _window_counts(p: int, M: int, N: int) -> np.ndarray:
@@ -410,6 +415,10 @@ def zeta_poly_moment(N: int, T: float, r: float, step: float) -> dict:
     # Beside it, logs holds 8 bytes an n, and 16 KiB covers headers.
     require_bytes((16 << 10) + 8 * N + 72 * points(step / 2),
                   f"log n for n <= {N} and quadrature at step {step / 2} over [0, {T}]")
+    terms = N * (points(step) + points(step / 2) + 2 * 100)
+    if terms > _ZETA_TERMS_CAP:
+        raise BudgetError(f"zeta_poly_moment limited to {_ZETA_TERMS_CAP:.0e} terms "
+                          f"(N times quadrature points, 100 per pass), got {terms:.1e}")
     logs = np.arange(1, N + 1, dtype=np.float64)
     np.log(logs, out=logs)
 

@@ -7,12 +7,21 @@ log log throughout — the bound on Omega(n, t) is kappa * log(log(3t)) + C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import FactorSieve, big_omega_table, require_bytes
 from .forms import WeightVector
+
+
+# Peak bytes per candidate of _loc_members. Its int64 cofactors, counts,
+# candidate indices and primes (32) and keep flags (1) live throughout;
+# compressing them makes one new copy at a time (8), so a pass in which few
+# counts reach rhs(2) peaks at 44 (traced: level sets up to 10^6, C = 3). A
+# pass in which every count is tested adds the tested primes, counts and
+# bounds and the masks: 76 traced, every candidate in ]5*10^5, 10^6] at C = 0.
+_LOC_CANDIDATE_BYTES = 80
 
 
 class EmptyWitnessError(ValueError):
@@ -27,9 +36,6 @@ class LocCondition:
     kappa: float
     C: float
     x: int
-    # rhs at each prime satisfies_loc has met; not part of the condition.
-    _rhs_at: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         # Written so that NaN fails: running > nan would reject nothing.
@@ -41,7 +47,8 @@ class LocCondition:
 
 
 def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
-    """Check the growth condition at its jump points only.
+    """Check the growth condition at its jump points only: the per-n
+    reference for _loc_members.
 
     Omega(n,t) is a step function jumping at the distinct prime divisors
     p <= x of n, and the right side is increasing in t, so checking
@@ -49,7 +56,6 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
     """
     sieve.check_range(n)
     spf = sieve.spf
-    rhs_at = cond._rhs_at
     running = 0
     while n > 1:  # primes in increasing order
         p = spf.item(n)
@@ -60,24 +66,81 @@ def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
         while n % p == 0:
             n //= p
             running += 1
-        bound = rhs_at.get(p)
-        if bound is None:
-            bound = rhs_at[p] = cond.rhs(p)
-        if running > bound:
+        if running > cond.rhs(p):
             return False
     return True
 
 
-def _loc_members(sieve: FactorSieve, candidates, cond: LocCondition) -> list[int]:
-    """The candidates that satisfy cond, in order: one satisfies_loc call
-    each."""
-    return [n for n in candidates if satisfies_loc(sieve, n, cond)]
+def _loc_members(sieve: FactorSieve, candidates: np.ndarray,
+                 cond: LocCondition) -> np.ndarray:
+    """The candidates (an int64 array) that satisfy cond, in order: every
+    candidate's jump-point tests, all candidates at once.
+
+    Each pass takes the smallest prime p = spf(m) <= x of every unfinished
+    cofactor m, divides out all its copies, adds them to the candidate's
+    count and tests count <= rhs(p). The primes of a candidate come out in
+    increasing order, so these are satisfies_loc's tests on the same
+    numbers. A candidate is finished when m = 1, when spf(m) > x, or when a
+    test fails.
+
+    rhs(p) comes from cond.rhs, so from math.log as in satisfies_loc: a
+    vector log may differ by an ulp and flip a boundary case. Each pass
+    calls it once per distinct prime at which some count exceeds rhs(2). A
+    count <= rhs(2) passes without it, exactly: for every prime p, 3p >= 6,
+    so loglog(3p) >= loglog(6) in floating point as well (the gap is 0.2 or
+    more, far above rounding), and kappa >= 0 keeps the order through the
+    product and the sum.
+    """
+    n = len(candidates)
+    # 4 KiB covers the arrays' headers.
+    require_bytes(_LOC_CANDIDATE_BYTES * n + 4096,
+                  f"growth filter over {n} candidates")
+    if n:
+        sieve.check_range(int(candidates.min()))
+        sieve.check_range(int(candidates.max()))
+    floor = cond.rhs(2)
+    keep = np.ones(n, dtype=bool)
+    at = np.arange(n)
+    m = candidates.astype(np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    while len(m):
+        p = sieve.spf[m]
+        live = (m > 1) & (p <= cond.x)
+        # One array at a time, so that each old copy is freed before the
+        # next new one is made.
+        at = at[live]
+        m = m[live]
+        count = count[live]
+        p = p[live]
+        m //= p
+        count += 1
+        again = np.flatnonzero(m % p == 0)
+        while len(again):
+            q = p[again]
+            m[again] //= q
+            count[again] += 1
+            again = again[m[again] % q == 0]
+        over = count > floor
+        if over.any():
+            p_over = p[over]
+            # The distinct primes; np.unique would import numpy.ma on its
+            # first call, about 10 ms.
+            primes = np.sort(p_over)
+            primes = primes[np.concatenate(([True], primes[1:] != primes[:-1]))]
+            bound = np.fromiter(map(cond.rhs, map(int, primes)), float, len(primes))
+            limit = bound[np.searchsorted(primes, p_over)]
+            del p_over, primes, bound  # before the comparison's arrays
+            failed = np.zeros(len(m), dtype=bool)
+            failed[over] = count[over] > limit
+            keep[at[failed]] = False
+            m[failed] = 1  # finished
+    return candidates[keep]
 
 
-def _level_set(sieve: FactorSieve, x: int, k: int) -> list[int]:
+def _level_set(sieve: FactorSieve, x: int, k: int) -> np.ndarray:
     """{n <= x : Omega(n) = k} in increasing order."""
     omega = big_omega_table(sieve, x)
-    return (np.flatnonzero(omega[1:] == k) + 1).tolist()
+    return np.flatnonzero(omega[1:] == k) + 1
 
 
 def level_set_count(sieve: FactorSieve, x: int, k: int) -> int:
@@ -122,7 +185,7 @@ def witness_t(sieve: FactorSieve, N: int, beta: float, C: float = 3.0) -> Weight
     k = int(beta * math.log(math.log(N)))
     cond = LocCondition(kappa=beta, C=C, x=N)
     support = _loc_members(sieve, _level_set(sieve, N, k), cond)
-    if not support:
+    if not len(support):
         raise EmptyWitnessError(
             f"no n <= {N} with Omega(n)={k} satisfies the growth condition; "
             f"increase C (currently {C})"
@@ -137,8 +200,9 @@ def witness_e(sieve: FactorSieve, N: int, C: float = 3.0) -> WeightVector:
         raise EmptyWitnessError("witness_e requires N >= 4")
     sieve.check_range(N)
     cond = LocCondition(kappa=1.0 / math.log(4.0), C=C, x=N)
-    support = _loc_members(sieve, range(N // 2 + 1, N + 1), cond)
-    if not support:
+    support = _loc_members(sieve, np.arange(N // 2 + 1, N + 1, dtype=np.int64),
+                           cond)
+    if not len(support):
         raise EmptyWitnessError(
             f"no n in ]{N // 2}, {N}] satisfies the growth condition; "
             f"increase C (currently {C})"

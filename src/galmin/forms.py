@@ -300,7 +300,7 @@ class WeightVector:
     @classmethod
     def indicator(cls, support, n_max: int) -> "WeightVector":
         w = np.zeros(n_max)
-        idx = np.asarray(sorted(support), dtype=np.int64)
+        idx = np.sort(np.asarray(support, dtype=np.int64))
         if len(idx) and (idx[0] < 1 or idx[-1] > n_max):
             raise ValueError("support outside [1, n_max]")
         w[idx - 1] = 1.0

@@ -36,7 +36,12 @@ from galmin.charexp import (
     zeta_poly_moment,
 )
 from galmin.constants import solve_beta
-from galmin.extremal import multiplication_table_count
+from galmin.extremal import (
+    LocCondition,
+    _level_set,
+    _loc_members,
+    multiplication_table_count,
+)
 from galmin.forms import KernelKind, KernelOperator, WeightVector
 from galmin.minimize import minimize_with_witness
 
@@ -64,6 +69,13 @@ def _operator(kind):
 
 def _multiplication_table(N):
     return "extremal", lambda: multiplication_table_count(N)
+
+
+def _loc_filter(x, k):
+    sieve = build_sieve(x)
+    level = _level_set(sieve, x, k)
+    cond = LocCondition(kappa=k / math.log(math.log(x)), C=3.0, x=x)
+    return "extremal", lambda: _loc_members(sieve, level, cond)
 
 
 def _shifted_sums(p, B):
@@ -151,6 +163,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_operator(T), (10**4,)),
     (_operator(T), (10**5,)),
     (_multiplication_table, (2000,)),
+    (_loc_filter, (10**6, 3)),
     (_shifted_sums, (10007, 10**5)),
     (_theta, (10007, 1e-4)),
     (_char_sum, (101, 10**5)),
@@ -167,8 +180,8 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_low_moments, (100003, 100000)),
     (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
-        "H", "shifted_sums", "theta", "char_sum", "gauss_sum", "polya-terms",
-        "polya-modulus", "character_sums-classes", "character_sums-terms",
+        "H", "loc-filter", "shifted_sums", "theta", "char_sum", "gauss_sum",
+        "polya-terms", "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
         "mollified-theta", "low_moments-classes", "low_moments-terms",
         "polyzeta-logs"])
@@ -184,6 +197,7 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_operator(V), (300,)),
     (_operator(T), (300,)),
     (_multiplication_table, (50,)),
+    (_loc_filter, (1000, 3)),
     (_shifted_sums, (101, 50)),
     (_theta, (101, 0.01)),
     (_char_sum, (101, 50)),
@@ -194,8 +208,8 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_mollified_moments, (101, 1.0)),
     (_low_moments, (101, 9)),
     (_polyzeta, (10_000, 1.0, 0.5)),
-], ids=["spf", "Omega", "phi", "V", "T", "H", "shifted_sums", "theta",
-        "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
+], ids=["spf", "Omega", "phi", "V", "T", "H", "loc-filter", "shifted_sums",
+        "theta", "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
         "mollified_moments", "low_moments", "polyzeta-logs"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
     module, call = guard(*size)

@@ -288,6 +288,19 @@ def test_polyzeta_over_budget_exits_3_at_once(capsys):
     assert elapsed < 1.0
 
 
+def test_polyzeta_over_its_time_cap_exits_3_at_once(capsys):
+    # The logs (0.8 GB) fit the byte budget; 10^8 n at 302 quadrature
+    # points would run for about half an hour.
+    t0 = time.perf_counter()
+    code = main(["polyzeta", "--n", "100000000", "--t", "1", "--r", "1"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: zeta_poly_moment limited to ")
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["mollify", "--p", "97612891", "--x", "1.0"],
     ["lowmoment", "--p", "23000009", "--n", "10", "--r", "1.0"],

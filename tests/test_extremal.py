@@ -221,16 +221,16 @@ def test_witness_domain_is_checked_before_the_range():
         assert not isinstance(exc.value, EmptyWitnessError)
 
 
-def _count_loc_calls(monkeypatch):
-    """Record each n that extremal's routines pass to satisfies_loc."""
+def _record_filter_calls(monkeypatch):
+    """Record the candidates each call of extremal's one growth filter gets."""
     calls = []
-    original = extremal.satisfies_loc
+    original = extremal._loc_members
 
-    def counted(sieve, n, cond):
-        calls.append(n)
-        return original(sieve, n, cond)
+    def recorded(sieve, candidates, cond):
+        calls.append(candidates.tolist())
+        return original(sieve, candidates, cond)
 
-    monkeypatch.setattr(extremal, "satisfies_loc", counted)
+    monkeypatch.setattr(extremal, "_loc_members", recorded)
     return calls
 
 
@@ -238,9 +238,9 @@ def _count_loc_calls(monkeypatch):
 def test_filtered_count_tests_each_level_set_member_once(sieve, monkeypatch, x, k):
     level = [n for n in range(1, x + 1) if big_omega(sieve, n) == k]
     cond = LocCondition(kappa=k / math.log(math.log(x)), C=1.0, x=x)
-    calls = _count_loc_calls(monkeypatch)
+    calls = _record_filter_calls(monkeypatch)
     got = filtered_count(sieve, x, k, 1.0)
-    assert calls == level
+    assert calls == [level]
     assert got == sum(1 for n in level if _loc_by_factorize(sieve, n, cond))
 
 
@@ -250,9 +250,9 @@ def test_witness_t_support_is_every_filtered_member(sieve, monkeypatch, N, C):
     k = int(beta * math.log(math.log(N)))
     level = [n for n in range(1, N + 1) if big_omega(sieve, n) == k]
     cond = LocCondition(kappa=beta, C=C, x=N)
-    calls = _count_loc_calls(monkeypatch)
+    calls = _record_filter_calls(monkeypatch)
     support = [int(n) for n in witness_t(sieve, N, beta, C=C).support()]
-    assert calls == level
+    assert calls == [level]
     assert support == [n for n in level if _loc_by_factorize(sieve, n, cond)]
 
 
@@ -260,7 +260,27 @@ def test_witness_t_support_is_every_filtered_member(sieve, monkeypatch, N, C):
 def test_witness_e_support_is_every_filtered_candidate(sieve, monkeypatch, N, C):
     candidates = list(range(N // 2 + 1, N + 1))
     cond = LocCondition(kappa=1.0 / math.log(4.0), C=C, x=N)
-    calls = _count_loc_calls(monkeypatch)
+    calls = _record_filter_calls(monkeypatch)
     support = [int(n) for n in witness_e(sieve, N, C=C).support()]
-    assert calls == candidates
+    assert calls == [candidates]
     assert support == [n for n in candidates if _loc_by_factorize(sieve, n, cond)]
+
+
+@pytest.mark.parametrize("x", [1, 2, 50, 10_000])
+def test_loc_members_match_satisfies_loc(sieve, x):
+    # x = 50 cuts factorizations at the first prime above x; inf means no
+    # constraint.
+    candidates = np.arange(1, 10_001, dtype=np.int64)
+    for kappa in (0.0, 0.3, 1.0 / math.log(4.0), 1.2, math.inf):
+        for C in (0.0, 0.5, 1.0, 3.0, math.inf):
+            cond = LocCondition(kappa=kappa, C=C, x=x)
+            want = [n for n in range(1, 10_001) if satisfies_loc(sieve, n, cond)]
+            assert extremal._loc_members(sieve, candidates, cond).tolist() == want
+            assert len(extremal._loc_members(sieve, candidates[:0], cond)) == 0
+
+
+def test_filtered_counts_at_the_ratio_table_point():
+    x = 202_366
+    sieve = build_sieve(x)
+    assert [filtered_count(sieve, x, k, 3.0) for k in (1, 2, 3, 4)] == [
+        18176, 45742, 51481, 38687]
