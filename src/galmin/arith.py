@@ -1,14 +1,15 @@
-"""Smallest-prime-factor sieve and the multiplicative functions built on it.
+"""Smallest-prime-factor sieve and the arithmetic tables built on it.
 
-Everything downstream (forms, witness sets, character experiments) factors
-integers through a single immutable :class:`FactorSieve`, so factorization is
-O(number of prime factors) per query.
+Everything downstream (forms, witness sets, character experiments) reads
+integers' prime factors off a single immutable :class:`FactorSieve`: the
+Omega and phi tables fill whole blocks of n per numpy pass, prime_powers
+reads the primes off the spf table, and the growth filter peels one prime
+per pass. Each quantity has this one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
@@ -88,47 +89,6 @@ def _spf_table(limit: int) -> np.ndarray:
                 rest[unset] = np.flatnonzero(unset) + i
                 break
     return spf
-
-
-def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
-    """Return the prime factorization of n as a list of (p, exponent) pairs."""
-    sieve.check_range(n)
-    out: list[tuple[int, int]] = []
-    spf = sieve.spf
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def big_omega(sieve: FactorSieve, n: int) -> int:
-    """Omega(n): number of prime factors counted with multiplicity."""
-    return sum(e for _, e in factorize(sieve, n))
-
-
-def small_omega(sieve: FactorSieve, n: int) -> int:
-    """omega(n): number of distinct prime factors."""
-    return len(factorize(sieve, n))
-
-
-def euler_phi(sieve: FactorSieve, n: int) -> int:
-    """Euler totient, via the prime factorization."""
-    phi = 1
-    for p, e in factorize(sieve, n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
-def divisors(sieve: FactorSieve, n: int) -> list[int]:
-    """All divisors of n, sorted increasingly."""
-    divs = [1]
-    for p, e in factorize(sieve, n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _doubling_blocks(sieve: FactorSieve, upto: int):

@@ -28,7 +28,7 @@ from .arith import BudgetError, build_sieve, require_bytes
 # Terms theta_all_even generates and bins at a time.
 _THETA_CHUNK = 1 << 20
 # Most terms theta_cutoff admits. theta_all_even streams its terms, so this
-# limits its time, not its memory; theta checks its bytes on its own.
+# limits its time, not its memory.
 _THETA_TERM_CAP = 100_000_000
 # Theta sums are truncated where the geometric bound on the discarded tail
 # falls below this.
@@ -38,9 +38,6 @@ _THETA_TAIL_EPSILON = 1e-15
 # sieve of size p that primality was once read off, so that every modulus
 # keeps the verdict (and the CLI exit code) it had then.
 _MODULUS_ENTRY_BYTES = 11
-# Peak bytes per term of theta: the int64 ns, the float64 damping and
-# chi.values' index, angle and complex temporaries (81 at 10^4 terms).
-_THETA_TERM_BYTES = 88
 # Peak bytes per term of chi.values over a range of n, with the int64 range
 # and, in gauss_sum, the complex exponentials (73 at 10^4 to 10^6 terms).
 _CHI_TERM_BYTES = 80
@@ -303,8 +300,7 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
 
     An n_max above _THETA_TERM_CAP raises BudgetError: that cap limits
     the time of theta_all_even, which bins the terms in chunks, so its
-    memory does not grow with n_max. theta holds all n_max terms at once
-    and checks their bytes against arith.BYTES_BUDGET itself.
+    memory does not grow with n_max.
     """
     rate = math.pi * config.x / p
 
@@ -336,17 +332,6 @@ def theta_cutoff(p: int, config: ThetaConfig) -> int:
         raise BudgetError(f"theta needs more than {_THETA_TERM_CAP} terms "
                           f"at p={p}, x={config.x}")
     return n
-
-
-def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
-    """theta(x;chi) = sum_{n>=1} chi(n) e^{-pi n^2 x / p}, truncated so the
-    discarded tail is below _THETA_TAIL_EPSILON."""
-    p = chi.p
-    n_max = theta_cutoff(p, config)
-    require_bytes(_THETA_TERM_BYTES * n_max, f"theta over {n_max} terms")
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
-    return complex(chi.values(ns) @ damp)
 
 
 def theta_all_even_bytes(p: int, n_max: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-# Bracket for the root of f - Q; sign change verified at runtime.
+# Bracket for the root of f - Q; _brentq raises if f - Q keeps its sign on it.
 _BETA_BRACKET = (0.3, 0.7)
 
 
@@ -113,19 +113,14 @@ class VariationalConstants:
 
 
 def solve_beta(tolerance: float = 1e-12) -> VariationalConstants:
-    """Solve f(beta) = Q(beta) by Brent's method on a verified bracket."""
+    """Solve f(beta) = Q(beta) by Brent's method on _BETA_BRACKET."""
     if not 1e-14 <= tolerance <= 1e-4:
         raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {tolerance}")
 
     def h(u: float) -> float:
         return f_of(u) - q_of(u)
 
-    a, b = _BETA_BRACKET
-    if h(a) * h(b) >= 0:
-        raise RuntimeError(
-            "f - Q does not change sign on the bracket; formula transcription bug"
-        )
-    beta = _brentq(h, a, b, xtol=tolerance, rtol=8.881784197001252e-16)
+    beta = _brentq(h, *_BETA_BRACKET, xtol=tolerance, rtol=8.881784197001252e-16)
     return VariationalConstants(
         beta=beta,
         eta=f_of(beta),

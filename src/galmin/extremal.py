@@ -160,6 +160,8 @@ def filtered_count(sieve: FactorSieve, x: int, k: int, C: float) -> int:
         raise ValueError(f"filtered_count needs x >= 3 for kappa = k/loglog(x), "
                          f"got x={x}")
     sieve.check_range(x)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     cond = LocCondition(kappa=k / math.log(math.log(x)), C=C, x=x)
     return len(_loc_members(sieve, _level_set(sieve, x, k), cond))
 

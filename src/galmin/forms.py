@@ -16,7 +16,6 @@ import numpy as np
 
 from .arith import FactorSieve, _spf_table, phi_table, prime_powers, require_bytes
 
-_BLOCK = 2048
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
 # KernelOperator multiplies V buckets of padded width up to this densely,
@@ -332,7 +331,7 @@ def _pairwise_forms(kinds: tuple[KernelKind, ...],
         return tuple(totals)
     w = c.weights[supp - 1]
     powers = _prime_power_table(int(supp[-1]))
-    step = max(1, min(_BLOCK, _BLOCK_ELEMS // supp.size))
+    step = max(1, _BLOCK_ELEMS // supp.size)
     for lo in range(0, supp.size, step):
         rows = supp[lo : lo + step]
         g = gcd_block(rows, supp, powers)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .arith import big_omega, build_sieve, divisors, euler_phi, small_omega
+from .arith import big_omega_table, build_sieve, phi_table, prime_powers
 from .characters import (
     build_table,
     char_sum,
@@ -98,12 +98,25 @@ def check_constants(rep: ExperimentReport, tolerance: float) -> VariationalConst
 
 
 def _verify_arith(rep):
-    sieve = build_sieve(10_000)
-    ok_phi = all(sum(euler_phi(sieve, d) for d in divisors(sieve, n)) == n
-                 for n in range(1, 2001))
+    """The phi and Omega tables that the solvers read, up to 2000:
+    sum_{d | n} phi(d) = n, and Omega(n) >= omega(n) with omega counted by
+    marking the multiples of each prime, not by the spf recurrence that
+    fills the Omega table."""
+    upto = 2000
+    sieve = build_sieve(upto)
+    # Every pair d * m <= upto: d repeated once per multiple, m counting
+    # 1, 2, ... within each run of d.
+    ds = np.arange(1, upto + 1)
+    d = np.repeat(ds, upto // ds)
+    m = np.arange(len(d)) - np.searchsorted(d, d) + 1
+    divisor_sums = np.bincount(d * m, weights=phi_table(sieve, upto)[d])
+    ok_phi = np.array_equal(divisor_sums[1:], ds)
     rep.check("phi_divisor_sum", 1, 1, ok_phi)
-    ok_omega = all(big_omega(sieve, n) >= small_omega(sieve, n)
-                   for n in range(1, 2001))
+    qs, ps = prime_powers(sieve, upto)
+    small_omega = np.zeros(upto + 1, dtype=np.int64)
+    for p in ps[qs == ps].tolist():
+        small_omega[p::p] += 1
+    ok_omega = np.all(big_omega_table(sieve, upto) >= small_omega)
     rep.check("big_omega_ge_small_omega", 1, 1, ok_omega)
 
 

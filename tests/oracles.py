@@ -1,17 +1,79 @@
 """Paper definitions that the tests use as references. Nothing in galmin
 runs them; each is tied to the production code it restates by a test:
 
+- factorize, big_omega, small_omega, euler_phi and divisors, the per-n
+  definitions read off the spf sieve, against arith.big_omega_table,
+  arith.phi_table, the growth filter and the primes of p - 1 behind the
+  character tables (test_arith.py, test_extremal.py, test_characters.py);
+- theta, the one-character sum, against characters.theta_all_even
+  (test_characters.py);
 - omega_partial, the literal growth condition, against
   extremal.satisfies_loc (test_extremal.py);
 - gal_sum at alpha = 1/2 against forms.t_form_naive of the indicator
   (test_forms.py);
 - set_energy(A, A) against forms.e_form of the indicator (test_forms.py).
+
+tests/test_surface.py fails if galmin defines a public name that is
+defined here too.
 """
+
+import math
 
 import numpy as np
 
-from galmin.arith import FactorSieve, factorize
+from galmin.arith import FactorSieve
+from galmin.characters import DirichletCharacter, ThetaConfig, theta_cutoff
 from galmin.forms import gcd_block
+
+
+def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n as a list of (p, exponent) pairs."""
+    sieve.check_range(n)
+    out: list[tuple[int, int]] = []
+    spf = sieve.spf
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def big_omega(sieve: FactorSieve, n: int) -> int:
+    """Omega(n): number of prime factors counted with multiplicity."""
+    return sum(e for _, e in factorize(sieve, n))
+
+
+def small_omega(sieve: FactorSieve, n: int) -> int:
+    """omega(n): number of distinct prime factors."""
+    return len(factorize(sieve, n))
+
+
+def euler_phi(sieve: FactorSieve, n: int) -> int:
+    """Euler totient, via the prime factorization."""
+    phi = 1
+    for p, e in factorize(sieve, n):
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+def divisors(sieve: FactorSieve, n: int) -> list[int]:
+    """All divisors of n, sorted increasingly."""
+    divs = [1]
+    for p, e in factorize(sieve, n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def theta(chi: DirichletCharacter, config: ThetaConfig) -> complex:
+    """theta(x;chi) = sum_{n>=1} chi(n) e^{-pi n^2 x / p} for one
+    character, truncated at theta_cutoff, all terms at once."""
+    p = chi.p
+    ns = np.arange(1, theta_cutoff(p, config) + 1, dtype=np.int64)
+    damp = np.exp(-math.pi * config.x * ns.astype(np.float64) ** 2 / p)
+    return complex(chi.values(ns) @ damp)
 
 
 def omega_partial(sieve: FactorSieve, n: int, t: float) -> int:

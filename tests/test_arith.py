@@ -9,19 +9,14 @@ from galmin.arith import (
     BYTES_BUDGET,
     _SPF_ENTRY_BYTES,
     BudgetError,
-    big_omega,
     big_omega_table,
     build_sieve,
-    divisors,
-    euler_phi,
-    factorize,
     phi_table,
     prime_powers,
-    small_omega,
     spf_bytes,
 )
 
-from oracles import omega_partial
+from oracles import big_omega, divisors, euler_phi, factorize, omega_partial, small_omega
 
 
 @pytest.fixture(scope="module")

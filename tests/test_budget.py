@@ -26,7 +26,6 @@ from galmin.characters import (
     character_sums,
     gauss_sum,
     polya_partial_sum,
-    theta,
     theta_all_even,
 )
 from galmin.charexp import (
@@ -81,11 +80,6 @@ def _loc_filter(x, k):
 def _shifted_sums(p, B):
     chi = build_table(p).character(1)
     return "charexp", lambda: shifted_sums(chi, B)
-
-
-def _theta(p, x):
-    chi, config = build_table(p).character(2), ThetaConfig(x=x)
-    return "characters", lambda: theta(chi, config)
 
 
 def _char_sum(p, N):
@@ -165,7 +159,6 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_multiplication_table, (2000,)),
     (_loc_filter, (10**6, 3)),
     (_shifted_sums, (10007, 10**5)),
-    (_theta, (10007, 1e-4)),
     (_char_sum, (101, 10**5)),
     (_gauss_sum, (100003,)),
     (_polya, (10007, 5003, 10**5)),
@@ -180,7 +173,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_low_moments, (100003, 100000)),
     (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
-        "H", "loc-filter", "shifted_sums", "theta", "char_sum", "gauss_sum",
+        "H", "loc-filter", "shifted_sums", "char_sum", "gauss_sum",
         "polya-terms", "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
         "mollified-theta", "low_moments-classes", "low_moments-terms",
@@ -199,7 +192,6 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_multiplication_table, (50,)),
     (_loc_filter, (1000, 3)),
     (_shifted_sums, (101, 50)),
-    (_theta, (101, 0.01)),
     (_char_sum, (101, 50)),
     (_gauss_sum, (101,)),
     (_polya, (101, 50, 10)),
@@ -209,7 +201,7 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_low_moments, (101, 9)),
     (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V", "T", "H", "loc-filter", "shifted_sums",
-        "theta", "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
+        "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
         "mollified_moments", "low_moments", "polyzeta-logs"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):
     module, call = guard(*size)

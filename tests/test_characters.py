@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from galmin import characters
-from galmin.arith import BudgetError, build_sieve, factorize, spf_bytes
+from galmin.arith import BudgetError, build_sieve, spf_bytes
 from galmin.characters import (
     CharacterTable,
     ThetaConfig,
@@ -18,10 +18,11 @@ from galmin.characters import (
     modulus_limit,
     orthogonality_check,
     polya_partial_sum,
-    theta,
     theta_all_even,
     theta_cutoff,
 )
+
+from oracles import factorize, theta
 
 
 def test_build_table_rejects_composites():
@@ -294,20 +295,6 @@ def test_theta_cutoff_budget(x):
     with pytest.raises(BudgetError):
         theta_cutoff(10007, ThetaConfig(x=x))
     assert theta_cutoff(10007, ThetaConfig(x=1e-10)) <= characters._THETA_TERM_CAP
-
-
-def test_theta_over_the_byte_budget_is_refused_before_allocating():
-    # The term cap admits the 38.9M terms at x = 1e-10, but theta holds
-    # them all at once, about 3.4 GB, so the byte budget refuses them.
-    chi = build_table(10007).character(2)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError, match="theta over"):
-            theta(chi, ThetaConfig(x=1e-10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 10
 
 
 def test_build_table_bound_is_the_largest_sieve_in_the_budget(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galmin import cli
+from galmin import arith, cli
 from galmin.cli import (
     EXIT_ASSERTION,
     EXIT_BUDGET,
@@ -518,6 +518,25 @@ def test_verify_all_fast_csv_lists_its_checks(capsys):
     assert [row[0] for row in checks] == VERIFY_ALL_CHECKS
     assert len(checks) == 40
     assert all(row[3] == "True" for row in checks)
+
+
+@pytest.mark.parametrize("table, n, value, check", [
+    ("phi_table", 997, 997, "phi_divisor_sum"),  # phi(997) + 1
+    ("big_omega_table", 30, 2, "big_omega_ge_small_omega"),  # Omega(30) - 1
+])
+def test_verify_all_checks_the_tables_the_solvers_read(capsys, monkeypatch,
+                                                      table, n, value, check):
+    build = getattr(arith, table)
+
+    def corrupted(sieve, upto):
+        t = build(sieve, upto)
+        t[n] = value
+        return t
+
+    monkeypatch.setattr(f"galmin.verify.{table}", corrupted)
+    code, out = _run(capsys, "verify-all", "--fast")
+    assert code == EXIT_ASSERTION
+    assert [a["name"] for a in json.loads(out)["assertions"] if not a["holds"]] == [check]
 
 
 def test_csv_prints_a_failing_check_as_false(capsys, monkeypatch):

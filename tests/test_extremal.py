@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from galmin.arith import BudgetError, big_omega, build_sieve, factorize
+from galmin.arith import BudgetError, build_sieve
 from galmin import extremal
 from galmin.extremal import (
     EmptyWitnessError,
@@ -16,7 +16,7 @@ from galmin.extremal import (
     witness_t,
 )
 
-from oracles import omega_partial
+from oracles import big_omega, factorize, omega_partial
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,12 @@ def test_filtered_count_subset_and_monotone_in_C(sieve):
         assert counts[-1] <= level_set_count(sieve, x, k)
         # A generous constant admits the whole level set.
         assert filtered_count(sieve, x, k, 50.0) == level_set_count(sieve, x, k)
+    # Both take the level set's k >= 1.
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            filtered_count(sieve, x, k, 3.0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            level_set_count(sieve, x, k)
 
 
 def test_multiplication_table_small_values():

@@ -1,6 +1,7 @@
 """The library keeps only what runs: every public top-level function and
 class of src/galmin is used by the package itself or by the benchmark
-under perfbench/, or is a reference that a named test compares against.
+under perfbench/. References that only tests compare against live in
+tests/oracles.py, and the library defines none of their names.
 """
 
 import ast
@@ -9,20 +10,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "galmin"
 BENCHMARK = ROOT / "perfbench"
-
-# Public names that nothing in the package or the benchmark runs, kept as
-# references for the tests named beside them.
-REFERENCES = (
-    # tests/test_characters.py::test_theta_all_even_consistent checks
-    # theta_all_even against it, test_theta_matches_direct_sum checks it.
-    "theta",
-)
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
-def _public_definitions() -> dict[str, str]:
+def _public_definitions(paths) -> dict[str, str]:
     """Each public top-level function and class, with its module."""
     defs = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
@@ -71,13 +65,18 @@ def _references(tree, strings: bool) -> set[str]:
 
 
 def test_every_public_name_has_a_user_or_is_a_named_reference():
-    defs = _public_definitions()
+    defs = _public_definitions(sorted(PACKAGE.glob("*.py")))
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):
         used |= _references(ast.parse(path.read_text()), strings=False)
     for path in sorted(BENCHMARK.glob("*.py")):
         used |= _references(ast.parse(path.read_text()), strings=True)
     unused = sorted(f"{module}.{name}" for name, module in defs.items()
-                    if name not in used and name not in REFERENCES)
+                    if name not in used)
     assert unused == []
-    assert set(REFERENCES) <= set(defs)
+
+
+def test_no_oracle_is_also_defined_in_the_library():
+    defs = _public_definitions(sorted(PACKAGE.glob("*.py")))
+    oracles = _public_definitions([ORACLES])
+    assert sorted(f"{defs[name]}.{name}" for name in oracles if name in defs) == []
