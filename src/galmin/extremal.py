@@ -180,7 +180,10 @@ def multiplication_table_count(N: int) -> int:
 
 def witness_t(sieve: FactorSieve, N: int, beta: float, C: float = 3.0) -> WeightVector:
     """Indicator of {n <= N : Omega(n) = floor(beta*loglog N), growth
-    condition holds with kappa = beta}. Its domain is N >= 16."""
+    condition holds with kappa = beta}. Its domain is N >= 16. Below
+    N = exp(exp(1/beta)) the level is k = 0, so the witness is the point
+    mass at 1: at the paper's beta = 0.48154..., for 16 <= N <= 2,915; at
+    N = 2,916 its support has 421 members."""
     if N < 16:
         raise EmptyWitnessError("witness_t requires N >= 16")
     sieve.check_range(N)

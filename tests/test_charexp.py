@@ -118,9 +118,12 @@ def _burgess_per_character(p, r, N, table):
                  "max_S_window": max_window}
 
 
-@pytest.mark.parametrize("p,N", [(7, 5), (13, 9), (101, 30), (499, 200)])
+@pytest.mark.parametrize("p,N", [(3, 2), (5, 3), (7, 5), (13, 9), (101, 30),
+                                 (499, 200)])
 def test_burgess_blocks_match_per_character_loop(p, N):
-    # At p = 499 the characters span several blocks, the last one partial.
+    # At p = 3 the only character is the self-conjugate j = (p-1)/2; at
+    # p = 5 it ends the half j = 1, 2. At p = 499 the characters span
+    # several blocks, the last one partial.
     rep, want = _burgess_per_character(p, 2, N, build_table(p))
     for key, value in want.items():
         assert math.isclose(rep.values[key], value, rel_tol=1e-12), key
@@ -132,6 +135,41 @@ def test_burgess_failed_checks_in_character_order(monkeypatch):
     rep = burgess_experiment(p, 2, 200)
     failed = [a.name for a in rep.assertions if not a.holds]
     assert failed == [f"weil_moment_chi_{j}" for j in range(1, p - 1)]
+
+
+@pytest.mark.parametrize("p", [5, 499])
+def test_burgess_reports_every_failed_check_in_character_order(monkeypatch, p):
+    # Both checks fail for every character: the Weil bound is -1 and every
+    # moment 0, so the Hoelder rhs is 0 below S^{2r} > 0. The minimum
+    # slack is then negative, so holder_chain_all_chi fails too.
+    monkeypatch.setattr(charexp, "weil_bound", lambda B, r, p: -1.0)
+    monkeypatch.setattr(charexp, "_moments",
+                        lambda rows, r: np.zeros(rows.shape[:-1]))
+    rep = burgess_experiment(p, 2, 2 * p)
+    failed = [a.name for a in rep.assertions if not a.holds]
+    per_chi = [f"{check}_chi_{j}" for j in range(1, p - 1)
+               for check in ("weil_moment", "holder_chain")]
+    assert failed == per_chi + ["holder_chain_all_chi"]
+
+
+@pytest.mark.parametrize("p", [7, 13, 101, 499])
+def test_conjugate_characters_share_burgess_rows(p):
+    # chi_{p-1-j} = conj(chi_j): burgess_experiment computes one of each
+    # pair, so |I| and the window maxima of the two must agree.
+    table = build_table(p)
+    m = p - 1
+    ns = np.arange(1, 2 * p + 1)
+    B, N = max(1, int(2 * p ** 0.25)), p // 3 + 1
+
+    def window_max(j):
+        cum = np.concatenate([[0j], np.cumsum(table.character(j).values(ns))])
+        return float(np.abs(cum[N:] - cum[:-N]).max())
+
+    for j in range(1, m):
+        a = np.abs(shifted_sums(table.character(j), B))
+        b = np.abs(shifted_sums(table.character(m - j), B))
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * B)
+        assert math.isclose(window_max(j), window_max(m - j), rel_tol=1e-12)
 
 
 def test_one_r_bound_serves_burgess_and_verify_all(monkeypatch):

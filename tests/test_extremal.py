@@ -191,6 +191,13 @@ def test_witness_t_structure(sieve):
         witness_t(sieve, 15, beta)
 
 
+def test_witness_t_is_the_point_mass_at_1_up_to_2915(sieve):
+    # k = floor(beta * loglog N) is 0 for N < exp(exp(1/beta)) = 2915.19...
+    beta = 0.48154502844112457
+    assert witness_t(sieve, 2915, beta).support().tolist() == [1]
+    assert len(witness_t(sieve, 2916, beta).support()) == 421
+
+
 def test_witness_empty_when_C_tiny(sieve):
     # Every n in ]4, 8] has a prime factor p with Omega(n, p) = 1 but
     # kappa * loglog(3p) < 1, so with C = 0 nothing survives.
