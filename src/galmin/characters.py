@@ -4,8 +4,9 @@ orthogonality over the even subgroup.
 
 chi_j(n) = exp(2*pi*i * j * ind(n) / (p-1)) where ind is the discrete log
 with respect to the least primitive root; chi_j is even iff j is even.
-Angles are reduced with exact integer arithmetic mod p-1 before the single
-call into exp.
+Every value comes from one expression, _chi: the angle is reduced with
+exact integer arithmetic mod p-1 before the single call into exp, so
+chi(n), chi.values and character_matrix agree bit for bit.
 
 A weighted sum over every character at once, sum_n w_n chi_j(n) for all j,
 is a discrete Fourier transform of the weights binned by ind(n):
@@ -16,7 +17,6 @@ kept as the reference that tests compare it against.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -165,22 +165,23 @@ class DirichletCharacter:
         return self.j % (self.p - 1) == 0
 
     def __call__(self, n: int) -> complex:
-        p = self.p
-        n %= p
-        if n == 0:
-            return 0j
-        k = (self.j * int(self.table.dlog[n])) % (p - 1)
-        return cmath.exp(2j * math.pi * k / (p - 1))
+        return complex(self.values([n % self.p])[0])
 
     def values(self, ns) -> np.ndarray:
         """Vectorized chi(n) over an integer array."""
-        p = self.p
-        ns = np.asarray(ns, dtype=np.int64) % p
-        out = np.zeros(len(ns), dtype=np.complex128)
-        mask = ns != 0
-        k = (self.j * self.table.dlog[ns[mask]]) % (p - 1)
-        out[mask] = np.exp(2j * np.pi * k / (p - 1))
-        return out
+        return _chi(self.table, [self.j], ns)[0]
+
+
+def _chi(table: CharacterTable, js, ns) -> np.ndarray:
+    """chi_j(n) with one row per j of js and one column per n of ns: the
+    one expression behind every character value."""
+    p = table.p
+    ns = np.asarray(ns, dtype=np.int64) % p
+    out = np.zeros((len(js), len(ns)), dtype=np.complex128)
+    mask = ns != 0
+    k = np.outer(js, table.dlog[ns[mask]]) % (p - 1)
+    out[:, mask] = np.exp(2j * np.pi * k / (p - 1))
+    return out
 
 
 def character_matrix(table: CharacterTable, ns, even_only: bool = False) -> np.ndarray:
@@ -190,14 +191,7 @@ def character_matrix(table: CharacterTable, ns, even_only: bool = False) -> np.n
     all characters go through character_sums, which tests check against
     this matrix.
     """
-    p = table.p
-    ns = np.asarray(ns, dtype=np.int64) % p
-    js = np.arange(0, p - 1, 2 if even_only else 1)
-    out = np.zeros((len(js), len(ns)), dtype=np.complex128)
-    mask = ns != 0
-    k = np.outer(js, table.dlog[ns[mask]]) % (p - 1)
-    out[:, mask] = np.exp(2j * np.pi * k / (p - 1))
-    return out
+    return _chi(table, np.arange(0, table.p - 1, 2 if even_only else 1), ns)
 
 
 def character_sums(table: CharacterTable, ns, weights,

@@ -27,7 +27,7 @@ from .characters import (
     theta_all_even_bytes,
     theta_cutoff,
 )
-from .forms import KernelKind, WeightVector, e_form, v_form
+from .forms import KernelKind, WeightVector, v_form
 from .minimize import minimize_energy, minimize_quadratic
 from .report import ExperimentReport
 

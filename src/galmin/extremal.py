@@ -46,31 +46,6 @@ class LocCondition:
         return self.kappa * math.log(math.log(3.0 * t)) + self.C
 
 
-def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
-    """Check the growth condition at its jump points only: the per-n
-    reference for _loc_members.
-
-    Omega(n,t) is a step function jumping at the distinct prime divisors
-    p <= x of n, and the right side is increasing in t, so checking
-    Omega(n,p) <= rhs(p) at each such p covers every t in [1, x].
-    """
-    sieve.check_range(n)
-    spf = sieve.spf
-    running = 0
-    while n > 1:  # primes in increasing order
-        p = spf.item(n)
-        if p > cond.x:
-            break
-        n //= p
-        running += 1
-        while n % p == 0:
-            n //= p
-            running += 1
-        if running > cond.rhs(p):
-            return False
-    return True
-
-
 def _loc_members(sieve: FactorSieve, candidates: np.ndarray,
                  cond: LocCondition) -> np.ndarray:
     """The candidates (an int64 array) that satisfy cond, in order: every
@@ -79,9 +54,9 @@ def _loc_members(sieve: FactorSieve, candidates: np.ndarray,
     Each pass takes the smallest prime p = spf(m) <= x of every unfinished
     cofactor m, divides out all its copies, adds them to the candidate's
     count and tests count <= rhs(p). The primes of a candidate come out in
-    increasing order, so these are satisfies_loc's tests on the same
-    numbers. A candidate is finished when m = 1, when spf(m) > x, or when a
-    test fails.
+    increasing order, so these are the tests of the per-n reference
+    satisfies_loc in tests/oracles.py on the same numbers. A candidate is
+    finished when m = 1, when spf(m) > x, or when a test fails.
 
     rhs(p) comes from cond.rhs, so from math.log as in satisfies_loc: a
     vector log may differ by an ulp and flip a boundary case. Each pass

@@ -14,7 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import FactorSieve, _spf_table, phi_table, prime_powers, require_bytes
+from .arith import build_sieve, phi_table, prime_powers, require_bytes
 
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
@@ -52,9 +52,8 @@ def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
 
 
 def _prime_power_table(upto: int) -> tuple[np.ndarray, np.ndarray]:
-    """arith.prime_powers up to upto, from an spf table of its own."""
-    limit = max(upto, 2)
-    return prime_powers(FactorSieve(limit=limit, spf=_spf_table(limit)), upto)
+    """arith.prime_powers up to upto, from a sieve of its own."""
+    return prime_powers(build_sieve(max(upto, 2)), upto)
 
 
 def _run_start(idx: np.ndarray) -> int | None:
@@ -189,8 +188,7 @@ class KernelOperator:
         self.kind = kind
         self.n = n
         self.idx = np.arange(1, n + 1, dtype=np.int64)
-        sieve = FactorSieve(limit=max(n, 2), spf=_spf_table(max(n, 2)))
-        self.phi = phi_table(sieve, n)
+        self.phi = phi_table(build_sieve(max(n, 2)), n)
         self.inv_sqrt = 1.0 / np.sqrt(self.idx.astype(np.float64))
         if kind is KernelKind.T_KERNEL:
             self._pair_layout()

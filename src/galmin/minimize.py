@@ -312,7 +312,8 @@ def minimize_energy(
     Starts: uniform, the half-interval witness when a sieve is supplied
     and N lies in its domain, and seeded random Dirichlet points.
     converged is True only when the restart returned stopped on its
-    small-move or small-drop test.
+    small-move or small-drop test. value is E at the returned minimizer,
+    the point as it was scored.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -345,10 +346,6 @@ def minimize_energy(
         total_it += it
         if val < best_val:
             best_w, best_val, best_tag, reason = w, val, tag, stop
-
-    # Clamp tiny negatives from projection round-off and renormalize.
-    best_w = np.maximum(best_w, 0.0)
-    best_w /= best_w.sum()
     return MinimizationResult(
         objective_kind="E",
         n=N,

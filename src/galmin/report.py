@@ -2,7 +2,9 @@
 
 JSON is the canonical output; reports are deterministic for identical
 parameters and seeds (keys sorted, floats serialized with full round-trip
-precision).
+precision). A report holds plain Python values (dict, list, str, int,
+float, bool, None); json.dumps refuses anything else with a TypeError,
+which the CLI reports as an internal error (exit 4).
 """
 
 from __future__ import annotations
@@ -56,21 +58,7 @@ class ExperimentReport:
         byte-identical; as_dict() keeps the wall-clock time."""
         doc = self.as_dict()
         doc["timing_ms"] = 0.0
-        return json.dumps(doc, sort_keys=True, indent=2, default=_coerce)
-
-
-def _coerce(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 class Timer:

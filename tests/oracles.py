@@ -7,8 +7,10 @@ runs them; each is tied to the production code it restates by a test:
   character tables (test_arith.py, test_extremal.py, test_characters.py);
 - theta, the one-character sum, against characters.theta_all_even
   (test_characters.py);
-- omega_partial, the literal growth condition, against
-  extremal.satisfies_loc (test_extremal.py);
+- omega_partial, the literal growth condition, against satisfies_loc,
+  the growth condition at its jump points, and satisfies_loc against
+  extremal._loc_members, the growth filter behind filtered_count,
+  witness_t and witness_e (test_extremal.py);
 - gal_sum at alpha = 1/2 against forms.t_form_naive of the indicator
   (test_forms.py);
 - set_energy(A, A) against forms.e_form of the indicator (test_forms.py).
@@ -23,6 +25,7 @@ import numpy as np
 
 from galmin.arith import FactorSieve
 from galmin.characters import DirichletCharacter, ThetaConfig, theta_cutoff
+from galmin.extremal import LocCondition
 from galmin.forms import gcd_block
 
 
@@ -85,6 +88,31 @@ def omega_partial(sieve: FactorSieve, n: int, t: float) -> int:
         raise ValueError(f"threshold t must be >= 1, got {t}")
     cut = int(t)
     return sum(e for p, e in factorize(sieve, n) if p <= cut)
+
+
+def satisfies_loc(sieve: FactorSieve, n: int, cond: LocCondition) -> bool:
+    """Check the growth condition at its jump points only: the per-n
+    reference for extremal._loc_members.
+
+    Omega(n,t) is a step function jumping at the distinct prime divisors
+    p <= x of n, and the right side is increasing in t, so checking
+    Omega(n,p) <= rhs(p) at each such p covers every t in [1, x].
+    """
+    sieve.check_range(n)
+    spf = sieve.spf
+    running = 0
+    while n > 1:  # primes in increasing order
+        p = spf.item(n)
+        if p > cond.x:
+            break
+        n //= p
+        running += 1
+        while n % p == 0:
+            n //= p
+            running += 1
+        if running > cond.rhs(p):
+            return False
+    return True
 
 
 def gal_sum(members, alpha: float) -> float:

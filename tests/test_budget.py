@@ -234,9 +234,9 @@ def test_witness_solve_stays_within_its_operator_estimate(monkeypatch, kind, n,
 
 @pytest.mark.parametrize("kind", [V, T])
 def test_operator_over_the_budget_is_refused_before_the_sieve(kind, monkeypatch):
-    def no_spf(limit):
-        raise AssertionError(f"spf table up to {limit} built for a refused operator")
+    def no_sieve(limit):
+        raise AssertionError(f"sieve up to {limit} built for a refused operator")
 
-    monkeypatch.setattr("galmin.forms._spf_table", no_spf)
+    monkeypatch.setattr("galmin.forms.build_sieve", no_sieve)
     with pytest.raises(BudgetError, match="KernelOperator"):
         KernelOperator(kind, 30_000_000)

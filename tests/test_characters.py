@@ -145,6 +145,23 @@ def test_values_vectorized_matches_scalar():
         assert abs(vec[i] - chi(int(n))) < 1e-12
 
 
+@pytest.mark.parametrize("p", [3, 5, 13, 31, 101, 499])
+def test_scalar_vector_and_matrix_values_agree_bit_for_bit(p):
+    # chi(n), chi.values and character_matrix read one expression. To
+    # bound their time, the scalar calls cover every character up to
+    # p = 31 and every ((p - 1) // 32)-th one above.
+    table = build_table(p)
+    ns = np.arange(-p, 2 * p)
+    full = character_matrix(table, ns)
+    assert character_matrix(table, ns, even_only=True).tobytes() == full[::2].tobytes()
+    for j in range(p - 1):
+        assert table.character(j).values(ns).tobytes() == full[j].tobytes()
+    for j in range(0, p - 1, max(1, (p - 1) // 32)):
+        chi = table.character(j)
+        scalar = np.array([chi(int(n)) for n in ns], dtype=np.complex128)
+        assert scalar.tobytes() == full[j].tobytes()
+
+
 def test_character_matrix_shape():
     table = build_table(13)
     ns = np.arange(1, 14)

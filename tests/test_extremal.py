@@ -11,12 +11,11 @@ from galmin.extremal import (
     filtered_count,
     level_set_count,
     multiplication_table_count,
-    satisfies_loc,
     witness_e,
     witness_t,
 )
 
-from oracles import big_omega, factorize, omega_partial
+from oracles import big_omega, factorize, omega_partial, satisfies_loc
 
 
 @pytest.fixture(scope="module")
