@@ -4,7 +4,13 @@ the probability simplex, and Dirichlet character experiments."""
 from .arith import FactorSieve, build_sieve
 from .constants import VariationalConstants, solve_beta
 from .forms import KernelKind, WeightVector
-from .minimize import MinimizationResult, grid_oracle, minimize_energy, minimize_quadratic
+from .minimize import (
+    MinimizationResult,
+    exact_quadratic_minimum,
+    grid_oracle,
+    minimize_energy,
+    minimize_quadratic,
+)
 
 __version__ = "0.1.0"
 
@@ -16,6 +22,7 @@ __all__ = [
     "KernelKind",
     "WeightVector",
     "MinimizationResult",
+    "exact_quadratic_minimum",
     "grid_oracle",
     "minimize_energy",
     "minimize_quadratic",

@@ -46,6 +46,8 @@ def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
     if kind is KernelKind.V_KERNEL:
         den = np.add.outer(rows, cols)
     else:
+        # Only kernel_block builds T blocks: the pairwise T form reduces
+        # the gcd block itself.
         den = np.multiply.outer(rows, cols)
         np.sqrt(den, out=den)
     return np.divide(g, den, out=den)
@@ -318,25 +320,29 @@ def _pairwise_forms(kinds: tuple[KernelKind, ...],
     """c^T K c for each kernel kind, by pairwise gcd sums over the support.
 
     Zero-weight coordinates contribute nothing, so the sums run over the
-    support only. One gcd block per row block serves every kind; each
-    kernel block is reduced before the next is built, and block rows are
-    sized to keep peak memory bounded. The prime powers of the gcd blocks
-    are built once per call.
+    support only. One gcd block G per row block serves every kind: V
+    reduces its kernel block w^T K w, T reduces y^T G y with y_m =
+    c_m / sqrt(m), so no T kernel block is built. Block rows are sized to
+    keep peak memory bounded, and the prime powers of the gcd blocks are
+    built once per call.
     """
     supp = c.support()
     totals = [0.0] * len(kinds)
     if supp.size == 0:
         return tuple(totals)
     w = c.weights[supp - 1]
+    y = w / np.sqrt(supp)
     powers = _prime_power_table(int(supp[-1]))
     step = max(1, _BLOCK_ELEMS // supp.size)
     for lo in range(0, supp.size, step):
         rows = supp[lo : lo + step]
         g = gcd_block(rows, supp, powers)
-        w_rows = w[lo : lo + step]
         for i, kind in enumerate(kinds):
-            # Unnamed, each kernel block is freed before the next is built.
-            totals[i] += float(w_rows @ (_kernel_from_gcd(kind, g, rows, supp) @ w))
+            if kind is KernelKind.T_KERNEL:
+                x, kx = y, g @ y
+            else:
+                x, kx = w, _kernel_from_gcd(kind, g, rows, supp) @ w
+            totals[i] += float(x[lo : lo + step] @ kx)
     return tuple(totals)
 
 
@@ -346,7 +352,8 @@ def v_form(c: WeightVector) -> float:
 
 
 def t_form_naive(c: WeightVector) -> float:
-    """T(c;N) by direct pairwise gcd summation."""
+    """T(c;N) by direct pairwise gcd summation, as y^T G y with y_m =
+    c_m / sqrt(m) and G the gcd matrix on the support."""
     return _pairwise_forms((KernelKind.T_KERNEL,), c)[0]
 
 

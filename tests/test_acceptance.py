@@ -72,12 +72,13 @@ def test_criterion_02_small_n_infima():
     for kind, (want, scale) in closed.items():
         go = grid_oracle(kind, 2, step=1 / 1000)
         ok &= abs(scale * go.value - want) < 1e-6
-    # N <= 5: iterative minimizers against the oracle.
+    # N <= 5: iterative minimizers against the exact KKT minimum for V and
+    # T, and against the grid oracle for E.
     rep = ExperimentReport("acceptance")
     verify.check_small_n_infima(rep, range(1, 6))
     ok &= rep.all_hold
     ok &= (time.perf_counter() - t0) < 60.0
-    _verdict(2, "small-N infima vs grid oracle", ok)
+    _verdict(2, "small-N infima vs exact minima and grid oracle", ok)
 
 
 def test_criterion_03_kernel_inequality():

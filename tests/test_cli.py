@@ -382,9 +382,9 @@ VERIFY_ALL_CHECKS = [
     "r_mass_identity_N60", "energy_times_H_ge_one_N60",
     "e_gradient_finite_difference",
     "V2_closed_form", "T2_closed_form", "E2_closed_form",
-    "V3_vs_grid_oracle", "T3_vs_grid_oracle", "E3_vs_grid_oracle",
-    "V4_vs_grid_oracle", "T4_vs_grid_oracle", "E4_vs_grid_oracle",
-    "V5_vs_grid_oracle", "T5_vs_grid_oracle", "E5_vs_grid_oracle",
+    "V3_vs_exact_minimum", "T3_vs_exact_minimum", "E3_vs_grid_oracle",
+    "V4_vs_exact_minimum", "T4_vs_exact_minimum", "E4_vs_grid_oracle",
+    "V5_vs_exact_minimum", "T5_vs_exact_minimum", "E5_vs_grid_oracle",
     "H_3", "H_4", "H_5",
     "gauss_sum_modulus", "parseval",
     "orthogonality_plus_minus", "orthogonality_zero",

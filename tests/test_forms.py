@@ -145,19 +145,21 @@ def test_gcd_block_matches_integer_gcd_on_sparse_supports(n, size):
 
 def _pairwise_by_gcd_loop(kind, w, elems):
     """c^T K c row block by row block, in _pairwise_forms' order, with the
-    gcd from the gcd ufunc and the int64 denominators."""
+    gcd from the gcd ufunc: for V, w^T K w with the int64 denominators; for
+    T, y^T G y with y_m = c_m / sqrt(m)."""
     supp = np.flatnonzero(w > 0) + 1
     ws = w[supp - 1]
+    ys = ws / np.sqrt(supp)
     step = max(1, min(2048, elems // supp.size))
     total = 0.0
     for lo in range(0, supp.size, step):
         rows = supp[lo : lo + step]
         g = _gcd_float(rows, supp)
         if kind == "V":
-            k = g / np.add.outer(rows, supp)
+            x, k = ws, g / np.add.outer(rows, supp)
         else:
-            k = g / np.sqrt(np.multiply.outer(rows, supp).astype(np.float64))
-        total += float(ws[lo : lo + step] @ (k @ ws))
+            x, k = ys, g
+        total += float(x[lo : lo + step] @ (k @ x))
     return total
 
 

@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from galmin.minimize import (
     _scan_lattice,
     _slabs,
     _term_classes,
+    exact_quadratic_minimum,
     grid_oracle,
     minimize_energy,
     minimize_quadratic,
@@ -598,6 +603,85 @@ def test_grid_oracle_agreement_small_n():
         ge = grid_oracle("E", n, step=1 / 40)
         assert em.value <= ge.value + 1e-4
         assert abs(em.value - ge.value) <= 1e-4
+
+
+def test_exact_minimum_values():
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    v2 = exact_quadratic_minimum("V", 2)
+    assert v2.exact == Fraction(5, 12) and v2.value == 5 / 12
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t2_closed = (1 + 1 / Decimal(2).sqrt()) / 2
+        t2 = exact_quadratic_minimum("T", 2)
+        assert abs(t2.exact - t2_closed) < Decimal("1e-40")
+    assert t2.value == float(t2_closed)
+    for n, want in ((3, Fraction(371, 1102)), (4, Fraction(83333, 281860)),
+                    (5, Fraction(3457363099, 14161720778))):
+        res = exact_quadratic_minimum("V", n)
+        assert res.exact == want and res.support == tuple(range(1, n + 1))
+    assert exact_quadratic_minimum("T", 5).support == (2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_lower_bound_is_below_the_exact_minimum(kind, N):
+    res = minimize_quadratic(kind, N, tolerance=1e-12)
+    exact = exact_quadratic_minimum(res.objective_kind, N).exact
+    assert res.lower_bound <= exact <= res.value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("step", [1 / 40, 1 / 60])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["V", "T"])
+def test_grid_oracle_lies_just_above_the_exact_minimum(kind, N, step):
+    # Criterion 02 still reads the grid at N = 2.
+    exact = exact_quadratic_minimum(kind, N).value
+    grid = grid_oracle(kind, N, step).value
+    assert exact - 1e-15 <= grid <= exact * (1 + 1e-12)
+
+
+def test_exact_minimum_rejects_bad_input_before_it_enumerates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(minimize, "kernel_block", refuse)
+    monkeypatch.setattr(minimize, "gcd_block", refuse)
+    for kind in ("V", "T"):
+        with pytest.raises(BudgetError):
+            exact_quadratic_minimum(kind, minimize._EXACT_MAX_N + 1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="N >= 1"):
+                exact_quadratic_minimum(kind, n)
+    with pytest.raises(ValueError, match="kind"):
+        exact_quadratic_minimum("E", 3)
+
+
+def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
+    # Each float candidate goes to the exact check; when none passes, the
+    # oracle raises rather than return a float value.
+    seen = []
+
+    def fail(a, b, N, support, slack):
+        seen.append(tuple(support))
+        return None
+
+    monkeypatch.setattr(minimize, "_kkt_value", fail)
+    with pytest.raises(ArithmeticError, match="exact T check"):
+        exact_quadratic_minimum("T", 5)
+    assert seen and seen[0] == (2, 3, 4, 5)
+
+
+def test_import_does_not_load_the_exact_number_types():
+    import galmin
+
+    src = str(Path(galmin.__file__).resolve().parent.parent)
+    code = ("import sys, galmin, galmin.cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False False"
 
 
 def test_energy_closed_form_n2():
