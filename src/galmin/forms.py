@@ -111,6 +111,9 @@ def gcd_block(rows: np.ndarray, cols: np.ndarray,
 def kernel_block(kind: KernelKind, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Dense kernel block K[rows, cols] for 1-based integer index arrays:
     the reference that KernelOperator's products are tested against."""
+    if not isinstance(kind, KernelKind):
+        # _kernel_from_gcd would build T's kernel for any kind but V.
+        raise ValueError(f"unknown kernel kind {kind!r}")
     return _kernel_from_gcd(kind, gcd_block(rows, cols), rows, cols)
 
 

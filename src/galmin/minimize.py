@@ -58,7 +58,7 @@ class MinimizationResult:
     provenance: str = ""
     # Why the run stopped. V and T: gap_reached, max_iters or
     # no_descent_step; E, for the restart returned: small_move, small_drop,
-    # no_armijo_step or max_iters; grid_oracle: grid_scan.
+    # no_armijo_step or max_iters; grid_oracle (E): grid_scan.
     stop_reason: str = field(kw_only=True)
     # V and T only (None otherwise): a certified lower bound on the minimum,
     # and the solve's kernel products, pairwise fallback steps and
@@ -508,29 +508,20 @@ def _lattice_points(n: int, K: int) -> np.ndarray:
     return coords.T
 
 
-def _term_classes(kind: str, n: int) -> list[list[tuple[float, int, int]]]:
-    """The terms c * x_i * x_j (i <= j) of the objective, in classes. V and
-    T: one class, c = K_ii on the diagonal and 2 K_ij above it, K the dense
-    kernel_block on [1, n]. E: one class per distinct product m = (i + 1)(j
-    + 1), in increasing m, c = 1 on the diagonal and 2 above it; the class
-    sums r_m are squared."""
-    if kind != "E":
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        kmat = kernel_block(KernelKind(kind.lower()), idx, idx)
+def _term_classes(n: int) -> list[list[tuple[float, int, int]]]:
+    """The terms c * x_i * x_j (i <= j) of E on [1, n], one class per
+    distinct product m = (i + 1)(j + 1), in increasing m: c = 1 on the
+    diagonal and 2 above it. A class sums to r_m, which E squares."""
     classes: dict[int, list[tuple[float, int, int]]] = {}
     for i in range(n):
         for j in range(i, n):
-            if kind == "E":
-                c, m = (1.0 if i == j else 2.0), (i + 1) * (j + 1)
-            else:
-                c, m = float(kmat[i, j] if i == j else 2.0 * kmat[i, j]), 0
-            classes.setdefault(m, []).append((c, i, j))
+            classes.setdefault((i + 1) * (j + 1), []).append(
+                (1.0 if i == j else 2.0, i, j))
     return [classes[m] for m in sorted(classes)]
 
 
-def _batch_objective(kind: str, pts: np.ndarray, terms: list) -> np.ndarray:
-    """Objective values for a (B, N) batch of simplex points; terms is
-    _term_classes(kind, N).
+def _batch_objective(pts: np.ndarray, terms: list) -> np.ndarray:
+    """E for a (B, N) batch of simplex points; terms is _term_classes(N).
 
     Every pass is elementwise over whole coordinate rows of pts.T, so no
     pass mixes points: a point's value has the same bits in any batch."""
@@ -544,8 +535,7 @@ def _batch_objective(kind: str, pts: np.ndarray, terms: list) -> np.ndarray:
             np.multiply(x[i], x[j], out=t)
             t *= c
             r += t
-        if kind == "E":
-            r *= r
+        r *= r
         out += r
     return out
 
@@ -577,8 +567,8 @@ def _slabs(N: int, K: int):
         yield slab.T, order[:ends[R]]
 
 
-def _scan_lattice(kind: str, N: int, K: int, terms: list) -> tuple[np.ndarray, float]:
-    """The first minimum, in lexicographic order, of the objective over
+def _scan_lattice(N: int, K: int, terms: list) -> tuple[np.ndarray, float]:
+    """The first minimum, in lexicographic order, of E over
     _lattice_points(N, K) / K, and its value; terms is as for
     _batch_objective.
 
@@ -588,12 +578,12 @@ def _scan_lattice(kind: str, N: int, K: int, terms: list) -> tuple[np.ndarray, f
     the minimum of least template index comes first in the lattice."""
     if N <= 2 or math.comb(K + N - 1, N - 1) <= _ONE_BATCH_POINTS:
         pts = _lattice_points(N, K) / K
-        vals = _batch_objective(kind, pts, terms)
+        vals = _batch_objective(pts, terms)
         b = int(np.argmin(vals))
         return pts[b].copy(), float(vals[b])
     w, val = None, math.inf
     for pts, rank in _slabs(N, K):
-        vals = _batch_objective(kind, pts, terms)
+        vals = _batch_objective(pts, terms)
         v = vals.min()
         if v < val:
             ties = np.flatnonzero(vals == v)
@@ -602,15 +592,14 @@ def _scan_lattice(kind: str, N: int, K: int, terms: list) -> tuple[np.ndarray, f
     return w, val
 
 
-def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
-    """Brute-force oracle: exhaustive lattice scan of the simplex at
+def grid_oracle(N: int, step: float) -> MinimizationResult:
+    """Brute-force oracle for E: exhaustive lattice scan of the simplex at
     resolution `step`, then local lattice refinement around the incumbent.
 
-    Independent of the iterative minimizers (pure function evaluations).
-    Intended for tests with N <= 5.
+    E is not convex, so it has no KKT oracle; V and T have
+    exact_quadratic_minimum. Independent of the iterative minimizers (pure
+    function evaluations). Intended for tests with N <= 5.
     """
-    if objective_kind not in ("V", "T", "E"):
-        raise ValueError(f"unknown objective kind {objective_kind!r}")
     if N < 1:
         raise ValueError(f"grid_oracle needs N >= 1, got {N}")
     if N > 5:
@@ -622,12 +611,12 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
     K = max(1, round(1.0 / step))
     n_points = math.comb(K + N - 1, N - 1)
     # A cap on the scan's total size, that is its time, stated in bytes per
-    # point: 16 per coordinate plus 8, or plus 16 (N^2 + 1) for E. The scan
-    # holds one slab at a time, so its peak stays far below this.
-    row_bytes = 16 * N + (16 * (N * N + 1) if objective_kind == "E" else 8)
+    # point: 16 per coordinate plus 16 (N^2 + 1). The scan holds one slab at
+    # a time, so its peak stays far below this.
+    row_bytes = 16 * N + 16 * (N * N + 1)
     require_bytes(n_points * row_bytes, f"lattice of {n_points} points (increase step)")
-    terms = _term_classes(objective_kind, N)
-    w, val = _scan_lattice(objective_kind, N, K, terms)
+    terms = _term_classes(N)
+    w, val = _scan_lattice(N, K, terms)
 
     # Local refinement: zero-sum integer moves on a halving lattice, one
     # column per move (the coordinate rows _batch_objective passes over).
@@ -639,7 +628,7 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
         feasible = (cand >= -1e-15).all(axis=0)
         cand = np.clip(cand[:, feasible], 0.0, None)
         cand /= cand.sum(axis=0)
-        cvals = _batch_objective(objective_kind, cand.T, terms)
+        cvals = _batch_objective(cand.T, terms)
         b = int(np.argmin(cvals))
         if cvals[b] < val:
             w, val = cand[:, b], float(cvals[b])
@@ -649,7 +638,7 @@ def grid_oracle(objective_kind: str, N: int, step: float) -> MinimizationResult:
             break
 
     return MinimizationResult(
-        objective_kind=objective_kind,
+        objective_kind="E",
         n=N,
         minimizer=WeightVector(N, w),
         value=val,
@@ -702,7 +691,7 @@ def _kkt_value(a, b, N: int, support: list[int], slack):
     return 1 / sum(b(m) * ui for m, ui in zip(support, u))
 
 
-def exact_quadratic_minimum(objective_kind: str, N: int) -> ExactMinimum:
+def exact_quadratic_minimum(kind: KernelKind, N: int) -> ExactMinimum:
     """The minimum of V or T over the simplex on [1, N], from the KKT
     conditions of a convex quadratic: both kernels are positive definite.
 
@@ -716,15 +705,15 @@ def exact_quadratic_minimum(objective_kind: str, N: int) -> ExactMinimum:
     _T_SLACK. No unchecked value is returned. Independent of the iterative
     minimizers; N <= _EXACT_MAX_N.
     """
-    if objective_kind not in ("V", "T"):
-        raise ValueError(f"unknown objective kind {objective_kind!r}")
+    if not isinstance(kind, KernelKind):
+        raise ValueError(f"unknown kernel kind {kind!r}")
     if N < 1:
         raise ValueError(f"exact_quadratic_minimum needs N >= 1, got {N}")
     if N > _EXACT_MAX_N:
         raise BudgetError(f"exact_quadratic_minimum supports N <= {_EXACT_MAX_N} only")
     idx = np.arange(1, N + 1)
-    if objective_kind == "V":
-        A, b = kernel_block(KernelKind.V_KERNEL, idx, idx), np.ones(N)
+    if kind is KernelKind.V_KERNEL:
+        A, b = kernel_block(kind, idx, idx), np.ones(N)
     else:
         A, b = gcd_block(idx, idx), np.sqrt(idx)
     candidates = []
@@ -739,7 +728,7 @@ def exact_quadratic_minimum(objective_kind: str, N: int) -> ExactMinimum:
         candidates += zip(value[ok].tolist(), (sets[ok] + 1).tolist())
 
     for _, support in sorted(candidates):
-        if objective_kind == "V":
+        if kind is KernelKind.V_KERNEL:
             from fractions import Fraction
 
             exact = _kkt_value(lambda m, n: Fraction(math.gcd(m, n), m + n),
@@ -754,4 +743,4 @@ def exact_quadratic_minimum(objective_kind: str, N: int) -> ExactMinimum:
                                    Decimal(_T_SLACK))
         if exact is not None:
             return ExactMinimum(exact, float(exact), tuple(support))
-    raise ArithmeticError(f"no support of [1, {N}] passed the exact {objective_kind} check")
+    raise ArithmeticError(f"no support of [1, {N}] passed the exact {kind.value.upper()} check")

@@ -197,13 +197,13 @@ def check_small_n_infima(rep: ExperimentReport, ns) -> None:
     step-1/60 grid oracle, to 1e-4: E is not convex, so it has no KKT
     oracle."""
     for n in ns:
-        for kind in ("V", "T"):
-            it = minimize_quadratic(KernelKind(kind.lower()), n, tolerance=1e-12)
+        for kind in KernelKind:
+            it = minimize_quadratic(kind, n, tolerance=1e-12)
             ex = exact_quadratic_minimum(kind, n)
-            rep.check(f"{kind}{n}_vs_exact_minimum", it.value, ex.value,
+            rep.check(f"{it.objective_kind}{n}_vs_exact_minimum", it.value, ex.value,
                       abs(it.value - ex.value) <= 1e-6)
         em = minimize_energy(n, restarts=4, seed=0)
-        ge = grid_oracle("E", n, step=1 / 60)
+        ge = grid_oracle(n, step=1 / 60)
         rep.check(f"E{n}_vs_grid_oracle", em.value, ge.value,
                   abs(em.value - ge.value) <= 1e-4)
 

@@ -25,7 +25,12 @@ from galmin.extremal import (
     multiplication_table_count,
 )
 from galmin.forms import KernelKind, WeightVector, v_form
-from galmin.minimize import grid_oracle, minimize_with_witness, scaling_report
+from galmin.minimize import (
+    exact_quadratic_minimum,
+    grid_oracle,
+    minimize_with_witness,
+    scaling_report,
+)
 from galmin.report import ExperimentReport
 
 # Trial division, independent of the sieve that galmin itself uses.
@@ -66,12 +71,13 @@ def test_criterion_01_constants():
 def test_criterion_02_small_n_infima():
     t0 = time.perf_counter()
     ok = True
-    # N = 2 closed forms against the fine lattice oracle.
-    # Scaled infima: V_N and T_N carry a factor N, E_N a factor N^2.
-    closed = {"V": (5 / 6, 2), "T": (1 + 1 / math.sqrt(2), 2), "E": (1.5, 4)}
-    for kind, (want, scale) in closed.items():
-        go = grid_oracle(kind, 2, step=1 / 1000)
-        ok &= abs(scale * go.value - want) < 1e-6
+    # N = 2 closed forms of the scaled infima: V_N and T_N carry a factor
+    # N, E_N a factor N^2. V and T against the exact KKT minimum, E against
+    # the fine lattice oracle.
+    for kind, want in ((KernelKind.V_KERNEL, 5 / 6),
+                       (KernelKind.T_KERNEL, 1 + 1 / math.sqrt(2))):
+        ok &= abs(2 * exact_quadratic_minimum(kind, 2).value - want) < 1e-6
+    ok &= abs(4 * grid_oracle(2, step=1 / 1000).value - 1.5) < 1e-6
     # N <= 5: iterative minimizers against the exact KKT minimum for V and
     # T, and against the grid oracle for E.
     rep = ExperimentReport("acceptance")

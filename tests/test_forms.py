@@ -201,6 +201,15 @@ def test_kernel_block_symmetry():
         assert np.allclose(np.diag(kb), want)
 
 
+def test_kernel_block_takes_its_kind_as_a_member():
+    # Past the V branch every kind gets T's kernel, so "v" would silently
+    # build the row [1, 1/sqrt(2), 1/sqrt(3)] where V's is [1/2, 1/3, 1/4].
+    idx = np.arange(1, 4, dtype=np.int64)
+    for kind in ("v", "V", "t", None):
+        with pytest.raises(ValueError, match="kind"):
+            kernel_block(kind, idx, idx)
+
+
 def test_r_counts_small_case():
     c = WeightVector.from_weights([0.5, 0.5])
     r = r_counts_dense(c)

@@ -331,17 +331,6 @@ def test_forced_pairwise_fallback_still_certifies(monkeypatch):
     assert res.lower_bound <= want.value and want.lower_bound <= res.value
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", list(KernelKind))
-def test_lower_bound_is_below_the_grid_oracle(kind, N):
-    # The grid value is a feasible point's, so no lower bound may pass it.
-    res = minimize_quadratic(kind, N, tolerance=1e-12)
-    go = grid_oracle(res.objective_kind, N, step=1 / 40)
-    assert res.value - res.certificate_gap <= go.value
-    assert res.lower_bound < res.value - res.certificate_gap
-    assert res.lower_bound <= go.value <= res.value + 1e-9
-
-
 def test_each_energy_stop_reason_is_reached(monkeypatch):
     # N = 1: the only simplex point, so the first step does not move.
     assert minimize_energy(1, restarts=1).stop_reason == "small_move"
@@ -356,7 +345,7 @@ def test_each_energy_stop_reason_is_reached(monkeypatch):
                         lambda v: np.eye(len(v))[0])
     res = minimize_energy(2, restarts=1)
     assert (res.stop_reason, res.converged) == ("no_armijo_step", False)
-    assert grid_oracle("V", 2, step=0.5).stop_reason == "grid_scan"
+    assert grid_oracle(2, step=0.5).stop_reason == "grid_scan"
 
 
 def test_minimizer_feasible_and_value_consistent():
@@ -394,14 +383,12 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         scaling_report("V", [0])
     with pytest.raises(ValueError):
-        grid_oracle("V", 6, step=0.1)
-    with pytest.raises(ValueError):
-        grid_oracle("X", 3, step=0.1)
+        grid_oracle(6, step=0.1)
     with pytest.raises(ValueError, match="N >= 1"):
-        grid_oracle("V", 0, step=0.1)
+        grid_oracle(0, step=0.1)
     for step in (0.0, -0.5, 1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):
-            grid_oracle("V", 3, step=step)
+            grid_oracle(3, step=step)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 7, 12])
@@ -429,7 +416,7 @@ def test_lattice_slab_is_the_lattice_with_its_first_coordinate(n, K):
     assert k0 == K
 
 
-def _oracle_batches(kind, N, K):
+def _oracle_batches(N, K):
     """The batches grid_oracle evaluates at step 1/K, as its scan passes
     them to _batch_objective: the whole lattice in one batch, and the slabs
     a lattice too large for one batch takes (forced by _ONE_BATCH_POINTS
@@ -438,16 +425,16 @@ def _oracle_batches(kind, N, K):
     batches = []
     real = minimize._batch_objective
 
-    def record(kind, pts, terms):
+    def record(pts, terms):
         # Copied as coordinate rows: the next slab overwrites the view.
         batches.append(np.ascontiguousarray(pts.T).T)
-        return real(kind, pts, terms)
+        return real(pts, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimize, "_batch_objective", record)
         for one_batch in (minimize._ONE_BATCH_POINTS, 0):
             mp.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
-            _scan_lattice(kind, N, K, _term_classes(kind, N))
+            _scan_lattice(N, K, _term_classes(N))
     moves = np.indices((5,) * N).reshape(N, -1) - 2
     deltas = moves[:, moves.sum(axis=0) == 0].astype(np.float64)
     w = _lattice_points(N, K)[len(batches[0]) // 2] / K
@@ -458,9 +445,23 @@ def _oracle_batches(kind, N, K):
     return batches
 
 
-def _v_t_by_einsum(pts, kmat):
-    """V or T of each row of pts as one quadratic form per point."""
-    return np.einsum("pi,ij,pj->p", pts, kmat, pts)
+def _use_quadratic_objective(monkeypatch, kind):
+    """Point grid_oracle's scan and refinement at x^T K x, K the kernel_block
+    of kind ("V" or "T"), in place of E: the same lattice machinery on a form
+    whose exact minimum exact_quadratic_minimum knows. Elementwise over
+    coordinate rows, as _batch_objective is, so a point's value has the same
+    bits in any batch."""
+    def kernel(n):
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        return kernel_block(KernelKind(kind.lower()), idx, idx)
+
+    def objective(pts, kmat):
+        x = pts.T
+        return sum(kmat[i, j] * x[i] * x[j]
+                   for i in range(len(x)) for j in range(len(x)))
+
+    monkeypatch.setattr(minimize, "_term_classes", kernel)
+    monkeypatch.setattr(minimize, "_batch_objective", objective)
 
 
 def _e_by_columns(pts):
@@ -474,29 +475,23 @@ def _e_by_columns(pts):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["V", "T", "E"])
-def test_batch_objective_is_batch_invariant(kind, N):
-    terms = _term_classes(kind, N)
-    for pts in _oracle_batches(kind, N, 12):
-        vals = _batch_objective(kind, pts, terms)
-        alone = np.array([_batch_objective(kind, pts[b:b + 1], terms)[0]
+def test_batch_objective_is_batch_invariant(N):
+    terms = _term_classes(N)
+    for pts in _oracle_batches(N, 12):
+        vals = _batch_objective(pts, terms)
+        alone = np.array([_batch_objective(pts[b:b + 1], terms)[0]
                           for b in range(len(pts))])
         assert np.array_equal(alone.view(np.int64), vals.view(np.int64))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["V", "T", "E"])
-def test_batch_objective_matches_reference_forms(kind, N):
+def test_batch_objective_matches_reference_forms(N):
     # Every term is nonnegative and a value sums at most N^2 = 25 products,
     # so float64 rounding stays within a few dozen ulp: rel 1e-14 is ~45.
-    idx = np.arange(1, N + 1, dtype=np.int64)
-    terms = _term_classes(kind, N)
-    for pts in _oracle_batches(kind, N, 12):
-        if kind == "E":
-            want = _e_by_columns(pts)
-        else:
-            want = _v_t_by_einsum(pts, kernel_block(KernelKind(kind.lower()), idx, idx))
-        got = _batch_objective(kind, pts, terms)
+    terms = _term_classes(N)
+    for pts in _oracle_batches(N, 12):
+        want = _e_by_columns(pts)
+        got = _batch_objective(pts, terms)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -504,34 +499,41 @@ def test_grid_oracle_memory_budget(monkeypatch):
     # 635,376 points at N = 5: about 300 MB for E, within the default budget.
     monkeypatch.setattr("galmin.arith.BYTES_BUDGET", 100 << 20)
     with pytest.raises(BudgetError):
-        grid_oracle("E", 5, step=1 / 60)
+        grid_oracle(5, step=1 / 60)
 
 
-def _one_shot_argmin(kind, N, K):
+def _one_shot_argmin(N, K):
+    # Read through the module, which _use_quadratic_objective may patch.
     pts = _lattice_points(N, K) / K
-    vals = _batch_objective(kind, pts, _term_classes(kind, N))
+    vals = minimize._batch_objective(pts, minimize._term_classes(N))
     best = int(np.argmin(vals))
     return pts[best], vals[best]
 
 
+# E's minima lie inside the simplex, V's too; T's at N = 5 lies on the
+# face x_1 = 0, the scan's first slab.
 @pytest.mark.parametrize("K", [1, 2, 7, 12, 40])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["V", "T", "E"])
 def test_scan_lattice_matches_one_shot_argmin(monkeypatch, kind, N, K):
-    want_w, want_val = _one_shot_argmin(kind, N, K)
+    if kind != "E":
+        _use_quadratic_objective(monkeypatch, kind)
+    want_w, want_val = _one_shot_argmin(N, K)
     # _ONE_BATCH_POINTS = 0 scans every lattice at N >= 3 slab by slab.
     for one_batch in (minimize._ONE_BATCH_POINTS, 0):
         monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
-        w, val = _scan_lattice(kind, N, K, _term_classes(kind, N))
+        w, val = _scan_lattice(N, K, minimize._term_classes(N))
         assert val == want_val
         assert np.array_equal(w, want_w)
 
 
-@pytest.mark.parametrize("kind", ["V", "T"])
-def test_scan_lattice_matches_one_shot_argmin_at_step_1_60(kind):
-    # The oracle calls of verify-all at N = 5, where the scan takes slabs.
-    want_w, want_val = _one_shot_argmin(kind, 5, 60)
-    w, val = _scan_lattice(kind, 5, 60, _term_classes(kind, 5))
+@pytest.mark.parametrize("kind", ["V", "T", "E"])
+def test_scan_lattice_matches_one_shot_argmin_at_step_1_60(monkeypatch, kind):
+    # E: the oracle call of verify-all at N = 5, where the scan takes slabs.
+    if kind != "E":
+        _use_quadratic_objective(monkeypatch, kind)
+    want_w, want_val = _one_shot_argmin(5, 60)
+    w, val = _scan_lattice(5, 60, minimize._term_classes(5))
     assert val == want_val
     assert np.array_equal(w, want_w)
 
@@ -544,20 +546,20 @@ def test_scan_lattice_keeps_the_lexicographically_first_tie(monkeypatch, N, K,
         monkeypatch.setattr(minimize, "_ONE_BATCH_POINTS", one_batch)
     # Every point ties: the first lattice point wins.
     monkeypatch.setattr(minimize, "_batch_objective",
-                        lambda kind, pts, terms: np.zeros(len(pts)))
-    w, val = _scan_lattice("V", N, K, None)
+                        lambda pts, terms: np.zeros(len(pts)))
+    w, val = _scan_lattice(N, K, None)
     assert val == 0.0
     assert np.array_equal(w, np.eye(N)[-1])
     if N < 4:
         return
     # Ties of different middle-coordinate sums: m = (0, 2) comes before
     # m = (1, 0) in the lattice, though its sum is larger.
-    def tied(kind, pts, terms):
+    def tied(pts, terms):
         m = np.rint(pts * K)
         return np.abs(2 * m[:, 1] + m[:, 2] - 2).astype(np.float64)
 
     monkeypatch.setattr(minimize, "_batch_objective", tied)
-    w, val = _scan_lattice("V", N, K, None)
+    w, val = _scan_lattice(N, K, None)
     assert val == 0.0
     assert np.array_equal(np.rint(w * K), [0, 0, 2] + [0] * (N - 4) + [K - 2])
 
@@ -570,12 +572,12 @@ def test_scan_lattice_evaluates_each_point_once(monkeypatch, N, K, one_batch):
     rows = []
     real = minimize._batch_objective
 
-    def counted(kind, pts, terms):
+    def counted(pts, terms):
         rows.append(len(pts))
-        return real(kind, pts, terms)
+        return real(pts, terms)
 
     monkeypatch.setattr(minimize, "_batch_objective", counted)
-    _scan_lattice("T", N, K, _term_classes("T", N))
+    _scan_lattice(N, K, _term_classes(N))
     n_points = math.comb(K + N - 1, N - 1)
     assert sum(rows) == n_points
     one = N <= 2 or n_points <= minimize._ONE_BATCH_POINTS
@@ -586,7 +588,7 @@ def test_grid_oracle_scans_one_slab_at_a_time():
     # The whole E lattice at N = 5, step 1/60, takes about 281 MiB at once.
     tracemalloc.start()
     try:
-        grid_oracle("E", 5, step=1 / 60)
+        grid_oracle(5, step=1 / 60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -595,12 +597,8 @@ def test_grid_oracle_scans_one_slab_at_a_time():
 
 def test_grid_oracle_agreement_small_n():
     for n in (1, 2, 3, 4, 5):
-        for kind in ("V", "T"):
-            it = minimize_quadratic(KernelKind(kind.lower()), n, tolerance=1e-12)
-            go = grid_oracle(kind, n, step=1 / 40)
-            assert abs(it.value - go.value) <= 1e-6
         em = minimize_energy(n, restarts=4, seed=0)
-        ge = grid_oracle("E", n, step=1 / 40)
+        ge = grid_oracle(n, step=1 / 40)
         assert em.value <= ge.value + 1e-4
         assert abs(em.value - ge.value) <= 1e-4
 
@@ -609,36 +607,39 @@ def test_exact_minimum_values():
     from decimal import Decimal, localcontext
     from fractions import Fraction
 
-    v2 = exact_quadratic_minimum("V", 2)
+    v2 = exact_quadratic_minimum(KernelKind.V_KERNEL, 2)
     assert v2.exact == Fraction(5, 12) and v2.value == 5 / 12
     with localcontext() as ctx:
         ctx.prec = 60
         t2_closed = (1 + 1 / Decimal(2).sqrt()) / 2
-        t2 = exact_quadratic_minimum("T", 2)
+        t2 = exact_quadratic_minimum(KernelKind.T_KERNEL, 2)
         assert abs(t2.exact - t2_closed) < Decimal("1e-40")
     assert t2.value == float(t2_closed)
     for n, want in ((3, Fraction(371, 1102)), (4, Fraction(83333, 281860)),
                     (5, Fraction(3457363099, 14161720778))):
-        res = exact_quadratic_minimum("V", n)
+        res = exact_quadratic_minimum(KernelKind.V_KERNEL, n)
         assert res.exact == want and res.support == tuple(range(1, n + 1))
-    assert exact_quadratic_minimum("T", 5).support == (2, 3, 4, 5)
+    assert exact_quadratic_minimum(KernelKind.T_KERNEL, 5).support == (2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("N", range(1, 13))
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_lower_bound_is_below_the_exact_minimum(kind, N):
     res = minimize_quadratic(kind, N, tolerance=1e-12)
-    exact = exact_quadratic_minimum(res.objective_kind, N).exact
+    exact = exact_quadratic_minimum(kind, N).exact
+    assert res.lower_bound < res.value - res.certificate_gap
     assert res.lower_bound <= exact <= res.value * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("step", [1 / 40, 1 / 60])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["V", "T"])
-def test_grid_oracle_lies_just_above_the_exact_minimum(kind, N, step):
-    # Criterion 02 still reads the grid at N = 2.
-    exact = exact_quadratic_minimum(kind, N).value
-    grid = grid_oracle(kind, N, step).value
+def test_grid_oracle_lies_just_above_the_exact_minimum(monkeypatch, kind, N, step):
+    # E has no exact minimum to check the oracle's scan and refinement
+    # against; the convex V and T forms, run through the same code, do.
+    exact = exact_quadratic_minimum(KernelKind(kind.lower()), N).value
+    _use_quadratic_objective(monkeypatch, kind)
+    grid = grid_oracle(N, step).value
     assert exact - 1e-15 <= grid <= exact * (1 + 1e-12)
 
 
@@ -648,14 +649,16 @@ def test_exact_minimum_rejects_bad_input_before_it_enumerates(monkeypatch):
 
     monkeypatch.setattr(minimize, "kernel_block", refuse)
     monkeypatch.setattr(minimize, "gcd_block", refuse)
-    for kind in ("V", "T"):
+    for kind in KernelKind:
         with pytest.raises(BudgetError):
             exact_quadratic_minimum(kind, minimize._EXACT_MAX_N + 1)
         for n in (0, -1):
             with pytest.raises(ValueError, match="N >= 1"):
                 exact_quadratic_minimum(kind, n)
-    with pytest.raises(ValueError, match="kind"):
-        exact_quadratic_minimum("E", 3)
+    # The form is named by its KernelKind member, never by a string.
+    for kind in ("V", "v", "E"):
+        with pytest.raises(ValueError, match="kind"):
+            exact_quadratic_minimum(kind, 3)
 
 
 def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
@@ -669,7 +672,7 @@ def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
 
     monkeypatch.setattr(minimize, "_kkt_value", fail)
     with pytest.raises(ArithmeticError, match="exact T check"):
-        exact_quadratic_minimum("T", 5)
+        exact_quadratic_minimum(KernelKind.T_KERNEL, 5)
     assert seen and seen[0] == (2, 3, 4, 5)
 
 
