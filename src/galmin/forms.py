@@ -21,6 +21,15 @@ _BLOCK_ELEMS = 8_000_000
 # KernelOperator multiplies V buckets of padded width up to this densely,
 # wider ones by FFT.
 _DENSE_BLOCK_MAX = 64
+# Width of EnergyIndex's square tiles of pairs. One tile's float64 pair
+# block is 128 KiB and its class window is short, so both stay in cache;
+# wider tiles lengthen the windows that every bincount clears and adds
+# (their total grows like n^3 / width), narrower ones add per-tile calls
+# (like (n / width)^2). Of the widths 64, 128, 256 and 512, 128 gave the
+# fastest counts and gradient at n = 512, the largest n that minimize_energy
+# runs in the benchmark. It also keeps the single tile, and so the bits, of
+# every n <= 128, which the verify checks and golden files run.
+_ENERGY_TILE = 128
 
 
 class KernelKind(Enum):
@@ -189,6 +198,8 @@ class KernelOperator:
     """
 
     def __init__(self, kind: KernelKind, n: int):
+        if not isinstance(kind, KernelKind):
+            raise ValueError(f"unknown kernel kind {kind!r}")
         require_bytes(_operator_bytes(kind, n), f"KernelOperator({kind.value}, {n})")
         self.kind = kind
         self.n = n
@@ -373,34 +384,98 @@ def t_form_fast(c: WeightVector) -> float:
     return float(w @ KernelOperator(KernelKind.T_KERNEL, c.n_max).matvec(w))
 
 
+def _energy_tiles(n: int) -> list[tuple[slice, slice]]:
+    """The tiles (A, B) of EnergyIndex, row-major over the blocks of
+    _ENERGY_TILE consecutive integers with A <= B."""
+    blocks = [slice(lo, min(lo + _ENERGY_TILE, n)) for lo in range(0, n, _ENERGY_TILE)]
+    return [(A, B) for i, A in enumerate(blocks) for B in blocks[i:]]
+
+
+def _energy_bytes(n: int) -> int:
+    """Peak bytes of EnergyIndex(n) and its counts and gradient, as measured
+    with tracemalloc; the build's last tile sets it. 16 KiB of headers; the
+    int64 rank of every integer up to n^2 (8 bytes each); the products (8
+    each, at most n(n + 1)/2 of them); the intp window-local class of every
+    tiled pair (8 each); and one tile's products with the two 8-byte
+    buffers, of at most 8192 entries, of the ufunc that forms them. The
+    seen mask (1 byte an integer) is freed before the classes are formed."""
+    t = min(n, _ENERGY_TILE) ** 2
+    pairs = sum((A.stop - A.start) * (B.stop - B.start) for A, B in _energy_tiles(n))
+    return (16 << 10) + 8 * (n * n + 1) + 4 * n * (n + 1) + 8 * pairs \
+        + 8 * t + 16 * min(t, 8192)
+
+
 class EnergyIndex:
     """The products a*t (a, t <= n) of the energy form as classes: the
-    ascending distinct products, and the class of each ordered pair (a, t)
-    in row-major order. Built once per n, it serves both r and the gradient
-    of E without an array of length n^2 + 1.
+    ascending distinct products, and the pairs (a, t) with a <= t as tiles.
+    Built once per n, it serves both r and the gradient of E without an
+    array of length n^2 + 1.
+
+    Tiles: the integers 1..n fall into blocks of _ENERGY_TILE, the last one
+    possibly shorter, and a tile is a pair of blocks A <= B in row-major
+    order. Its products a*t lie in [min A * min B, max A * max B], so its
+    classes fall in one window [lo, hi) of the class ranks, and the tile
+    stores the window and the window-local class of each of its pairs
+    (an |A| x |B| intp array).
+
+    counts: one bincount per tile, added into r[lo:hi]. A diagonal tile
+    (A = B) holds both orders of its pairs, so its weights are w_a w_t; an
+    off-diagonal tile holds one order of each unordered pair, and weighs it
+    (2 w_a) w_t, which is 2 w_a w_t exactly. gradient: with R the window
+    of r gathered at a tile's classes, g[A] += R @ w[B], and off the
+    diagonal g[B] += w[A] @ R as well.
+
+    For n <= _ENERGY_TILE there is one diagonal tile: the classes of all
+    ordered pairs in row-major order over the window of all classes. Its
+    bincount and matrix product are then the single ones over all pairs,
+    added into zeros, so r and the gradient have the bits of the direct
+    formulas.
     """
 
     def __init__(self, n: int):
-        # The build's peak: prods, the cumsum and cls as int64, seen as bool.
-        require_bytes(25 * n * n + 1, f"EnergyIndex({n}) (E form, r counts)")
+        require_bytes(_energy_bytes(n), f"EnergyIndex({n}) (E form, r counts)")
         self.n = n
         idx = np.arange(1, n + 1, dtype=np.int64)
-        prods = np.multiply.outer(idx, idx).ravel()
+        tiles = _energy_tiles(n)
         seen = np.zeros(n * n + 1, dtype=bool)
-        seen[prods] = True
+        for A, B in tiles:
+            seen[np.multiply.outer(idx[A], idx[B])] = True
         self.products = np.flatnonzero(seen)
-        # The rank of each product among the distinct ones: the same classes
-        # as np.unique(prods, return_inverse=True), without the sort.
-        self.cls = (np.cumsum(seen) - 1)[prods]
+        # rank[m] - 1 is the class of the product m: the same classes as
+        # np.unique(products, return_inverse=True), without the sort. (A
+        # cumsum of the bool mask would cast all of it to int64 first.)
+        rank = seen.astype(np.int64)
+        del seen
+        np.cumsum(rank, out=rank)
+        self._tiles = []
+        for A, B in tiles:
+            a, b = idx[A], idx[B]
+            first = rank[a[0] * b[0]]
+            local = rank[np.multiply.outer(a, b)]
+            local -= first
+            self._tiles.append((A, B, int(first) - 1, int(rank[a[-1] * b[-1]]),
+                                local, A == B))
 
     def counts(self, w: np.ndarray) -> np.ndarray:
         """r over the classes: r[k] = sum of w_a w_t over a*t = products[k]."""
-        return np.bincount(self.cls, weights=np.outer(w, w).ravel(),
-                           minlength=len(self.products))
+        r = np.zeros(len(self.products))
+        w2 = 2.0 * w
+        for A, B, lo, hi, local, diagonal in self._tiles:
+            wa = w[A] if diagonal else w2[A]
+            r[lo:hi] += np.bincount(local.ravel(), weights=np.outer(wa, w[B]).ravel(),
+                                    minlength=hi - lo)
+        return r
 
     def gradient(self, r: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Gradient of E at w, given r = counts(w): 4 * sum_t r(a*t) w_t."""
-        return 4.0 * (r[self.cls].reshape(self.n, self.n) @ w)
+        g = np.zeros(self.n)
+        for A, B, lo, hi, local, diagonal in self._tiles:
+            R = r[lo:hi][local]
+            g[A] += R @ w[B]
+            if not diagonal:
+                g[B] += w[A] @ R
+        g *= 4.0
+        return g
 
 
 def r_counts_dense(c: WeightVector) -> np.ndarray:

@@ -41,7 +41,7 @@ from galmin.extremal import (
     _loc_members,
     multiplication_table_count,
 )
-from galmin.forms import KernelKind, KernelOperator, WeightVector
+from galmin.forms import EnergyIndex, KernelKind, KernelOperator, WeightVector
 from galmin.minimize import minimize_with_witness
 
 # Each guard maps a size to (the module whose require_bytes it calls, the
@@ -64,6 +64,15 @@ def _operator(kind):
         w = np.full(n, 1.0 / n)
         return "forms", lambda: KernelOperator(kind, n).matvec(w)
     return guard
+
+
+def _energy_index(n):
+    w = np.full(n, 1.0 / n)
+
+    def call():
+        index = EnergyIndex(n)
+        index.gradient(index.counts(w), w)
+    return "forms", call
 
 
 def _multiplication_table(N):
@@ -156,6 +165,8 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_operator(V), (10**5,)),
     (_operator(T), (10**4,)),
     (_operator(T), (10**5,)),
+    (_energy_index, (512,)),
+    (_energy_index, (2048,)),
     (_multiplication_table, (2000,)),
     (_loc_filter, (10**6, 3)),
     (_shifted_sums, (10007, 10**5)),
@@ -173,7 +184,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_low_moments, (100003, 100000)),
     (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
-        "H", "loc-filter", "shifted_sums", "char_sum", "gauss_sum",
+        "E-512", "E-2048", "H", "loc-filter", "shifted_sums", "char_sum", "gauss_sum",
         "polya-terms", "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
         "mollified-theta", "low_moments-classes", "low_moments-terms",
@@ -189,6 +200,7 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_table(phi_table), (1000,)),
     (_operator(V), (300,)),
     (_operator(T), (300,)),
+    (_energy_index, (300,)),
     (_multiplication_table, (50,)),
     (_loc_filter, (1000, 3)),
     (_shifted_sums, (101, 50)),
@@ -200,7 +212,7 @@ def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
     (_mollified_moments, (101, 1.0)),
     (_low_moments, (101, 9)),
     (_polyzeta, (10_000, 1.0, 0.5)),
-], ids=["spf", "Omega", "phi", "V", "T", "H", "loc-filter", "shifted_sums",
+], ids=["spf", "Omega", "phi", "V", "T", "E", "H", "loc-filter", "shifted_sums",
         "char_sum", "gauss_sum", "polya", "character_sums", "theta_all_even",
         "mollified_moments", "low_moments", "polyzeta-logs"])
 def test_guard_admits_its_estimate_and_refuses_one_byte_less(monkeypatch, guard, size):

@@ -661,6 +661,16 @@ def test_exact_minimum_rejects_bad_input_before_it_enumerates(monkeypatch):
             exact_quadratic_minimum(kind, 3)
 
 
+@pytest.mark.parametrize("kind", ["v", "V", None])
+def test_operator_and_solver_take_their_kind_as_a_member(kind):
+    # A string or None is a usage error naming the kind, raised before the
+    # budget check reads kind.value.
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        KernelOperator(kind, 4)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        minimize_quadratic(kind, 4)
+
+
 def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
     # Each float candidate goes to the exact check; when none passes, the
     # oracle raises rather than return a float value.
@@ -795,6 +805,14 @@ def test_energy_restarts_share_one_index(monkeypatch):
     monkeypatch.setattr(EnergyIndex, "__init__", counted)
     minimize_energy(64, restarts=4)
     assert builds == [64]
+
+
+def test_energy_at_512_keeps_its_value_across_the_tiles():
+    # Criterion 12's N = 512 row. 4.410993948058318 is the scaled value that
+    # one bincount over all N^2 ordered pairs gave; the tiles add r in
+    # another order, which may move it only at round-off.
+    res = minimize_energy(512, tolerance=1e-12, seed=0, sieve=build_sieve(512))
+    assert math.isclose(res.scaled_value, 4.410993948058318, rel_tol=1e-12)
 
 
 def _stub_energy_solves(monkeypatch, record):
