@@ -4,9 +4,9 @@ V and T are convex quadratics (both kernels are positive semidefinite), so
 the Frank-Wolfe duality gap certifies a point: spectral projected gradient
 with exact line search moves every coordinate with each kernel product, and a
 pairwise step takes over where the projected step stalls on a face. E is quartic
-and not certified convex: projected gradient descent with a spectral
-(Barzilai-Borwein) trial step, Armijo backtracking and restarts yields an
-upper bound only.
+and not certified convex: spectral projected gradient with one Armijo
+backtracking search per step, started at the Barzilai-Borwein step, and
+restarts yields an upper bound only.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ def minimize_quadratic(
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_tolerance(tolerance)
+    if not isinstance(kind, KernelKind):
+        raise ValueError(f"unknown kernel kind {kind!r}")
     if operator is None:
         op = _QuadraticOperator(kind, N)
     elif operator.kind is kind and operator.n == N:
@@ -243,53 +245,43 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 def _pgd_energy(index: EnergyIndex, w0: np.ndarray,
                 tol: float) -> tuple[np.ndarray, float, int, str]:
-    """Projected gradient descent with a spectral trial step and Armijo
-    backtracking on E(c;N).
+    """Spectral projected gradient descent with Armijo backtracking on
+    E(c;N).
 
-    Each iteration first tries the Barzilai-Borwein step s·y / y·y from the
-    last move s and gradient change y, when s·y > 0. If that candidate fails
-    the Armijo test, the backtracking search runs: it starts at ``step``,
-    halves up to 60 times, and doubles ``step`` after the candidate it
-    accepts. The caller's index serves every evaluation, and the r of the
-    accepted candidate gives the next gradient. Returns (w, value,
-    iterations, stop reason): small_move or small_drop when a stall test
-    stopped the run, else no_armijo_step or max_iters.
+    Each iteration runs one backtracking search: it starts at the
+    Barzilai-Borwein step s·y / y·y from the last move s and gradient
+    change y when s·y > 0, else at the step accepted last (1.0 at first),
+    and halves up to 60 times until the Armijo test passes. The caller's
+    index serves every evaluation, and the r of the accepted candidate
+    gives the next gradient. Returns (w, value, iterations, stop reason):
+    small_move or small_drop when a stall test stopped the run, else
+    no_armijo_step or max_iters.
     """
     w = w0.copy()
     r = index.counts(w)
     val = float(r @ r)
-    step = 1.0
+    t = 1.0
     prev_grad = None
     it = 0
     reason = "max_iters"
-
-    def armijo(t: float):
-        cand = project_to_simplex(w - t * grad)
-        cand_r = index.counts(cand)
-        cand_val = float(cand_r @ cand_r)
-        # Sufficient decrease against the projected move.
-        ok = cand_val <= val - 1e-4 * float(grad @ (w - cand))
-        return ok, cand, cand_r, cand_val
-
     for it in range(1, _ENERGY_MAX_ITERS + 1):
         grad = index.gradient(r, w)
-        improved = False
         if prev_grad is not None:
             y = grad - prev_grad
             sy = float(move @ y)
             if sy > 0.0:
-                spectral = min(sy / float(y @ y), 1e6)
-                improved, cand, cand_r, cand_val = armijo(spectral)
-        if not improved:
-            for _ in range(60):
-                improved, cand, cand_r, cand_val = armijo(step)
-                if improved:
-                    break
-                step *= 0.5
-            if not improved:
-                reason = "no_armijo_step"
+                t = min(sy / float(y @ y), 1e6)
+        for _ in range(60):
+            cand = project_to_simplex(w - t * grad)
+            cand_r = index.counts(cand)
+            cand_val = float(cand_r @ cand_r)
+            # Sufficient decrease against the projected move.
+            if cand_val <= val - 1e-4 * float(grad @ (w - cand)):
                 break
-            step = min(step * 2.0, 1e6)
+            t *= 0.5
+        else:
+            reason = "no_armijo_step"
+            break
         move = cand - w
         l1_move = float(np.abs(move).sum())
         rel_drop = (val - cand_val) / max(val, 1e-300)

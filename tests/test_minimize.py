@@ -664,11 +664,13 @@ def test_exact_minimum_rejects_bad_input_before_it_enumerates(monkeypatch):
 @pytest.mark.parametrize("kind", ["v", "V", None])
 def test_operator_and_solver_take_their_kind_as_a_member(kind):
     # A string or None is a usage error naming the kind, raised before the
-    # budget check reads kind.value.
+    # budget check or the operator comparison reads kind.value.
     with pytest.raises(ValueError, match="unknown kernel kind"):
         KernelOperator(kind, 4)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         minimize_quadratic(kind, 4)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        minimize_quadratic(kind, 4, operator=KernelOperator(KernelKind.V_KERNEL, 4))
 
 
 def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
@@ -858,11 +860,75 @@ def test_energy_restarts_hold_one_start_at_a_time(monkeypatch):
     assert peak(8000) <= peak(4) + (64 << 10)
 
 
-def test_energy_spectral_failure_falls_back_to_the_search():
-    # Without the backtracking fallback this run ends on no_armijo_step.
+def test_energy_at_256_stops_on_a_stall_test():
+    # The best restart at N = 256 ends on a stall test, not on a search in
+    # which no halving passes Armijo.
     res = minimize_energy(256, restarts=4, seed=0, sieve=build_sieve(256))
     assert res.converged
     assert res.stop_reason in ("small_move", "small_drop")
+
+
+class _DoubleWell:
+    """An index for _pgd_energy whose r.r = (4 w1 w2 - 1/2)^2 + 1 has a
+    local maximum at the centre of the segment, between two minima: a move
+    across its concave part gives s.y < 0."""
+
+    def counts(self, w):
+        return np.array([4.0 * w[0] * w[1] - 0.5, 1.0])
+
+    def gradient(self, r, w):
+        return 8.0 * r[0] * np.array([w[1], w[0]])
+
+
+def _search_trials(monkeypatch, index, w0):
+    """Run _pgd_energy from w0; per iteration, the point w and gradient g it
+    started from and the step t of each trial, recovered from the projected
+    argument v = w - t g."""
+    iters = []
+    gradient, project = type(index).gradient, minimize.project_to_simplex
+
+    def recorded(self, r, w):
+        g = gradient(self, r, w)
+        iters.append((w.copy(), g, []))
+        return g
+
+    def traced(v):
+        w, g, steps = iters[-1]
+        steps.append(float((w - v) @ g / (g @ g)))
+        return project(v)
+
+    monkeypatch.setattr(type(index), "gradient", recorded)
+    monkeypatch.setattr(minimize, "project_to_simplex", traced)
+    minimize._pgd_energy(index, w0, 1e-6)
+    return iters
+
+
+@pytest.mark.parametrize("start", ["uniform", "witness_e", "double_well"])
+def test_energy_runs_one_halving_search_from_the_spectral_step(monkeypatch, start):
+    # Each iteration's trials are t0, t0/2, t0/4, ...: t0 is the
+    # Barzilai-Borwein step s.y / y.y when s.y > 0, else the step accepted
+    # last, and 1 at first. The E runs take more than one trial in some
+    # iteration, and the double well takes an s.y < 0 step.
+    if start == "double_well":
+        iters = _search_trials(monkeypatch, _DoubleWell(), np.array([0.45, 0.55]))
+    else:
+        w0 = (np.full(128, 1 / 128) if start == "uniform"
+              else witness_e(build_sieve(128), 128).normalized().weights)
+        iters = _search_trials(monkeypatch, EnergyIndex(128), w0)
+    t = 1.0
+    backtracked = curved_down = False
+    for k, (w, g, steps) in enumerate(iters):
+        if k:
+            s, y = w - iters[k - 1][0], g - iters[k - 1][1]
+            if s @ y > 0.0:
+                t = min(float(s @ y) / float(y @ y), 1e6)
+            else:
+                curved_down = True
+        assert steps == pytest.approx([t / 2**j for j in range(len(steps))], rel=1e-9), k
+        backtracked |= len(steps) > 1
+        t = steps[-1]
+    assert backtracked
+    assert curved_down or start != "double_well"
 
 
 def test_witness_chain_holds():
