@@ -18,8 +18,8 @@ from .arith import build_sieve, phi_table, prime_powers, require_bytes
 
 # Target element count per kernel block; caps peak memory of a form evaluation.
 _BLOCK_ELEMS = 8_000_000
-# KernelOperator multiplies V buckets of padded width up to this densely,
-# wider ones by FFT.
+# KernelOperator multiplies the V buckets whose power of two P is up to
+# this densely, at width P, and wider ones by FFT.
 _DENSE_BLOCK_MAX = 64
 # Width of EnergyIndex's square tiles of pairs. One tile's float64 pair
 # block is 128 KiB and its class window is short, so both stay in cache;
@@ -127,17 +127,40 @@ def kernel_block(kind: KernelKind, rows: np.ndarray, cols: np.ndarray) -> np.nda
 
 
 def _buckets(n: int):
-    """(d, d_last, P) for each range d..d_last of the d <= n whose
+    """(d, d_last, W, M) for each range d..d_last of the d <= n whose
     L = n // d lies in (P/2, P], for the powers of two P = 1, 2, 4, ...
     that have such d, in increasing d. L <= P iff d > n // (P + 1), so
-    each bucket is one range of d, and there are O(log n) of them."""
+    each bucket is one range of d, and there are O(log n) of them.
+
+    W >= L is the width of the bucket's rows and M its FFT length. A dense
+    bucket (P <= _DENSE_BLOCK_MAX) has W = P and M = 0. An FFT one has
+    W = n // d, the L of its first and longest row, and M the least
+    5-smooth length >= 2W - 1, at which a cyclic correlation of two
+    W-vectors holds their linear one unwrapped."""
     P, last = 1, n
     while last >= 1:
         d = n // (P + 1) + 1
-        if d <= last:
-            yield d, last, P
+        if P <= _DENSE_BLOCK_MAX and d <= last:
+            yield d, last, P, 0
+        elif d <= last:
+            yield d, last, n // d, _smooth_length(2 * (n // d) - 1)
         last = d - 1
         P *= 2
+
+
+def _smooth_length(m: int) -> int:
+    """The least 5-smooth integer >= m (m >= 1): the shortest length of at
+    least m whose only prime factors are 2, 3 and 5, which numpy's
+    pocketfft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
 def _pair_count(n: int) -> int:
@@ -155,20 +178,26 @@ def _operator_bytes(kind: KernelKind, n: int) -> int:
     (the start, w, and the K w, direction d and K d of the last step while
     a full product replaces K w; a projection's sort and cumsum peak below
     a product); for T, 16 per pair (d, a) (the index, and a product's
-    gather or its repeated weights); for V, 16 per padded entry (the index
-    and a product's weights), the blocks B_P or their FFTs, and the
-    temporaries of the widest bucket: 16 an entry in a dense one, 48 in an
-    FFT one."""
+    gather or its repeated weights); for V, 16 per slab entry (the index
+    and a product's weights), the blocks B_W or their FFTs, and the
+    temporaries of the largest bucket: its gather and product, 16 an
+    entry, in a dense one; in an FFT one its gather, 8 an entry, and per
+    row the M // 2 + 1 complex numbers of the forward FFT and the M reals
+    of the inverse."""
     total = (16 << 10) + 152 * (n + 1)
     if kind is KernelKind.T_KERNEL:
         return total + 16 * _pair_count(n)
-    widest = 0
-    for d, last, P in _buckets(n):
-        size = (last - d + 1) * P
-        dense = P <= _DENSE_BLOCK_MAX
-        total += 16 * size + (8 * P * P if dense else 16 * (P + 1))
-        widest = max(widest, (16 if dense else 48) * size)
-    return total + widest
+    largest = 0
+    for d, last, W, M in _buckets(n):
+        rows = last - d + 1
+        if not M:
+            block, temps = 8 * W * W, 16 * rows * W
+        else:
+            block = 16 * (M // 2 + 1)
+            temps = rows * (8 * W + block + 8 * M)
+        total += 16 * rows * W + block
+        largest = max(largest, temps)
+    return total + largest
 
 
 class KernelOperator:
@@ -182,13 +211,14 @@ class KernelOperator:
     product costs O(n log^2 n) time for V, O(n log n) for T, and the
     operator holds O(n log n) numbers, and phi is exact.
 
-    V: the d of a _buckets range share the padded width P >= L = n // d,
-    and their rows d * (1..P) - 1 lie in one (rows, P) slab of a flat index;
+    V: the d of a _buckets range share its width W >= L = n // d, and
+    their rows d * (1..W) - 1 lie in one (rows, W) slab of a flat index;
     entries past n point at a zero slot n, so they gather 0, and what a
-    product puts there is dropped. B_L is the leading L x L block of B_P,
-    so a bucket is one matmul (P <= _DENSE_BLOCK_MAX) or one batched FFT of
-    length 2P, and one bincount adds every bucket into K w. (A fancy +=
-    would lose updates: the index sets of two d in a bucket may overlap.)
+    product puts there is dropped. B_L is the leading L x L block of B_W,
+    so a bucket is one matmul (M = 0) or one batched FFT of length M, the
+    least 5-smooth length >= 2W - 1, and one bincount adds every bucket
+    into K w. (A fancy += would lose updates: the index sets of two d in a
+    bucket may overlap.)
 
     T: K = D^(-1/2) G D^(-1/2) with the gcd matrix G = sum_d phi(d) 1_d 1_d^T,
     1_d the indicator of the multiples of d. The flat index of all pairs
@@ -225,34 +255,34 @@ class KernelOperator:
         self._index = index
 
     def _bucket_layout(self) -> None:
-        """The padded slab of each _buckets range in one flat index, and
-        per bucket (start, stop, P, phi(d)/d as a column, B_P or its FFT)."""
+        """The slab of each _buckets range in one flat index, and per
+        bucket (start, stop, W, M, phi(d)/d as a column, B_W or its FFT)."""
         n = self.n
         ranges = list(_buckets(n))
-        index = np.empty(sum((last - d + 1) * P for d, last, P in ranges),
+        index = np.empty(sum((last - d + 1) * W for d, last, W, _ in ranges),
                          dtype=np.int64)
         self._slabs = []
         start = 0
-        for d, last, P in ranges:
+        for d, last, W, M in ranges:
             ds = np.arange(d, last + 1)
-            stop = start + len(ds) * P
-            rows = index[start:stop].reshape(len(ds), P)
-            np.multiply.outer(ds, np.arange(1, P + 1), out=rows)
+            stop = start + len(ds) * W
+            rows = index[start:stop].reshape(len(ds), W)
+            np.multiply.outer(ds, np.arange(1, W + 1), out=rows)
             rows -= 1
             np.minimum(rows, n, out=rows)  # d * a > n: the zero slot
             coef = (self.phi[d : last + 1] / ds)[:, None]
-            self._slabs.append((start, stop, P, coef, self._block(P)))
+            self._slabs.append((start, stop, W, M, coef, self._block(W, M)))
             start = stop
         self._index = index
 
     @staticmethod
-    def _block(P: int) -> np.ndarray:
-        """What matvec needs of B_P: the block itself up to
-        _DENSE_BLOCK_MAX, above it the FFT of 1/k for k = 2..2P."""
-        if P <= _DENSE_BLOCK_MAX:
-            a = np.arange(1, P + 1)
+    def _block(W: int, M: int) -> np.ndarray:
+        """What matvec needs of B_W: the block itself for a dense bucket
+        (M = 0), else the FFT of 1/k for k = 2..2W at length M."""
+        if not M:
+            a = np.arange(1, W + 1)
             return 1.0 / np.add.outer(a, a)
-        return np.fft.rfft(1.0 / np.arange(2, 2 * P + 1), 2 * P)
+        return np.fft.rfft(1.0 / np.arange(2, 2 * W + 1), M)
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         n = self.n
@@ -267,18 +297,18 @@ class KernelOperator:
         wz = np.zeros(n + 1)
         wz[:n] = w
         vals = np.empty(len(self._index))
-        for start, stop, P, coef, block in self._slabs:
-            x = wz[self._index[start:stop]].reshape(-1, P)
-            if P <= _DENSE_BLOCK_MAX:
+        for start, stop, W, M, coef, block in self._slabs:
+            x = wz[self._index[start:stop]].reshape(-1, W)
+            if not M:
                 y = x @ block
             else:
                 # y_a = sum_b x_b / (a+b+2) (0-based) as a cyclic correlation
-                # of length 2P; a+b <= 2P-2 never wraps, so y is exact.
-                f = np.fft.rfft(x, 2 * P)
+                # of length M; a+b <= 2W-2 < M never wraps, so y is exact.
+                f = np.fft.rfft(x, M)
                 np.conj(f, out=f)
                 f *= block
-                y = np.fft.irfft(f, 2 * P)[:, :P]
-            np.multiply(y, coef, out=vals[start:stop].reshape(-1, P))
+                y = np.fft.irfft(f, M)[:, :W]
+            np.multiply(y, coef, out=vals[start:stop].reshape(-1, W))
         return np.bincount(self._index, weights=vals, minlength=n + 1)[:n]
 
 

@@ -41,7 +41,13 @@ from galmin.extremal import (
     _loc_members,
     multiplication_table_count,
 )
-from galmin.forms import EnergyIndex, KernelKind, KernelOperator, WeightVector
+from galmin.forms import (
+    EnergyIndex,
+    KernelKind,
+    KernelOperator,
+    WeightVector,
+    _operator_bytes,
+)
 from galmin.minimize import minimize_with_witness
 
 # Each guard maps a size to (the module whose require_bytes it calls, the
@@ -242,6 +248,12 @@ def test_witness_solve_stays_within_its_operator_estimate(monkeypatch, kind, n,
     est, peak = _estimate_and_peak(monkeypatch, "forms", lambda: minimize_with_witness(
         kind, n, sieve, beta, max_iters=max_iters))
     assert peak <= est
+
+
+def test_v_estimate_has_no_step_past_a_power_of_two():
+    # The guard alone, no operator: at 2^21 + 1 the d = 1 row is one entry
+    # wider, not a bucket of twice the width.
+    assert _operator_bytes(V, 2**21 + 1) <= 1.01 * _operator_bytes(V, 2**21)
 
 
 @pytest.mark.parametrize("kind", [V, T])

@@ -22,6 +22,7 @@ from galmin.forms import (
     KernelKind,
     KernelOperator,
     WeightVector,
+    _smooth_length,
     e_form,
     kernel_block,
     t_form_fast,
@@ -87,9 +88,13 @@ def _dense_product(kind, w):
                            for lo in range(0, n, 512)])
 
 
-# The bucket edges (padded widths 1, 2, 64 | 128, and 2^k +- 1), and two N
-# at which 2N has a large prime factor (4570 = 2 * 5 * 457).
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 127, 128, 129, 130, 4555, 4570])
+# The bucket edges (dense widths 1, 2, 64 | FFT buckets from 65, and
+# 2^k +- 1), two N whose first FFT bucket has an odd length M (68: 135,
+# 113: 225), two N at which M is not a power of two (3072: 6144 = 2^11 * 3,
+# 4574: 9216), and two at which 2N has a large prime factor
+# (4570 = 2 * 5 * 457).
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 68, 113, 127, 128, 129, 130,
+                               3072, 4555, 4570, 4574])
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_bucketed_products_match_dense_blocks(kind, n):
     rng = np.random.default_rng(n)
@@ -102,6 +107,23 @@ def test_bucketed_products_match_dense_blocks(kind, n):
         assert got.shape == (n,)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not op.matvec(np.zeros(n)).any()
+
+
+def test_smooth_length_is_the_least_5_smooth_length_at_least_m():
+    # Strip the factors 2, 3 and 5 from every k, then take the least
+    # k >= m whose remainder is 1.
+    k = np.arange(2 * 10**4 + 1)
+    rest = k.copy()
+    for p in (2, 3, 5):
+        while True:
+            div = (rest % p == 0) & (rest > 0)
+            if not div.any():
+                break
+            rest[div] //= p
+    smooth = np.where(rest == 1, k, k.size)
+    least = np.minimum.accumulate(smooth[::-1])[::-1]
+    got = [_smooth_length(m) for m in range(1, 10**4 + 1)]
+    assert got == least[1 : 10**4 + 1].tolist()
 
 
 def test_operator_form_matches_pairwise_oracle_at_1e4():
