@@ -13,6 +13,7 @@ from enum import Enum
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import build_sieve, phi_table, prime_powers, require_bytes
 
@@ -183,7 +184,8 @@ def _operator_bytes(kind: KernelKind, n: int) -> int:
     temporaries of the largest bucket: its gather and product, 16 an
     entry, in a dense one; in an FFT one its gather, 8 an entry, and per
     row the M // 2 + 1 complex numbers of the forward FFT and the M reals
-    of the inverse."""
+    of the inverse. Not counted: the one-time cost of the first FFT in a
+    process, about 179 KB while numpy.fft sets itself up."""
     total = (16 << 10) + 152 * (n + 1)
     if kind is KernelKind.T_KERNEL:
         return total + 16 * _pair_count(n)
@@ -277,12 +279,15 @@ class KernelOperator:
 
     @staticmethod
     def _block(W: int, M: int) -> np.ndarray:
-        """What matvec needs of B_W: the block itself for a dense bucket
-        (M = 0), else the FFT of 1/k for k = 2..2W at length M."""
+        """What matvec needs of B_W, whose entry (a, b) is h_(a+b) (0-based)
+        with h = 1/k for k = 2..2W: the block itself for a dense bucket
+        (M = 0), a copy of h's sliding windows, else the FFT of h at length
+        M. (An outer sum would add numpy's 64 KiB iterator buffer to the
+        peak that _operator_bytes bounds.)"""
+        h = 1.0 / np.arange(2, 2 * W + 1)
         if not M:
-            a = np.arange(1, W + 1)
-            return 1.0 / np.add.outer(a, a)
-        return np.fft.rfft(1.0 / np.arange(2, 2 * W + 1), M)
+            return sliding_window_view(h, W).copy()
+        return np.fft.rfft(h, M)
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         n = self.n

@@ -68,6 +68,7 @@ def _table(fn):
 def _operator(kind):
     def guard(n):
         w = np.full(n, 1.0 / n)
+        np.fft.rfft(w)  # numpy's one-time FFT setup, which the estimate leaves out
         return "forms", lambda: KernelOperator(kind, n).matvec(w)
     return guard
 
@@ -167,6 +168,9 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_spf, (10**6,)),
     (_table(big_omega_table), (10**6,)),
     (_table(phi_table), (10**6,)),
+    (_operator(V), (100,)),
+    (_operator(V), (137,)),
+    (_operator(V), (200,)),
     (_operator(V), (10**4,)),
     (_operator(V), (10**5,)),
     (_operator(T), (10**4,)),
@@ -189,7 +193,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_low_moments, (1000003, 10)),
     (_low_moments, (100003, 100000)),
     (_polyzeta, (10_000, 1.0, 0.5)),
-], ids=["spf", "Omega", "phi", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
+], ids=["spf", "Omega", "phi", "V-100", "V-137", "V-200", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
         "E-512", "E-2048", "H", "loc-filter", "shifted_sums", "char_sum", "gauss_sum",
         "polya-terms", "polya-modulus", "character_sums-classes", "character_sums-terms",
         "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",

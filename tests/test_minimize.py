@@ -644,7 +644,7 @@ def test_exact_minimum_values():
     assert exact_quadratic_minimum(KernelKind.T_KERNEL, 5).support == (2, 3, 4, 5)
 
 
-@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("N", [*range(1, 14), 16, 20, 25, 30, 35, minimize._EXACT_MAX_N])
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_lower_bound_is_below_the_exact_minimum(kind, N):
     res = minimize_quadratic(kind, N, tolerance=1e-12)
@@ -665,9 +665,9 @@ def test_grid_oracle_lies_just_above_the_exact_minimum(monkeypatch, kind, N, ste
     assert exact - 1e-15 <= grid <= exact * (1 + 1e-12)
 
 
-def test_exact_minimum_rejects_bad_input_before_it_enumerates(monkeypatch):
+def test_exact_minimum_rejects_bad_input_before_it_solves(monkeypatch):
     def refuse(*args):
-        raise AssertionError("enumerated")
+        raise AssertionError("solved")
 
     monkeypatch.setattr(minimize, "kernel_block", refuse)
     monkeypatch.setattr(minimize, "gcd_block", refuse)
@@ -696,8 +696,8 @@ def test_operator_and_solver_take_their_kind_as_a_member(kind):
 
 
 def test_exact_minimum_returns_only_a_checked_value(monkeypatch):
-    # Each float candidate goes to the exact check; when none passes, the
-    # oracle raises rather than return a float value.
+    # The one support proposed in float64 goes to the exact check; when it
+    # fails, the oracle raises rather than return a float value.
     seen = []
 
     def fail(a, b, N, support, slack):
