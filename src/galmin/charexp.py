@@ -31,9 +31,9 @@ from .forms import KernelKind, WeightVector, v_form
 from .minimize import minimize_energy, minimize_quadratic
 from .report import ExperimentReport
 
-# burgess_experiment runs one character of each conjugate pair over about
-# 2p values, in blocks of about 2^16, so this limits its O(p^2) time, not
-# its memory.
+# burgess_experiment runs one character of each conjugate pair over one
+# period, in blocks of about 2^14 values, so this limits its O(p^2) time,
+# not its memory.
 _BURGESS_P_CAP = 2000
 # zeta_poly_moment minimizes the energy E_N for the ratio it reports only
 # up to this N.
@@ -51,36 +51,57 @@ def _window_counts(p: int, M: int, N: int) -> np.ndarray:
     return (M + N - t) // p - (M - t) // p
 
 
+def _exponent_dtype(p: int, j_max: int) -> type:
+    """int32 where every exponent j ind(n) <= (p-2) j_max fits, else int64."""
+    return np.int32 if (p - 2) * j_max < 2**31 else np.int64
+
+
 def _prefix_sums(table: CharacterTable, js: np.ndarray, B: int, L: int):
-    """Yield (rows, C, I) per block of the characters js, about 2^16 values:
-    C[i, k] = sum_{n<=k} chi_j(n), k < L, j = rows[i], and I[i, l-1] =
-    C[i, l+B] - C[i, l] = sum_{1<=b<=B} chi_j(l+b), l = 1..p. chi_j(n) is
-    read from one roots-of-unity table at (j ind(n)) mod (p-1), bit for bit
-    as DirichletCharacter.values computes it."""
+    """Yield (rows, C, I) per block of the characters js, about 2^14 values
+    so that a block stays in L2: C[i, k] = sum_{n<=k} chi_j(n), k < L,
+    j = rows[i], and I[i, l-1] = C[i, l+B] - C[i, l] = sum_{1<=b<=B}
+    chi_j(l+b), l = 1..p. chi_j(n) is read from one roots-of-unity table at
+    (j ind(n)) mod (p-1), bit for bit as DirichletCharacter.values computes
+    it, over one period n = 0..p-1 only; past it C[k+p] = C[k] + C[p-1], as
+    chi(p) = 0. The exponents are int32 where they fit (_exponent_dtype)."""
     p = table.p
     m = p - 1
     roots = np.exp(2j * np.pi * np.arange(m) / m)
-    ind = table.dlog[np.arange(L, dtype=np.int64) % p]
-    block = max(1, (1 << 16) // L)
+    ind = table.dlog.astype(_exponent_dtype(p, int(js.max(initial=0))))
+    block = max(1, (1 << 14) // L)
     for start in range(0, len(js), block):
         rows = js[start:start + block]
-        vals = roots[np.outer(rows, ind) % m]
-        vals[:, ::p] = 0.0  # chi(n) = 0 at n = 0 (mod p)
-        cum = np.cumsum(vals, axis=1, out=vals)
+        exps = np.empty((len(rows), p), dtype=np.intp)  # what the gather indexes by
+        np.remainder(np.multiply.outer(rows.astype(ind.dtype), ind), m, out=exps)
+        cum = np.empty((len(rows), L), dtype=np.complex128)
+        cum[:, :p] = roots[exps]
+        cum[:, 0] = 0.0  # chi(0) = 0
+        np.cumsum(cum[:, :p], axis=1, out=cum[:, :p])
+        for k in range(p, L, p):
+            np.add(cum[:, k - p:min(k, L - p)], cum[:, p - 1:p], out=cum[:, k:k + p])
         yield rows, cum, cum[:, B + 1:p + B + 1] - cum[:, 1:p + 1]
 
 
-def _moments(abs_rows: np.ndarray, r: int) -> np.ndarray:
-    """sum_l |I(l)|^{2r} of each row of |I|."""
-    return (abs_rows ** (2 * r)).sum(axis=-1)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 = re^2 + im^2, elementwise."""
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
+
+
+def _moments(sq_rows: np.ndarray, r: int) -> np.ndarray:
+    """sum_l |I(l)|^{2r} of each row of |I|^2."""
+    return (sq_rows ** r).sum(axis=-1)
 
 
 def shifted_sums(chi: DirichletCharacter, B: int) -> np.ndarray:
     """I(l) = sum_{1<=b<=B} chi(l+b), l = 1..p: one row of _prefix_sums."""
     p = chi.p
-    # Per term the int64 ind(n) and exponents and the complex values the
-    # prefix sum overwrites; the roots and the result: 32(p + B) + 64p.
-    require_bytes(32 * (p + B) + 64 * p, f"shifted sums at p={p}, B={B}")
+    w = np.dtype(_exponent_dtype(p, chi.j)).itemsize
+    # C over p + B + 1 columns; over one period the roots, the w-byte ind(n),
+    # the intp exponents and the gathered values or the result, one at a
+    # time: 16(p + B) + (40 + w)p, and 8 KiB for headers.
+    require_bytes(16 * (p + B) + (40 + w) * p + (8 << 10), f"shifted sums at p={p}, B={B}")
     _, _, inner = next(_prefix_sums(chi.table, np.array([chi.j]), B, p + B + 1))
     return inner[0]
 
@@ -92,7 +113,8 @@ def weil_bound(B: int, r: int, p: int) -> float:
 
 
 def weil_holds(moment: float, bound: float) -> bool:
-    """The Weil verdict on a 2r-th moment, with no slack."""
+    """The Weil verdict on a 2r-th moment, with no slack; elementwise on
+    an array of moments."""
     return moment <= bound
 
 
@@ -105,7 +127,7 @@ def weil_moment_check(chi: DirichletCharacter, B: int, r: int) -> tuple[float, f
         raise ValueError("r must be >= 2")
     if B < 0:
         raise ValueError("B must be >= 0")
-    moment = float(_moments(np.abs(shifted_sums(chi, B)), r))
+    moment = float(_moments(_abs2(shifted_sums(chi, B)), r))
     return moment, weil_bound(B, r, chi.p)
 
 
@@ -215,31 +237,35 @@ def burgess_experiment(
         rep.check("R_bound_gcd_form", R, *r_bound_check(R, c, N, v_at_c))
 
     weil_rhs = weil_bound(B, r, p)
+    holder_coeff = sum_r ** (2 * r - 2) * R
     holder_min_slack = math.inf
     max_abs_s = 0.0
-    max_window = 0.0
+    max_window_sq = 0.0
     # failed[j]: the failed checks of chi_j, j <= (p-1)/2, as (name, lhs, rhs).
     failed: dict[int, list[tuple[str, float, float]]] = {}
-    # The same C gives the window sums S = C[m+N] - C[m], m = 0..2p-N.
+    # The same C gives the window sums S(m) = C[m+N] - C[m], m = 0..2p-N;
+    # S(m+p) = S(m), so the starts m < min(p, 2p-N+1) take them all.
+    starts = min(p, 2 * p - N + 1)
     js = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    for rows, cum, inner in _prefix_sums(table, js, B, max(p + B + 1, 2 * p + 1)):
-        abs_inner = np.abs(inner)
-        w_moments = _moments(abs_inner, r)
-        windows = np.abs(cum[:, N : 2 * p + 1] - cum[:, : 2 * p + 1 - N])
-        max_window = max(max_window, float(windows.max()))
-        for j, inner_j, w_moment in zip(rows, abs_inner, w_moments):
-            w_moment = float(w_moment)
-            if not weil_holds(w_moment, weil_rhs):
-                failed.setdefault(int(j), []).append(
-                    ("weil_moment", w_moment, weil_rhs))
-            s_val = float(rvals @ inner_j)
-            lhs = s_val ** (2 * r)
-            rhs = sum_r ** (2 * r - 2) * R * w_moment
-            slack = rhs - lhs
-            holder_min_slack = min(holder_min_slack, slack)
-            if lhs > rhs * (1 + 1e-9):
-                failed.setdefault(int(j), []).append(("holder_chain", lhs, rhs))
-            max_abs_s = max(max_abs_s, s_val)
+    for rows, cum, inner in _prefix_sums(table, js, B, max(p + B + 1, N + starts)):
+        sq_inner = _abs2(inner)
+        w_moments = _moments(sq_inner, r)
+        s_vals = np.sqrt(sq_inner) @ rvals
+        lhs = s_vals ** (2 * r)
+        rhs = holder_coeff * w_moments
+        holder_min_slack = min(holder_min_slack, float((rhs - lhs).min()))
+        max_abs_s = max(max_abs_s, float(s_vals.max()))
+        windows = _abs2(cum[:, N:N + starts] - cum[:, :starts])
+        max_window_sq = max(max_window_sq, float(windows.max()))
+        weil_failed = ~weil_holds(w_moments, weil_rhs)
+        holder_failed = lhs > rhs * (1 + 1e-9)
+        for i in np.flatnonzero(weil_failed | holder_failed):
+            checks = failed.setdefault(int(rows[i]), [])
+            if weil_failed[i]:
+                checks.append(("weil_moment", float(w_moments[i]), weil_rhs))
+            if holder_failed[i]:
+                checks.append(("holder_chain", float(lhs[i]), float(rhs[i])))
+    max_window = math.sqrt(max_window_sq)
     for j in range(1, p - 1):
         for name, lhs, rhs in failed.get(min(j, p - 1 - j), ()):
             rep.check(f"{name}_chi_{j}", lhs, rhs, False)

@@ -93,8 +93,8 @@ def _loc_filter(x, k):
     return "extremal", lambda: _loc_members(sieve, level, cond)
 
 
-def _shifted_sums(p, B):
-    chi = build_table(p).character(1)
+def _shifted_sums(p, B, j=1):
+    chi = build_table(p).character(j)
     return "charexp", lambda: shifted_sums(chi, B)
 
 
@@ -180,6 +180,7 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_multiplication_table, (2000,)),
     (_loc_filter, (10**6, 3)),
     (_shifted_sums, (10007, 10**5)),
+    (_shifted_sums, (46349, 50, 46349 - 2)),  # int64 exponents: (p-2)^2 >= 2^31
     (_char_sum, (101, 10**5)),
     (_gauss_sum, (100003,)),
     (_polya, (10007, 5003, 10**5)),
@@ -194,9 +195,9 @@ V, T = KernelKind.V_KERNEL, KernelKind.T_KERNEL
     (_low_moments, (100003, 100000)),
     (_polyzeta, (10_000, 1.0, 0.5)),
 ], ids=["spf", "Omega", "phi", "V-100", "V-137", "V-200", "V-1e4", "V-1e5", "T-1e4", "T-1e5",
-        "E-512", "E-2048", "H", "loc-filter", "shifted_sums", "char_sum", "gauss_sum",
-        "polya-terms", "polya-modulus", "character_sums-classes", "character_sums-terms",
-        "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
+        "E-512", "E-2048", "H", "loc-filter", "shifted_sums", "shifted_sums-int64",
+        "char_sum", "gauss_sum", "polya-terms", "polya-modulus", "character_sums-classes",
+        "character_sums-terms", "theta_all_even-terms", "theta_all_even-classes", "mollified-sums",
         "mollified-theta", "low_moments-classes", "low_moments-terms",
         "polyzeta-logs"])
 def test_estimate_covers_the_traced_peak(monkeypatch, guard, size):
