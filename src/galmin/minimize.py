@@ -2,8 +2,9 @@
 
 V and T are convex quadratics (both kernels are positive semidefinite), so
 the Frank-Wolfe duality gap certifies a point: spectral projected gradient
-with exact line search moves every coordinate with each kernel product, and a
-pairwise step takes over where the projected step stalls on a face. E is quartic
+with exact line search moves every coordinate with each kernel product, a
+pairwise step takes over where the projected step stalls on a face, and
+conjugate-gradient steps finish the solve on a face that has settled. E is quartic
 and not certified convex: spectral projected gradient with one Armijo
 backtracking search per step, started at the Barzilai-Borwein step, and
 restarts yields an upper bound only.
@@ -42,6 +43,15 @@ _REFINE_LEVELS = 48
 # speed choice: the slab scan pays numpy's per-call cost once a slab, which
 # dominates small slabs. It covers N = 3 and N = 4 at step 1/60.
 _ONE_BATCH_POINTS = 1 << 16
+# V/T conjugate-gradient steps need a support left unchanged by this many
+# steps in a row: the fewest products at tol 1e-4 and 1e-6 (1 and 3 cost more).
+_FACE_SETTLED = 2
+# ... and a gap above this share of the value: below it the round-off of the
+# incrementally updated K w outweighs the conjugacy of the directions.
+_CG_GAP_FLOOR = math.sqrt(np.finfo(float).eps)
+# Powell's restart: successive residuals this far from orthogonal mean that
+# conjugacy is lost, so the next direction is the steepest one again.
+_POWELL_RESTART = 0.2
 # Most iterations of one energy restart.
 _ENERGY_MAX_ITERS = 5000
 
@@ -61,11 +71,12 @@ class MinimizationResult:
     # no_armijo_step or max_iters; grid_oracle (E): grid_scan.
     stop_reason: str = field(kw_only=True)
     # V and T only (None otherwise): a certified lower bound on the minimum,
-    # and the solve's kernel products, pairwise fallback steps and
-    # scheduled refreshes of K w.
+    # and the solve's kernel products, pairwise fallback steps,
+    # conjugate-gradient steps and scheduled refreshes of K w.
     lower_bound: float | None = field(default=None, kw_only=True)
     products: int | None = field(default=None, kw_only=True)
     fallback_steps: int | None = field(default=None, kw_only=True)
+    conjugate_steps: int | None = field(default=None, kw_only=True)
     refreshes: int | None = field(default=None, kw_only=True)
 
     @property
@@ -89,7 +100,8 @@ class MinimizationResult:
         }
         if self.lower_bound is not None:
             out.update(lower_bound=self.lower_bound, products=self.products,
-                       fallback_steps=self.fallback_steps, refreshes=self.refreshes)
+                       fallback_steps=self.fallback_steps,
+                       conjugate_steps=self.conjugate_steps, refreshes=self.refreshes)
         return out
 
 
@@ -114,8 +126,14 @@ def minimize_quadratic(
     Each iteration tests the duality gap 2 value - 2 min K w, steps along
     d = project_to_simplex(w - alpha * 2 K w) - w, or along the pairwise
     direction w_a (e_s - e_a) when d does not descend (s = argmin K w, a =
-    argmax K w over the support w > 0), and takes the next alpha by
-    Barzilai-Borwein. K w is updated incrementally and refreshed by a full
+    argmax K w over the support F = {w > 0}), and takes the next alpha by
+    Barzilai-Borwein. Once F is left unchanged by _FACE_SETTLED steps, s lies
+    in F and the gap exceeds _CG_GAP_FLOOR * value, the step is instead a
+    Polak-Ribiere (PR+) conjugate-gradient one on F: d = -r + beta p, with r
+    the gradient 2 K w less its mean on F and 0 off F, p the last such
+    direction, and Powell's restart d = -r. Its exact step is cut at the
+    first weight it zeroes, and it leaves alpha as it is. K w is updated
+    incrementally and refreshed by a full
     product every _REFRESH_EVERY iterations; a gap test passed on the
     incremental K w is re-tested on a full product. The returned value, gap,
     lower bound and converged all come from one full product of the returned
@@ -143,7 +161,7 @@ def minimize_quadratic(
     else:
         w = np.full(N, 1.0 / N)
 
-    products = fallback_steps = refreshes = 0
+    products = fallback_steps = conjugate_steps = refreshes = 0
 
     def exact_state():
         """w clamped and renormalised in place, its full product K w, value
@@ -162,6 +180,8 @@ def minimize_quadratic(
     kw, value, gap = exact_state()
     exact = True  # kw is a full product of the current w
     alpha = 1.0 / (2.0 * kw.max().item())
+    face, settled = w > 0.0, 0  # the support, and how many steps left it as is
+    p = r_prev = None  # the last conjugate-gradient direction and residual
     it = 0
     stop_reason = "max_iters"
     for it in range(1, max_iters + 1):
@@ -173,9 +193,23 @@ def minimize_quadratic(
             stop_reason = "gap_reached"
             break
 
-        d = project_to_simplex(w - (2.0 * alpha) * kw)
-        d -= w
-        g_d = 2.0 * float(kw @ d)
+        conjugate = (settled >= _FACE_SETTLED and w[kw.argmin()] > 0.0
+                     and gap > _CG_GAP_FLOOR * value)
+        if conjugate:
+            g = 2.0 * kw
+            r = np.where(face, g - g[face].mean(), 0.0)
+            r_r = float(r @ r)
+            if p is None or abs(float(r @ r_prev)) >= _POWELL_RESTART * r_r:
+                d = -r
+            else:
+                beta = (r_r - float(r @ r_prev)) / float(r_prev @ r_prev)
+                d = max(beta, 0.0) * p - r
+            g_d = float(g @ d)
+            conjugate = g_d < 0.0
+        if not conjugate:
+            d = project_to_simplex(w - (2.0 * alpha) * kw)
+            d -= w
+            g_d = 2.0 * float(kw @ d)
         if not g_d < 0.0:
             # The projected step has collapsed onto its face: move weight
             # from the worst support coordinate to the best one.
@@ -195,15 +229,35 @@ def minimize_quadratic(
         d_kd = float(d @ kd)
         # K is positive semidefinite; d.Kd <= 0 is round-off on a flat
         # direction. An infinite or NaN d.Kd gives no step.
-        t = 1.0 if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
-        if not t > 0.0:
+        t = math.inf if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
+        # The projected and pairwise steps stay feasible up to t = 1, the
+        # conjugate one up to the first weight it zeroes (the ratio test).
+        t_max, block = 1.0, None
+        if conjugate:
+            ratio = np.full(N, np.inf)
+            np.divide(w, -d, out=ratio, where=d < 0.0)
+            block = int(ratio.argmin())
+            t_max = ratio[block].item()
+        if t >= t_max:
+            t = t_max
+        else:
+            block = None
+        if not 0.0 < t < math.inf:
             stop_reason = "no_descent_step"
             break
-        t = min(t, 1.0)
         w += t * d
         kw += t * kd
-        if d_kd > 0.0:
-            alpha = float(d @ d) / (2.0 * d_kd)
+        if block is not None:
+            # Weights that tie with the blocking one may round below 0.
+            np.maximum(w, 0.0, out=w)
+            w[block] = 0.0
+        if conjugate:
+            conjugate_steps += 1
+            p, r_prev = d, r
+        else:
+            p = r_prev = None
+            if d_kd > 0.0:
+                alpha = float(d @ d) / (2.0 * d_kd)
         if it % _REFRESH_EVERY == 0:
             kw, value, gap = exact_state()
             exact = True
@@ -212,6 +266,9 @@ def minimize_quadratic(
             value = float(w @ kw)
             gap = 2.0 * value - 2.0 * kw.min().item()
             exact = False
+        new_face = w > 0.0
+        settled = settled + 1 if np.array_equal(new_face, face) else 0
+        face = new_face
 
     if not exact:
         kw, value, gap = exact_state()
@@ -223,11 +280,13 @@ def minimize_quadratic(
         iterations=it,
         certificate_gap=gap,
         converged=passes(gap, value),
-        provenance="spectral_projected_gradient(exact_line_search,pairwise_fallback)",
+        provenance="spectral_projected_gradient(exact_line_search,pairwise_fallback,"
+                   "face_conjugate_gradient)",
         stop_reason=stop_reason,
         lower_bound=value - max(gap, 0.0) - _LOWER_BOUND_RTOL * value,
         products=products,
         fallback_steps=fallback_steps,
+        conjugate_steps=conjugate_steps,
         refreshes=refreshes,
     )
 

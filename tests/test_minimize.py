@@ -164,12 +164,15 @@ def test_certificate_gap_bounds_suboptimality():
 def _spg_masked(op, w, tolerance, max_iters):
     """minimize_quadratic's loop written out plainly, with the fallback's
     away vertex searched in a masked copy of K w (rebuilt from w > 0 at each
-    fallback). Returns (iterations, value, gap, stop reason, minimizer,
-    products, fallback steps, refreshes, steps that shrink the support)."""
+    fallback), the conjugate-gradient step's face held as an index array and
+    its ratio test run as a loop. Returns (iterations, value, gap, stop
+    reason, minimizer, products, fallback steps, refreshes, steps that
+    shrink the support, conjugate-gradient steps, conjugate-gradient steps
+    cut at a zeroed weight)."""
     n = len(w)
     w = w.copy()
     away_buf = np.empty(n)
-    products = fallbacks = refreshes = drops = 0
+    products = fallbacks = refreshes = drops = conjugates = cuts = 0
 
     def exact():
         nonlocal products
@@ -183,6 +186,8 @@ def _spg_masked(op, w, tolerance, max_iters):
     kw, value, gap = exact()
     is_exact = True
     alpha = 1.0 / (2.0 * kw.max().item())
+    face, unchanged = np.flatnonzero(w > 0), 0
+    p = r_prev = None
     it, reason = 0, "max_iters"
     for it in range(1, max_iters + 1):
         if gap <= tolerance * max(value, 1e-300) and not is_exact:
@@ -191,8 +196,22 @@ def _spg_masked(op, w, tolerance, max_iters):
         if gap <= tolerance * max(value, 1e-300):
             reason = "gap_reached"
             break
-        d = project_to_simplex(w - (2.0 * alpha) * kw) - w
-        g_d = 2.0 * float(kw @ d)
+        conj = False
+        if (unchanged >= 2 and int(np.argmin(kw)) in face
+                and gap > math.sqrt(np.finfo(float).eps) * value):
+            g = 2.0 * kw
+            r = np.zeros(n)
+            r[face] = g[face] - g[face].sum() / len(face)
+            if p is None or abs(float(r @ r_prev)) >= 0.2 * float(r @ r):
+                d = -r
+            else:
+                beta = (float(r @ r) - float(r @ r_prev)) / float(r_prev @ r_prev)
+                d = max(beta, 0.0) * p - r
+            g_d = float(g @ d)
+            conj = g_d < 0.0
+        if not conj:
+            d = project_to_simplex(w - (2.0 * alpha) * kw) - w
+            g_d = 2.0 * float(kw @ d)
         if not g_d < 0.0:
             np.copyto(away_buf, -np.inf)
             np.copyto(away_buf, kw, where=w > 0)
@@ -207,16 +226,36 @@ def _spg_masked(op, w, tolerance, max_iters):
         kd = op.matvec(d)
         products += 1
         d_kd = float(d @ kd)
-        t = 1.0 if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
-        if not t > 0.0:
+        cut = None
+        if conj:
+            t = math.inf if d_kd <= 0.0 else -g_d / (2.0 * d_kd)
+            for i in face:
+                if d[i] < 0.0 and (cut is None or w[i] / -d[i] < w[cut] / -d[cut]):
+                    cut = i
+            if cut is not None and w[cut] / -d[cut] <= t:
+                t = w[cut] / -d[cut]
+            else:
+                cut = None
+        else:
+            t = min(1.0 if d_kd <= 0.0 else -g_d / (2.0 * d_kd), 1.0)
+        if not 0.0 < t < math.inf:
             reason = "no_descent_step"
             break
         support = np.count_nonzero(w)
-        w += min(t, 1.0) * d
+        w += t * d
+        kw += t * kd
+        if cut is not None:
+            w[w < 0.0] = 0.0
+            w[cut] = 0.0
+            cuts += 1
+        if conj:
+            conjugates += 1
+            p, r_prev = d, r
+        else:
+            p = r_prev = None
+            if d_kd > 0.0:
+                alpha = float(d @ d) / (2.0 * d_kd)
         drops += np.count_nonzero(w) < support
-        kw += min(t, 1.0) * kd
-        if d_kd > 0.0:
-            alpha = float(d @ d) / (2.0 * d_kd)
         if it % minimize._REFRESH_EVERY == 0:
             kw, value, gap = exact()
             is_exact = True
@@ -225,9 +264,12 @@ def _spg_masked(op, w, tolerance, max_iters):
             value = float(w @ kw)
             gap = 2.0 * value - 2.0 * kw.min().item()
             is_exact = False
+        unchanged = unchanged + 1 if np.array_equal(np.flatnonzero(w > 0), face) else 0
+        face = np.flatnonzero(w > 0)
     if not is_exact:
         kw, value, gap = exact()
-    return it, value, gap, reason, w, products, fallbacks, refreshes, drops
+    return (it, value, gap, reason, w, products, fallbacks, refreshes, drops,
+            conjugates, cuts)
 
 
 class _Scaled(KernelOperator):
@@ -262,11 +304,17 @@ def test_support_mask_matches_masked_copy(monkeypatch, operator, kind, n, start)
     assert res.converged == (want[3] == "gap_reached")
     assert res.minimizer.weights.tobytes() == want[4].tobytes()
     assert (res.products, res.fallback_steps, res.refreshes) == want[5:8]
-    # The runs take each branch that moves the support: pairwise fallback
-    # steps and steps that zero a weight, and refreshes of K w.
+    assert res.conjugate_steps == want[9]
+    # The runs take each branch: steps that zero a weight, conjugate-gradient
+    # steps, pairwise fallback steps, conjugate-gradient steps cut short at a
+    # zeroed weight, and refreshes of K w. Conjugate-gradient steps finish
+    # _Scaled V 40 uniform before it needs a fallback, and V 300 Dirichlet
+    # before it needs a refresh, so those two are checked on one operator.
     if n >= 40:
-        assert want[6] > 0 and want[8] > 0
-    if n == 300:
+        assert want[8] > 0 and want[9] > 0
+    if n >= 40 and operator is KernelOperator:
+        assert want[6] > 0 and want[10] > 0
+    if n == 300 and operator is _Scaled:
         assert want[7] > 0
 
 
@@ -336,9 +384,29 @@ def test_counters_add_up():
                              tolerance=1e-300, max_iters=200)
     assert (res.iterations, res.refreshes) == (200, 3)
     assert res.products == 1 + 200 + 3 + 1
+    assert res.conjugate_steps > 0
     d = res.as_dict()
-    assert (d["products"], d["fallback_steps"], d["refreshes"]) == (
-        res.products, res.fallback_steps, res.refreshes)
+    assert (d["products"], d["fallback_steps"], d["conjugate_steps"], d["refreshes"]) == (
+        res.products, res.fallback_steps, res.conjugate_steps, res.refreshes)
+
+
+@pytest.mark.parametrize("operator, kind, n, tol, most", [
+    (_Scaled, KernelKind.V_KERNEL, 300, 1e-9, 300),
+    (_Scaled, KernelKind.T_KERNEL, 300, 1e-9, 300),
+    (KernelOperator, KernelKind.V_KERNEL, 4, 1e-12, 15),
+    (KernelOperator, KernelKind.T_KERNEL, 4, 1e-12, 15),
+])
+def test_face_cg_cuts_products(monkeypatch, operator, kind, n, tol, most):
+    # Spectral projected gradient alone zigzags on a settled face: 763 and
+    # 832 products on the ill-conditioned solves, 43 and 40 at N = 4.
+    monkeypatch.setattr(minimize, "_QuadraticOperator", operator)
+    res = minimize_quadratic(kind, n, tolerance=tol)
+    assert res.converged and res.stop_reason == "gap_reached"
+    assert res.conjugate_steps > 0
+    assert res.products <= most
+    if operator is KernelOperator:
+        exact = exact_quadratic_minimum(kind, n).value
+        assert abs(res.value - exact) <= 1e-12 * exact
 
 
 def test_forced_pairwise_fallback_still_certifies(monkeypatch):
