@@ -45,8 +45,9 @@ KernelSpec = KernelKind
 
 
 def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
-                     cols: np.ndarray) -> np.ndarray:
-    """K[rows, cols] from the block g = gcd(rows, cols) as float64.
+                     cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K[rows, cols] from the block g = gcd(rows, cols) as float64, written
+    into `out` (of g's shape) when given.
 
     The denominators are formed in float64: m + n and m * n round once,
     just as their exact int64 values round on conversion, so the block has
@@ -54,11 +55,11 @@ def _kernel_from_gcd(kind: KernelKind, g: np.ndarray, rows: np.ndarray,
     """
     rows, cols = rows.astype(np.float64), cols.astype(np.float64)
     if kind is KernelKind.V_KERNEL:
-        den = np.add.outer(rows, cols)
+        den = np.add.outer(rows, cols, out=out)
     else:
         # Only kernel_block builds T blocks: the pairwise T form reduces
         # the gcd block itself.
-        den = np.multiply.outer(rows, cols)
+        den = np.multiply.outer(rows, cols, out=out)
         np.sqrt(den, out=den)
     return np.divide(g, den, out=den)
 
@@ -84,7 +85,8 @@ def _multiples(idx: np.ndarray, start: int | None, q: int):
 
 
 def gcd_block(rows: np.ndarray, cols: np.ndarray,
-              powers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+              powers: tuple[np.ndarray, np.ndarray] | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The block gcd(rows, cols) in float64 for arrays of positive integers,
     built without a gcd ufunc.
 
@@ -94,13 +96,18 @@ def gcd_block(rows: np.ndarray, cols: np.ndarray,
     columns = 0 (mod q) is multiplied by p. Every entry stays an integer
     below 2^53, so the block has the bits of the integer gcd block converted
     to float64. `powers` is the (q, p) pair of arith.prime_powers, covering
-    at least that bound; by default it is built here.
+    at least that bound; by default it is built here. The block is written
+    into `out`, of shape (len(rows), len(cols)), when given.
 
     The pairwise oracles share only the sieve with KernelOperator: they use
     neither phi nor the divisor decomposition, so they stay an independent
     check of the operator.
     """
-    g = np.ones((len(rows), len(cols)))
+    if out is None:
+        g = np.ones((len(rows), len(cols)))
+    else:
+        g = out
+        g.fill(1.0)
     if g.size == 0:
         return g
     bound = int(min(rows.max(), cols.max()))
@@ -364,52 +371,90 @@ class WeightVector:
         return np.flatnonzero(self.weights > 0) + 1
 
 
-def _pairwise_forms(kinds: tuple[KernelKind, ...],
-                    c: WeightVector) -> tuple[float, ...]:
-    """c^T K c for each kernel kind, by pairwise gcd sums over the support.
+def pairwise_forms(kinds: tuple[KernelKind, ...],
+                   cs: list[WeightVector]) -> list[tuple[float, ...]]:
+    """c^T K c for each kernel kind, for each weight vector c of cs, by
+    pairwise gcd sums over the supports: one tuple per vector, in the order
+    of kinds.
 
     Zero-weight coordinates contribute nothing, so the sums run over the
-    support only. One gcd block G per row block serves every kind: V
-    reduces its kernel block w^T K w, T reduces y^T G y with y_m =
-    c_m / sqrt(m), so no T kernel block is built. Block rows are sized to
-    keep peak memory bounded, and the prime powers of the gcd blocks are
-    built once per call.
+    supports only. The gcd blocks are built once for the union U of the
+    supports, row block by row block, and serve every vector and kind: a
+    vector reduces its sub-block with one matrix-vector product, V its
+    kernel block w^T K w, T its gcd block y^T G y with y_m = c_m / sqrt(m),
+    so no T kernel block is built. The sub-block is a slice when the
+    support is a run of U (always so for one vector, and for the runs
+    [1, n] that the verify checks draw), else a gather. Rows per block are
+    sized to keep peak memory bounded; the prime powers are built once per
+    call, and the first row block's gcd and kernel arrays hold every later
+    block.
+
+    When U fits in one row block (|U|^2 <= _BLOCK_ELEMS), each value has
+    the bits of the same call on its vector alone. Over several row blocks
+    a vector's sum is split at U's block edges instead of its own, which
+    moves it by round-off only.
     """
-    supp = c.support()
-    totals = [0.0] * len(kinds)
-    if supp.size == 0:
-        return tuple(totals)
-    w = c.weights[supp - 1]
-    y = w / np.sqrt(supp)
-    powers = _prime_power_table(int(supp[-1]))
-    step = max(1, _BLOCK_ELEMS // supp.size)
-    for lo in range(0, supp.size, step):
-        rows = supp[lo : lo + step]
-        g = gcd_block(rows, supp, powers)
-        for i, kind in enumerate(kinds):
-            if kind is KernelKind.T_KERNEL:
-                x, kx = y, g @ y
+    totals = [[0.0] * len(kinds) for _ in cs]
+    member = np.zeros(max((c.n_max for c in cs), default=0) + 1, dtype=bool)
+    for c in cs:
+        member[1 : c.n_max + 1] |= c.weights > 0
+    union = np.flatnonzero(member)
+    if not union.size:
+        return [tuple(t) for t in totals]
+    # Per vector: its columns of U, a slice when its support is a run of U,
+    # else their positions.
+    vectors = []
+    for c, total in zip(cs, totals):
+        supp = c.support()
+        if supp.size:
+            first, last = np.searchsorted(union, supp[[0, -1]]).tolist()
+            cols = (slice(first, last + 1) if last - first == supp.size - 1
+                    else np.searchsorted(union, supp))
+            vectors.append((c, cols, total))
+    powers = _prime_power_table(int(union[-1]))
+    step = max(1, _BLOCK_ELEMS // union.size)
+    g = k = None
+    for lo in range(0, union.size, step):
+        rows = union[lo : lo + step]
+        hi = lo + rows.size
+        # Every block after the first is written into the leading rows of
+        # the first one's arrays. (Buffers made before the first block sat
+        # below gcd_block's small temporaries in the heap, and verify-all's
+        # next, larger block could not reuse their space.)
+        g = gcd_block(rows, union, powers, None if g is None else g[: rows.size])
+        if KernelKind.V_KERNEL in kinds:
+            k = _kernel_from_gcd(KernelKind.V_KERNEL, g, rows, union,
+                                 None if k is None else k[: rows.size])
+        for c, cols, total in vectors:
+            # The vector's rows in this block: its entries a:b.
+            if isinstance(cols, slice):
+                a, b = max(cols.start, lo) - cols.start, min(cols.stop, hi) - cols.start
+                sub = (slice(cols.start + a - lo, cols.start + b - lo), cols)
             else:
-                x, kx = w, _kernel_from_gcd(kind, g, rows, supp) @ w
-            totals[i] += float(x[lo : lo + step] @ kx)
-    return tuple(totals)
+                a, b = np.searchsorted(cols, (lo, hi)).tolist()
+                sub = np.ix_(cols[a:b] - lo, cols)
+            if a >= b:
+                continue
+            supp = union[cols]
+            w = c.weights[supp - 1]
+            for i, kind in enumerate(kinds):
+                if kind is KernelKind.T_KERNEL:
+                    block, x = g, w / np.sqrt(supp)
+                else:
+                    block, x = k, w
+                total[i] += float(x[a:b] @ (block[sub] @ x))
+    return [tuple(t) for t in totals]
 
 
 def v_form(c: WeightVector) -> float:
     """V(c;N) = sum_{m,n<=N} gcd(m,n) c_m c_n / (m+n)."""
-    return _pairwise_forms((KernelKind.V_KERNEL,), c)[0]
+    return pairwise_forms((KernelKind.V_KERNEL,), [c])[0][0]
 
 
 def t_form_naive(c: WeightVector) -> float:
     """T(c;N) by direct pairwise gcd summation, as y^T G y with y_m =
     c_m / sqrt(m) and G the gcd matrix on the support."""
-    return _pairwise_forms((KernelKind.T_KERNEL,), c)[0]
-
-
-def vt_forms_pairwise(c: WeightVector) -> tuple[float, float]:
-    """(V(c;N), T(c;N)) from one pass of gcd blocks; each value has the
-    bits of v_form(c) and t_form_naive(c)."""
-    return _pairwise_forms((KernelKind.V_KERNEL, KernelKind.T_KERNEL), c)
+    return pairwise_forms((KernelKind.T_KERNEL,), [c])[0][0]
 
 
 def t_form_fast(c: WeightVector) -> float:

@@ -41,11 +41,10 @@ from .forms import (
     WeightVector,
     e_form,
     e_gradient,
+    pairwise_forms,
     r_counts_dense,
     t_form_fast,
-    t_form_naive,
     v_form,
-    vt_forms_pairwise,
 )
 from .minimize import (
     exact_quadratic_minimum,
@@ -127,12 +126,13 @@ def _verify_arith(rep):
 
 def check_kernel_inequality(rep: ExperimentReport, rng: np.random.Generator,
                             n_vectors: int) -> None:
-    """V(c) <= T(c)/2 on random vectors of random length N in [1, 500]."""
+    """V(c) <= T(c)/2 on random vectors of random length N in [1, 500].
+    All vectors are drawn first, then V and T of every one come from one
+    pairwise_forms call, which builds the gcd blocks of [1, max N] once."""
+    cs = [WeightVector.from_weights(rng.random(int(rng.integers(1, 501))))
+          for _ in range(n_vectors)]
     worst = -math.inf
-    for _ in range(n_vectors):
-        n = int(rng.integers(1, 501))
-        c = WeightVector.from_weights(rng.random(n))
-        v, t = vt_forms_pairwise(c)
+    for v, t in pairwise_forms((KernelKind.V_KERNEL, KernelKind.T_KERNEL), cs):
         worst = max(worst, v - 0.5 * t)
     rep.check("kernel_inequality_V_le_half_T", worst, 0.0, worst <= 1e-12)
 
@@ -140,13 +140,15 @@ def check_kernel_inequality(rep: ExperimentReport, rng: np.random.Generator,
 def check_t_naive_vs_fast(rep: ExperimentReport, rng: np.random.Generator,
                           n_vectors: int, n_range: tuple[int, int]) -> None:
     """Pairwise T against the divisor decomposition, relative error 1e-10,
-    on random vectors of random length N in the closed range n_range."""
+    on random vectors of random length N in the closed range n_range. All
+    vectors are drawn first; their pairwise T values come from one
+    pairwise_forms call, their fast ones from one KernelOperator each."""
     lo, hi = n_range
+    cs = [WeightVector.from_weights(rng.random(int(rng.integers(lo, hi + 1))))
+          for _ in range(n_vectors)]
     worst_rel = 0.0
-    for _ in range(n_vectors):
-        n = int(rng.integers(lo, hi + 1))
-        c = WeightVector.from_weights(rng.random(n))
-        a, b = t_form_naive(c), t_form_fast(c)
+    for c, (a,) in zip(cs, pairwise_forms((KernelKind.T_KERNEL,), cs)):
+        b = t_form_fast(c)
         worst_rel = max(worst_rel, abs(a - b) / max(abs(a), 1e-300))
     rep.check("t_naive_vs_fast", worst_rel, 1e-10, worst_rel <= 1e-10)
 

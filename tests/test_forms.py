@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galmin import verify
 from galmin.arith import BudgetError
 from galmin.forms import (
     EnergyIndex,
@@ -15,16 +16,18 @@ from galmin.forms import (
     e_gradient,
     gcd_block,
     kernel_block,
+    pairwise_forms,
     r_counts_dense,
     t_form_fast,
     t_form_naive,
     v_form,
-    vt_forms_pairwise,
 )
+from galmin.report import ExperimentReport
 
 from oracles import gal_sum, set_energy
 
 rng = np.random.default_rng(7)
+_VT = (KernelKind.V_KERNEL, KernelKind.T_KERNEL)
 
 
 def _oracle_quadratic(weights, kernel):
@@ -93,7 +96,7 @@ def test_vt_pair_has_the_bits_of_the_separate_forms(monkeypatch):
     one_point[60] = 0.3
     for w in (rng.random(250), rng.random(1), sparse, one_point, np.zeros(40)):
         c = WeightVector.from_weights(w)
-        v, t = vt_forms_pairwise(c)
+        v, t = pairwise_forms(_VT, [c])[0]
         assert (v, t) == (v_form(c), t_form_naive(c))
         assert type(v) is type(t) is float
 
@@ -171,9 +174,78 @@ def test_pairwise_row_blocks_have_the_bits_of_a_gcd_loop(monkeypatch):
     sparse[gen.random(2000) < 0.7] = 0.0
     for w in (gen.random(1000), gen.random(777), sparse):
         c = WeightVector.from_weights(w)
-        v, t = vt_forms_pairwise(c)
+        v, t = pairwise_forms(_VT, [c])[0]
         assert v == v_form(c) == _pairwise_by_gcd_loop("V", w, elems)
         assert t == t_form_naive(c) == _pairwise_by_gcd_loop("T", w, elems)
+
+
+def _mixed_batch():
+    """Runs [1, n] of several n, an offset run, a sparse support, one
+    point and an all-zero vector, of different n_max; their union is
+    [1, 500]."""
+    gen = np.random.default_rng(21)
+    offset = gen.random(400)
+    offset[:120] = 0.0  # the run [121, 400]
+    sparse = gen.random(450)
+    sparse[gen.random(450) < 0.8] = 0.0
+    one_point = np.zeros(97)
+    one_point[60] = 0.3
+    weights = [gen.random(n) for n in (1, 17, 250, 500)]
+    weights += [offset, sparse, one_point, np.zeros(40)]
+    return [WeightVector.from_weights(w) for w in weights]
+
+
+def test_pairwise_batch_has_the_bits_of_each_vector_alone():
+    batch = _mixed_batch()
+    pairs = pairwise_forms(_VT, batch)
+    assert len(pairs) == len(batch)
+    for c, (v, t) in zip(batch, pairs):
+        assert (v, t) == (v_form(c), t_form_naive(c))
+        assert type(v) is type(t) is float
+    assert pairwise_forms(_VT[::-1], batch) == [(t, v) for v, t in pairs]
+    assert pairwise_forms((KernelKind.T_KERNEL,), batch) == [(t,) for _, t in pairs]
+    assert pairwise_forms(_VT, []) == []
+
+
+def test_pairwise_batch_over_several_row_blocks(monkeypatch):
+    batch = _mixed_batch()
+    alone = [(v_form(c), t_form_naive(c)) for c in batch]
+    # 40 rows of the union [1, 500] a block: 13 row blocks, whose edges
+    # fall elsewhere in each vector than a lone call's.
+    monkeypatch.setattr("galmin.forms._BLOCK_ELEMS", 20_000)
+    # Every term of both sums is a nonnegative product of the same rounded
+    # kernel entries and weights, so each summation order lands within
+    # about 1,000 roundings (a GEMV row of <= 500 terms, then <= 500 rows
+    # and 13 blocks) of one exact sum, about 1.1e-13 relative; 1e-12 bounds
+    # the gap between two orders with room to spare.
+    for (v, t), (v1, t1) in zip(pairwise_forms(_VT, batch), alone):
+        assert math.isclose(v, v1, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(t, t1, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("fast", [True, False])
+def test_batched_checks_match_a_per_vector_loop(seed, fast):
+    # verify-all draws the kernel-inequality vectors first, then the
+    # T vectors, from one generator; the checks batch what this loops.
+    n_kernel, n_t, n_range = (50, 10, (2, 1000)) if fast else (200, 25, (2, 2000))
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(n_kernel):
+        c = WeightVector.from_weights(rng.random(int(rng.integers(1, 501))))
+        worst = max(worst, v_form(c) - 0.5 * t_form_naive(c))
+    worst_rel = 0.0
+    for _ in range(n_t):
+        c = WeightVector.from_weights(
+            rng.random(int(rng.integers(n_range[0], n_range[1] + 1))))
+        a, b = t_form_naive(c), t_form_fast(c)
+        worst_rel = max(worst_rel, abs(a - b) / max(abs(a), 1e-300))
+
+    rep = ExperimentReport("batched")
+    rng = np.random.default_rng(seed)
+    verify.check_kernel_inequality(rep, rng, n_kernel)
+    verify.check_t_naive_vs_fast(rep, rng, n_t, n_range)
+    assert [a.lhs for a in rep.assertions] == [worst, worst_rel]
 
 
 def test_t_fast_equals_naive():

@@ -25,9 +25,9 @@ from galmin.forms import (
     _smooth_length,
     e_form,
     kernel_block,
+    pairwise_forms,
     t_form_fast,
     v_form,
-    vt_forms_pairwise,
 )
 from galmin.minimize import (
     _batch_objective,
@@ -134,7 +134,8 @@ def test_operator_form_matches_pairwise_oracle_at_1e4():
     ops = [KernelOperator(kind, n) for kind in (KernelKind.V_KERNEL, KernelKind.T_KERNEL)]
     for c in (rand, wit):
         w = c.weights
-        for op, pairwise in zip(ops, vt_forms_pairwise(c)):
+        pair = pairwise_forms((KernelKind.V_KERNEL, KernelKind.T_KERNEL), [c])[0]
+        for op, pairwise in zip(ops, pair):
             assert math.isclose(float(w @ op.matvec(w)), pairwise, rel_tol=1e-12)
 
 
